@@ -8,6 +8,7 @@ this module and from everything built on top of it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -201,26 +202,6 @@ def _rat_str(c: Fraction) -> str:
 def rat_str(c) -> str:
     """Serialize an exact rational as "p" or "p/q"."""
     return _rat_str(_as_rat(c))
-
-
-def poly_identity_check(p, q, degree_bound: int) -> bool:
-    """Decide p == q two ways: coefficient comparison, cross-validated by
-    evaluation at degree_bound + 1 integer points >= 3.
-
-    Raises if degree_bound is exceeded by either input, or if the two routes
-    ever disagree (which would indicate a defect in this module).
-    """
-    p, q = aspoly(p), aspoly(q)
-    if degree_bound < max(p.degree, q.degree):
-        raise ValueError(
-            "degree bound %d is below an input degree %d"
-            % (degree_bound, max(p.degree, q.degree))
-        )
-    by_coeffs = p == q
-    by_eval = all(p.eval(k) == q.eval(k) for k in range(3, 3 + degree_bound + 1))
-    if by_coeffs != by_eval:
-        raise AssertionError("coefficient and evaluation routes disagree")
-    return by_coeffs
 
 
 class ExactMatrix:
@@ -488,7 +469,7 @@ class PrimeFieldConfig:
 
     def __post_init__(self):
         m = self.modulus
-        if m < 2 or any(m % d == 0 for d in range(2, int(m**0.5) + 1)):
+        if m < 2 or any(m % d == 0 for d in range(2, math.isqrt(m) + 1)):
             raise ValueError("modulus %d is not prime" % m)
 
 

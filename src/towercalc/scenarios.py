@@ -4,7 +4,8 @@ A scenario is a JSON-able document describing a tower of spaces, bundles,
 lattice maps, and curve classes, plus a list of expected values.  The
 evaluator rebuilds the objects with the engine, recomputes every expected
 value, and emits a deterministic report.  Documents round-trip through
-export and load without changing any report byte.
+export and load without changing any report byte.  The built-in scenarios
+are the documents packaged as ``towercalc/data/<name>.json``.
 
 Expected values carry a provenance tag:
 
@@ -26,6 +27,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from importlib import resources
 
 from .census import (
     isotropy_equivalence_f3,
@@ -164,6 +166,8 @@ def parse_value(value):
             return Fraction(value)
         except ValueError:
             return value
+        except ZeroDivisionError:
+            raise ScenarioFileError("zero denominator in %r" % value) from None
     if isinstance(value, dict):
         if value and all(
             isinstance(k, str) and k.isdigit() and isinstance(v, (str, int))
@@ -179,15 +183,6 @@ def parse_value(value):
     if isinstance(value, list):
         return [parse_value(v) for v in value]
     raise ScenarioFileError("cannot parse value %r" % (value,))
-
-
-def _ser(value):
-    return serialize_value(value, SYMBOLIC)
-
-
-def _lin(n_coeff, const):
-    """Serialized form of ``n_coeff * n + const``."""
-    return _ser(ParamPoly({1: n_coeff, 0: const}))
 
 
 def canonical_json(data) -> str:
@@ -213,7 +208,10 @@ def _req(obj: dict, key: str, what: str):
 
 
 def _poly_field(raw, what: str) -> ParamPoly:
-    parsed = parse_value(raw)
+    try:
+        parsed = parse_value(raw)
+    except ScenarioFileError as exc:
+        raise ScenarioFileError("%s: %s" % (what, exc)) from None
     if isinstance(parsed, (Fraction, ParamPoly, int)):
         return aspoly(parsed)
     raise ScenarioFileError("%s: %r is not an exact number or polynomial" % (what, raw))
@@ -233,12 +231,14 @@ def _int_field(raw, what: str) -> int:
 
 
 def _lookup(table: dict, name, what: str):
+    if not isinstance(name, str):
+        raise ScenarioFileError("%s: reference %r is not a name" % (what, name))
     if name not in table:
         raise ScenarioFileError("%s: unknown reference %r" % (what, name))
     return table[name]
 
 
-def _build_one_space(sd, spaces, bundles):
+def _make_space(sd, spaces, bundles):
     name = _req(sd, "name", "space entry")
     what = "space %r" % name
     kind = _req(sd, "kind", what)
@@ -292,7 +292,7 @@ def _build_one_space(sd, spaces, bundles):
         raise ScenarioFileError("%s: %s" % (what, exc)) from exc
 
 
-def _build_one_bundle(bd, spaces, bundles):
+def _make_bundle(bd, spaces, bundles):
     name = _req(bd, "name", "bundle entry")
     what = "bundle %r" % name
     kind = _req(bd, "kind", what)
@@ -347,7 +347,7 @@ def _build_one_bundle(bd, spaces, bundles):
         raise ScenarioFileError("%s: %s" % (what, exc)) from exc
 
 
-def _build_env(doc) -> Env:
+def _make_env(doc) -> Env:
     spaces: dict = {}
     bundles: dict = {}
     maps: dict = {}
@@ -367,9 +367,9 @@ def _build_env(doc) -> Env:
         for kind, entry in pending:
             try:
                 if kind == "space":
-                    _build_one_space(entry, spaces, bundles)
+                    _make_space(entry, spaces, bundles)
                 else:
-                    _build_one_bundle(entry, spaces, bundles)
+                    _make_bundle(entry, spaces, bundles)
                 progress = True
             except ScenarioFileError as exc:
                 if "unknown reference" in str(exc):
@@ -596,14 +596,19 @@ def _space_of(env, params, key="space"):
     return _lookup(env.spaces, _req(params, key, "check params"), "check params")
 
 
+def _names_of(params, key):
+    names = _req(params, key, "check params")
+    if not isinstance(names, list):
+        raise ScenarioFileError("check params: %r must be a list of names" % key)
+    return names
+
+
 def _curves_of(env, params, key="curves"):
-    return [
-        _lookup(env.curves, c, "check params") for c in _req(params, key, "check params")
-    ]
+    return [_lookup(env.curves, c, "check params") for c in _names_of(params, key)]
 
 
 def _divisors_of(env, space, params, key="divisors"):
-    return [space.gen(d) for d in _req(params, key, "check params")]
+    return [space.gen(d) for d in _names_of(params, key)]
 
 
 def _check_dim(env, params, n):
@@ -1205,12 +1210,17 @@ def evaluate_doc(doc, n) -> VerificationReport:
             "scenario %r computes finite ranks; run it at a numeric n >= 3"
             % doc["name"]
         )
-    env = _build_env(doc)
+    env = _make_env(doc)
     results = []
     for entry in doc.get("expect", []):
         fn = CHECK_KINDS[entry["check"]]
-        computed = serialize_value(fn(env, entry, n), n)
-        expected = serialize_value(parse_value(entry["value"]), n)
+        try:
+            computed = serialize_value(fn(env, entry, n), n)
+            expected = serialize_value(parse_value(entry["value"]), n)
+        except (ValueError, ScenarioFileError) as exc:
+            raise ScenarioFileError(
+                "scenario %r check %r: %s" % (doc["name"], entry["name"], exc)
+            ) from exc
         results.append(
             CheckResult(
                 name=entry["name"],
@@ -1226,1461 +1236,33 @@ def evaluate_doc(doc, n) -> VerificationReport:
 
 
 # ---------------------------------------------------------------------------
-# built-in scenarios
+# built-in scenarios: the documents packaged in ``towercalc/data``
+
+_DATA = resources.files(__package__) / "data"
+_BUILTIN = tuple(
+    sorted(p.name.removesuffix(".json") for p in _DATA.iterdir() if p.name.endswith(".json"))
+)
 
 
-def _exp(name, check, params, value, provenance, anchor):
-    entry = {
-        "name": name,
-        "check": check,
-        "value": value,
-        "provenance": provenance,
-        "anchor": anchor,
-    }
-    entry.update(params)
-    return entry
-
-
-_JZ_CURVE_NAMES = ["ehat_one", "ehat_two", "sigma_push", "gamma_exc"]
-_JZ_DIVISORS = ["x1", "x2", "x3", "x4"]
-_JZ_TABLE = [
-    ["0", "1", "0", "1"],
-    ["0", "0", "1", "1"],
-    ["1", "-1", "-1", "-1"],
-    ["0", "0", "0", "-1"],
-]
-_RESTRICTION_MATRIX = [
-    ["0", "1", "1", "0"],
-    ["1", "-1", "-1", "-1"],
-    ["0", "0", "0", "-1"],
-]
-
-
-def _boundary_restriction_map():
-    return {
-        "kind": "recipe",
-        "name": "boundary_restriction",
-        "recipe": "boundary-restriction",
-        "source": ["x1", "x2", "x3", "x4"],
-        "target": ["a", "t", "w"],
-    }
-
-
-def _jz_spaces(with_blowup=True):
-    spaces = [
-        {
-            "kind": "formal-base",
-            "name": "proj_base",
-            "pic": ["x1"],
-            "canonical": [_lin(-2, 0)],
-            "dim": _lin(2, -1),
-        },
-        {
-            "kind": "proj-bundle",
-            "name": "first_ruling",
-            "base": "proj_base",
-            "bundle": "middle_quotient",
-            "taut": "x2",
-        },
-        {
-            "kind": "proj-bundle",
-            "name": "second_ruling",
-            "base": "proj_base",
-            "bundle": "middle_quotient",
-            "taut": "x3",
-        },
-        {
-            "kind": "fiber-product",
-            "name": "double_ruling_space",
-            "left": "first_ruling",
-            "right": "second_ruling",
-            "over": "proj_base",
-        },
-        {
-            "kind": "divisor-in",
-            "name": "incidence_divisor",
-            "ambient": "double_ruling_space",
-            "class": ["0", "1", "1"],
-        },
-    ]
-    bundles = [
-        {
-            "kind": "declared",
-            "name": "taut_line",
-            "space": "proj_base",
-            "rank": "1",
-            "c1": ["-1"],
-        },
-        {
-            "kind": "declared",
-            "name": "pairing_perp",
-            "space": "proj_base",
-            "rank": _lin(2, -1),
-            "c1": ["-1"],
-        },
-        {
-            "kind": "quotient",
-            "name": "middle_quotient",
-            "of": "pairing_perp",
-            "sub": "taut_line",
-        },
-    ]
-    if with_blowup:
-        spaces.append(
-            {
-                "kind": "blow-up",
-                "name": "resolved_incidence",
-                "ambient": "incidence_divisor",
-                "codim": _lin(2, -4),
-                "exc": "x4",
-                "exc_directions": ["theta", "w"],
-                "exc_degrees": ["-1", "-1"],
-            }
+def _parse_doc(text: str) -> dict:
+    """Parse the JSON text of a scenario document, check its format tag,
+    and validate it.  Parse errors carry the line and column; semantic
+    errors name the offending object."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ScenarioFileError(
+            "parse error at line %d column %d: %s" % (exc.lineno, exc.colno, exc.msg)
+        ) from exc
+    if not isinstance(doc, dict):
+        raise ScenarioFileError("scenario document must be a JSON object")
+    fmt = doc.get("format")
+    if fmt != FORMAT_TAG:
+        raise ScenarioFileError(
+            "unsupported format %r (expected %r)" % (fmt, FORMAT_TAG)
         )
-    return spaces, bundles
-
-
-def _jz_curves():
-    return [
-        {
-            "name": "eps_one",
-            "space": "incidence_divisor",
-            "atomic": {"kind": "line-in-proj-fiber", "taut": "x2"},
-        },
-        {
-            "name": "eps_two",
-            "space": "incidence_divisor",
-            "atomic": {"kind": "line-in-proj-fiber", "taut": "x3"},
-        },
-        {
-            "name": "ehat_one",
-            "space": "resolved_incidence",
-            "atomic": {
-                "kind": "strict-transform",
-                "ambient_curve": "eps_one",
-                "mult": "1",
-            },
-        },
-        {
-            "name": "ehat_two",
-            "space": "resolved_incidence",
-            "atomic": {
-                "kind": "strict-transform",
-                "ambient_curve": "eps_two",
-                "mult": "1",
-            },
-        },
-        {
-            "name": "sigma_push",
-            "space": "resolved_incidence",
-            "atomic": {
-                "kind": "pushed",
-                "matrix": "boundary_restriction",
-                "degrees": ["0", "1", "0"],
-                "note": "section class pushed from the boundary lattice",
-            },
-        },
-        {
-            "name": "gamma_exc",
-            "space": "resolved_incidence",
-            "atomic": {"kind": "line-in-exceptional-fiber", "direction": "w"},
-        },
-    ]
-
-
-def _table_params():
-    return {
-        "space": "resolved_incidence",
-        "curves": list(_JZ_CURVE_NAMES),
-        "divisors": list(_JZ_DIVISORS),
-    }
-
-
-def _build_jz_intersection_table():
-    spaces, bundles = _jz_spaces()
-    return {
-        "format": FORMAT_TAG,
-        "name": "jz-intersection-table",
-        "description": "Intersection table of the four generating curve rays "
-        "against the divisor generators on the resolved incidence divisor.",
-        "n_policy": POLICY_ANY,
-        "spaces": spaces,
-        "bundles": bundles,
-        "maps": [_boundary_restriction_map()],
-        "curves": _jz_curves(),
-        "expect": [
-            _exp(
-                "ambient-product-dim",
-                "dim",
-                {"space": "double_ruling_space"},
-                _lin(6, -7),
-                "derived",
-                "dimension of the doubled ruling bundle over the base projective space",
-            ),
-            _exp(
-                "incidence-dim",
-                "dim",
-                {"space": "incidence_divisor"},
-                _lin(6, -8),
-                "derived",
-                "a divisor drops the dimension by one",
-            ),
-            _exp(
-                "resolved-dim",
-                "dim",
-                {"space": "resolved_incidence"},
-                _lin(6, -8),
-                "derived",
-                "blowing up preserves the dimension",
-            ),
-            _exp(
-                "center-codim",
-                "codim",
-                {"space": "resolved_incidence"},
-                _lin(2, -4),
-                "reference",
-                "codimension of the blown-up locus inside the incidence divisor",
-            ),
-            _exp(
-                "table",
-                "pairing-table",
-                _table_params(),
-                [list(row) for row in _JZ_TABLE],
-                "reference",
-                "pairings of the four generating rays against the divisor generators",
-            ),
-            _exp(
-                "table-constant",
-                "pairing-table-constant",
-                _table_params(),
-                True,
-                "derived",
-                "every entry of the table is independent of the parameter",
-            ),
-            _exp(
-                "section-row",
-                "curve-vector",
-                {"curve": "sigma_push"},
-                ["1", "-1", "-1", "-1"],
-                "reference",
-                "the section ray is the boundary pushforward of the middle generator",
-            ),
-            _exp(
-                "exceptional-row",
-                "curve-vector",
-                {"curve": "gamma_exc"},
-                ["0", "0", "0", "-1"],
-                "derived",
-                "an exceptional ruling line meets only the exceptional divisor",
-            ),
-        ],
-    }
-
-
-def _build_jz_canonical_class():
-    spaces, bundles = _jz_spaces()
-    k_hat = [_lin(-2, 1), _lin(-2, 3), _lin(-2, 3), _lin(2, -4)]
-    return {
-        "format": FORMAT_TAG,
-        "name": "jz-canonical-class",
-        "description": "Canonical classes of the incidence divisor and its "
-        "resolution, the restricted ambient canonical class, and negativity "
-        "of its pairings with the generating rays.",
-        "n_policy": POLICY_ANY,
-        "spaces": spaces,
-        "bundles": bundles,
-        "maps": [_boundary_restriction_map()],
-        "curves": _jz_curves(),
-        "expect": [
-            _exp(
-                "incidence-canonical",
-                "canonical",
-                {"space": "incidence_divisor"},
-                [_lin(-2, 0), _lin(-2, 3), _lin(-2, 3)],
-                "reference",
-                "adjunction along the incidence divisor",
-            ),
-            _exp(
-                "resolved-canonical",
-                "canonical",
-                {"space": "resolved_incidence"},
-                [_lin(-2, 0), _lin(-2, 3), _lin(-2, 3), _lin(2, -5)],
-                "reference",
-                "blow-up discrepancy is codimension minus one",
-            ),
-            _exp(
-                "restricted-canonical",
-                "restricted-canonical",
-                {"divisor": "incidence_divisor", "normal": ["-1", "0", "0"]},
-                [_lin(-2, 1), _lin(-2, 3), _lin(-2, 3)],
-                "reference",
-                "ambient canonical class restricted along the declared normal line",
-            ),
-            _exp(
-                "restricted-canonical-resolved",
-                "restricted-canonical",
-                {
-                    "divisor": "incidence_divisor",
-                    "normal": ["-1", "0", "0"],
-                    "blowup": "resolved_incidence",
-                    "ambient_center_codim": _lin(2, -3),
-                },
-                k_hat,
-                "reference",
-                "the restricted canonical class lifted through the resolution",
-            ),
-            _exp(
-                "ambient-center-codim",
-                "codim-in-ambient",
-                {"space": "resolved_incidence"},
-                _lin(2, -3),
-                "derived",
-                "the center sits one codimension higher in the ambient product",
-            ),
-            _exp(
-                "kneg",
-                "kneg",
-                {
-                    "space": "resolved_incidence",
-                    "k_class": k_hat,
-                    "curves": list(_JZ_CURVE_NAMES),
-                },
-                {
-                    "pairings": ["-1", "-1", "-1", _lin(-2, 4)],
-                    "all_negative": True,
-                },
-                "reference",
-                "the restricted canonical class pairs negatively with every generating ray",
-            ),
-        ],
-    }
-
-
-_B1 = ["y1", "y2", "y3", "y4"]
-_B2 = ["gamma1", "chi1", "kappa10", "kappa01"]
-_B3 = ["gamma1", "phi10", "phi01", "dhat"]
-_PSI_MATRIX = [
-    ["0", "0", "0", "1"],
-    ["1", "1", "1", "-3"],
-    ["0", "1", "0", "-1"],
-    ["0", "0", "1", "-1"],
-]
-_XI_MATRIX = [
-    ["1", "-1", "-1", "1"],
-    ["0", "2", "2", "-3"],
-    ["0", "1", "0", "-1"],
-    ["0", "0", "1", "-1"],
-]
-_XI_INVERSE_PRINTED = [
-    ["1", "1", "-1", "-1"],
-    ["0", "1", "-1", "-2"],
-    ["0", "1", "-2", "-1"],
-    ["0", "1", "-2", "-2"],
-]
-
-
-def _psi_map():
-    return {
-        "kind": "recipe",
-        "name": "psi",
-        "recipe": "psi-pullback",
-        "source": list(_B1),
-        "target": list(_B2),
-    }
-
-
-def _xi_map():
-    return {
-        "kind": "recipe",
-        "name": "xi",
-        "recipe": "xi-pullback",
-        "source": list(_B3),
-        "target": list(_B2),
-    }
-
-
-def _build_picard_matrices():
-    return {
-        "format": FORMAT_TAG,
-        "name": "picard-matrices",
-        "description": "The two change-of-basis matrices between the divisor "
-        "lattices of the resolutions, and the recorded inverse of the second.",
-        "n_policy": POLICY_ANY,
-        "spaces": [],
-        "bundles": [],
-        "maps": [
-            _psi_map(),
-            _xi_map(),
-            {
-                "kind": "declared",
-                "name": "xi_inverse_printed",
-                "source": list(_B2),
-                "target": list(_B3),
-                "matrix": [list(r) for r in _XI_INVERSE_PRINTED],
-            },
-        ],
-        "curves": [],
-        "expect": [
-            _exp(
-                "psi-matrix",
-                "map-matrix",
-                {"map": "psi"},
-                [list(r) for r in _PSI_MATRIX],
-                "reference",
-                "pullback matrix of the first comparison, fourth column derived "
-                "from the relative cotangent class",
-            ),
-            _exp(
-                "xi-matrix",
-                "map-matrix",
-                {"map": "xi"},
-                [list(r) for r in _XI_MATRIX],
-                "reference",
-                "pullback matrix of the second comparison, ruling columns "
-                "derived by bundle algebra",
-            ),
-            _exp(
-                "xi-inverse-product",
-                "matrix-product-identity",
-                {"left": "xi", "right": "xi_inverse_printed"},
-                {"left_right": True, "right_left": True},
-                "reference",
-                "the recorded inverse multiplies back to the identity on both sides",
-            ),
-            _exp(
-                "xi-inverse-recomputed",
-                "map-inverse-equals",
-                {"of": "xi", "expected_map": "xi_inverse_printed"},
-                True,
-                "derived",
-                "exact matrix inversion reproduces the recorded inverse",
-            ),
-            _exp(
-                "psi-invertible",
-                "map-invertible",
-                {"map": "psi"},
-                True,
-                "derived",
-                "the first comparison is a lattice isomorphism",
-            ),
-        ],
-    }
-
-
-def _build_normal_bundle_transport():
-    return {
-        "format": FORMAT_TAG,
-        "name": "normal-bundle-transport",
-        "description": "Transport of the conormal direction through both "
-        "comparisons, landing on the contracted side after forgetting the "
-        "boundary generator.",
-        "n_policy": POLICY_ANY,
-        "spaces": [],
-        "bundles": [],
-        "maps": [_psi_map(), _xi_map()],
-        "curves": [],
-        "expect": [
-            _exp(
-                "stage-one",
-                "transport",
-                {"start": ["-1", "0", "0", "0"], "via": [{"map": "psi"}]},
-                {"names": list(_B2), "coords": ["0", "-1", "0", "0"]},
-                "derived",
-                "the conormal direction maps to minus the plane class",
-            ),
-            _exp(
-                "stage-two",
-                "transport",
-                {
-                    "start": ["-1", "0", "0", "0"],
-                    "via": [{"map": "psi"}, {"map": "xi", "inverted": True}],
-                },
-                {"names": list(_B3), "coords": ["-1", "-1", "-1", "-1"]},
-                "derived",
-                "composing with the inverted second comparison spreads the "
-                "class over all four generators",
-            ),
-            _exp(
-                "final-normal-class",
-                "transport",
-                {
-                    "start": ["-1", "0", "0", "0"],
-                    "via": [{"map": "psi"}, {"map": "xi", "inverted": True}],
-                    "drop": ["dhat"],
-                },
-                {
-                    "names": ["gamma1", "phi10", "phi01"],
-                    "coords": ["-1", "-1", "-1"],
-                },
-                "reference",
-                "restricted normal class on the contracted side",
-            ),
-            _exp(
-                "round-trip",
-                "transport",
-                {
-                    "start": ["-1", "0", "0", "0"],
-                    "via": [{"map": "psi"}, {"map": "psi", "inverted": True}],
-                },
-                {"names": list(_B1), "coords": ["-1", "0", "0", "0"]},
-                "derived",
-                "a comparison followed by its inverse is the identity",
-            ),
-        ],
-    }
-
-
-def _ruling_step():
-    return {
-        "space": "ruling_step",
-        "generators": [
-            {"name": "eps", "vector": ["0", "1"]},
-            {"name": "sigma", "vector": ["1", "-1"]},
-        ],
-        "contracted": "eps",
-        "cprime": {
-            "name": "bundle_projection",
-            "pullbacks": [["1"], ["0"]],
-            "note": "projection of the ruling bundle to its base",
-        },
-        "cdouble": {
-            "name": "fiber_direction",
-            "images": [["1"], ["0"]],
-            "note": "evaluation along the ruling fibers",
-        },
-    }
-
-
-def _jz_chain():
-    return {
-        "base": {
-            "space": "proj_base",
-            "generators": [{"name": "line", "vector": ["1"]}],
-        },
-        "steps": [
-            _ruling_step(),
-            {
-                "space": "incidence_step",
-                "generators": [
-                    {"name": "eps_one", "vector": ["0", "1", "0"]},
-                    {"name": "eps_two", "vector": ["0", "0", "1"]},
-                    {"name": "sigma", "vector": ["1", "-1", "-1"]},
-                ],
-                "contracted": "eps_two",
-                "cprime": {
-                    "name": "first_factor",
-                    "pullbacks": [["1", "0"], ["0", "1"], ["0", "0"]],
-                    "note": "projection to the first ruling factor",
-                },
-                "cdouble": {
-                    "name": "second_factor",
-                    "images": [["0"], ["1"], ["0"]],
-                    "note": "projection to the second ruling factor",
-                },
-            },
-            {
-                "space": "resolved_step",
-                "generators": [
-                    {"name": "ehat_one", "vector": ["0", "1", "0", "1"]},
-                    {"name": "ehat_two", "vector": ["0", "0", "1", "1"]},
-                    {"name": "sigma_hat", "vector": ["1", "-1", "-1", "-1"]},
-                    {"name": "gamma_hat", "vector": ["0", "0", "0", "-1"]},
-                ],
-                "contracted": "gamma_hat",
-                "cprime": {
-                    "name": "blow_down",
-                    "pullbacks": [
-                        ["1", "0", "0"],
-                        ["0", "1", "0"],
-                        ["0", "0", "1"],
-                        ["0", "0", "0"],
-                    ],
-                    "note": "contraction of the exceptional divisor",
-                },
-                "cdouble": {
-                    "name": "exceptional_projection",
-                    "images": [["0"], ["0"], ["0"], ["1"]],
-                    "note": "projection of the exceptional divisor to the center",
-                },
-            },
-        ],
-    }
-
-
-def _chain_conditions(contracted):
-    return {
-        "contracts exactly %s" % contracted: True,
-        "second morphism contracts exactly the rest": True,
-        "pushforwards recover the known cone": True,
-    }
-
-
-def _build_mori_chain_jz():
-    return {
-        "format": FORMAT_TAG,
-        "name": "mori-chain-jz",
-        "description": "Generating rays of the incidence-side cone propagated "
-        "up the three-step resolution chain, with the contraction hypotheses "
-        "checked at every step.",
-        "n_policy": POLICY_ANY,
-        "spaces": [],
-        "bundles": [],
-        "maps": [],
-        "curves": [],
-        "expect": [
-            _exp(
-                "chain",
-                "mori-chain",
-                {"chain": _jz_chain()},
-                {
-                    "generator_names": [
-                        "ehat_one",
-                        "ehat_two",
-                        "sigma_hat",
-                        "gamma_hat",
-                    ],
-                    "generators": [
-                        ["0", "1", "0", "1"],
-                        ["0", "0", "1", "1"],
-                        ["1", "-1", "-1", "-1"],
-                        ["0", "0", "0", "-1"],
-                    ],
-                    "steps": [
-                        {
-                            "space": "ruling_step",
-                            "conditions": _chain_conditions("eps"),
-                        },
-                        {
-                            "space": "incidence_step",
-                            "conditions": _chain_conditions("eps_two"),
-                        },
-                        {
-                            "space": "resolved_step",
-                            "conditions": _chain_conditions("gamma_hat"),
-                        },
-                    ],
-                },
-                "reference",
-                "the four generating rays survive the propagation conditions "
-                "at every step of the chain",
-            ),
-        ],
-    }
-
-
-def _build_mori_chain_ez():
-    ez_chain = {
-        "base": {
-            "space": "proj_base",
-            "generators": [{"name": "line", "vector": ["1"]}],
-        },
-        "steps": [
-            _ruling_step(),
-            {
-                "space": "resolved_boundary_step",
-                "generators": [
-                    {"name": "ehat_prime", "vector": ["1", "0", "-2"]},
-                    {"name": "sigma_prime", "vector": ["0", "1", "0"]},
-                    {"name": "gamma_prime", "vector": ["0", "0", "1"]},
-                ],
-                "contracted": "gamma_prime",
-                "cprime": {
-                    "name": "boundary_projection",
-                    "pullbacks": [["0", "1"], ["1", "-1"], ["0", "0"]],
-                    "note": "projection of the resolved boundary to the ruling bundle",
-                },
-                "cdouble": {
-                    "name": "flag_correspondence",
-                    "images": [["0"], ["0"], ["1"]],
-                    "note": "composite through the line-flag correspondence",
-                },
-            },
-        ],
-    }
-    return {
-        "format": FORMAT_TAG,
-        "name": "mori-chain-ez",
-        "description": "Generating rays of the resolved boundary cone, "
-        "propagated through its two-step chain, and the pushforward "
-        "identities into the resolved incidence lattice.",
-        "n_policy": POLICY_ANY,
-        "spaces": [],
-        "bundles": [],
-        "maps": [_boundary_restriction_map()],
-        "curves": [],
-        "expect": [
-            _exp(
-                "chain",
-                "mori-chain",
-                {"chain": ez_chain},
-                {
-                    "generator_names": ["ehat_prime", "sigma_prime", "gamma_prime"],
-                    "generators": [
-                        ["1", "0", "-2"],
-                        ["0", "1", "0"],
-                        ["0", "0", "1"],
-                    ],
-                    "steps": [
-                        {
-                            "space": "ruling_step",
-                            "conditions": _chain_conditions("eps"),
-                        },
-                        {
-                            "space": "resolved_boundary_step",
-                            "conditions": _chain_conditions("gamma_prime"),
-                        },
-                    ],
-                },
-                "reference",
-                "the three generating rays survive the propagation conditions",
-            ),
-            _exp(
-                "boundary-push-ehat",
-                "push-from-sublattice",
-                {"matrix": "boundary_restriction", "degrees": ["1", "0", "-2"]},
-                ["0", "1", "1", "2"],
-                "reference",
-                "the first boundary ray pushes to the sum of the two ruling lines",
-            ),
-            _exp(
-                "ehat-sum-identity",
-                "vector-sum",
-                {"terms": [["0", "1", "0", "1"], ["0", "0", "1", "1"]]},
-                ["0", "1", "1", "2"],
-                "trivial",
-                "sum of the two ruling line rows",
-            ),
-            _exp(
-                "boundary-push-sigma",
-                "push-from-sublattice",
-                {"matrix": "boundary_restriction", "degrees": ["0", "1", "0"]},
-                ["1", "-1", "-1", "-1"],
-                "reference",
-                "the boundary section pushes to the section ray",
-            ),
-            _exp(
-                "boundary-push-gamma",
-                "push-from-sublattice",
-                {"matrix": "boundary_restriction", "degrees": ["0", "0", "1"]},
-                ["0", "0", "0", "-1"],
-                "reference",
-                "the boundary ruling pushes to the exceptional line",
-            ),
-        ],
-    }
-
-
-def _build_pushforward_iz1z2():
-    spaces, bundles = _jz_spaces()
-    return {
-        "format": FORMAT_TAG,
-        "name": "pushforward-iz1z2",
-        "description": "Decomposition of the two auxiliary rays against the "
-        "generating set, solved from their observed pairing rows.",
-        "n_policy": POLICY_ANY,
-        "spaces": spaces,
-        "bundles": bundles,
-        "maps": [_boundary_restriction_map()],
-        "curves": _jz_curves(),
-        "expect": [
-            _exp(
-                "tau-one",
-                "solve-pushforward",
-                dict(_table_params(), observed=["0", "1", "0", "0"]),
-                ["1", "0", "0", "1"],
-                "reference",
-                "the first auxiliary ray is the first ruling line plus the "
-                "exceptional line",
-            ),
-            _exp(
-                "tau-two",
-                "solve-pushforward",
-                dict(_table_params(), observed=["0", "0", "1", "0"]),
-                ["0", "1", "0", "1"],
-                "reference",
-                "the second auxiliary ray is the second ruling line plus the "
-                "exceptional line",
-            ),
-            _exp(
-                "tau-one-pairings",
-                "combination-pairings",
-                dict(_table_params(), coefficients=["1", "0", "0", "1"]),
-                ["0", "1", "0", "0"],
-                "derived",
-                "re-pairing the solved combination returns the observed row",
-            ),
-            _exp(
-                "tau-two-pairings",
-                "combination-pairings",
-                dict(_table_params(), coefficients=["0", "1", "0", "1"]),
-                ["0", "0", "1", "0"],
-                "derived",
-                "re-pairing the solved combination returns the observed row",
-            ),
-        ],
-    }
-
-
-def _build_extremal_sigma_ray():
-    spaces, bundles = _jz_spaces()
-    k_hat = [_lin(-2, 1), _lin(-2, 3), _lin(-2, 3), _lin(2, -4)]
-    return {
-        "format": FORMAT_TAG,
-        "name": "extremal-sigma-ray",
-        "description": "Supporting-functional certificate for extremality of "
-        "the section ray, plus negativity of its canonical pairing.",
-        "n_policy": POLICY_ANY,
-        "spaces": spaces,
-        "bundles": bundles,
-        "maps": [_boundary_restriction_map()],
-        "curves": _jz_curves(),
-        "expect": [
-            _exp(
-                "certificate",
-                "extremal-certificate",
-                dict(_table_params(), face=["sigma_push"], height_bound="8"),
-                {
-                    "status": "certified",
-                    "functional": ["3", "2", "2", "-1"],
-                    "height": "3",
-                    "values": ["1", "1", "0", "1"],
-                    "witness": None,
-                },
-                "derived",
-                "first supporting functional found by the exhaustive shell search",
-            ),
-            _exp(
-                "kneg-sigma",
-                "kneg",
-                {
-                    "space": "resolved_incidence",
-                    "k_class": k_hat,
-                    "curves": ["sigma_push"],
-                },
-                {"pairings": ["-1"], "all_negative": True},
-                "reference",
-                "the section ray pairs negatively with the restricted canonical class",
-            ),
-            _exp(
-                "functional-values",
-                "functional-values",
-                dict(_table_params(), functional=["3", "2", "2", "-1"]),
-                ["1", "1", "0", "1"],
-                "derived",
-                "the certified functional vanishes exactly on the section ray",
-            ),
-        ],
-    }
-
-
-def _build_ez_kernel():
-    spaces, bundles = _jz_spaces()
-    return {
-        "format": FORMAT_TAG,
-        "name": "ez-kernel-x2-x3",
-        "description": "Kernel of the boundary restriction on divisor "
-        "classes, its annihilator in the curve lattice, and agreement of the "
-        "two derivations of the exceptional restriction column.",
-        "n_policy": POLICY_ANY,
-        "spaces": spaces,
-        "bundles": bundles,
-        "maps": [_boundary_restriction_map()],
-        "curves": _jz_curves(),
-        "expect": [
-            _exp(
-                "restriction-matrix",
-                "map-matrix",
-                {"map": "boundary_restriction"},
-                [list(r) for r in _RESTRICTION_MATRIX],
-                "reference",
-                "restriction of the resolved divisor lattice to the boundary lattice",
-            ),
-            _exp(
-                "restriction-routes",
-                "exc-restriction-routes",
-                {},
-                {
-                    "declared": ["0", "-1", "-1"],
-                    "cone_route": ["0", "-1", "-1"],
-                    "agree": True,
-                },
-                "derived",
-                "the declared product class and the projectivized-cone twist "
-                "rule give the same exceptional column",
-            ),
-            _exp(
-                "kernel",
-                "restriction-kernel",
-                dict({"matrix": "boundary_restriction"}, curves=list(_JZ_CURVE_NAMES)),
-                {
-                    "kernel": [["0", "1", "-1", "0"]],
-                    "perp": [
-                        ["1", "1", "0", "0"],
-                        ["0", "0", "1", "0"],
-                        ["0", "0", "0", "1"],
-                    ],
-                },
-                "derived",
-                "the kernel is one-dimensional and annihilates the stated "
-                "curve combinations",
-            ),
-            _exp(
-                "kernel-combination",
-                "kernel-polynomials",
-                dict({"matrix": "boundary_restriction"}, curves=list(_JZ_CURVE_NAMES)),
-                ["x2 - x3"],
-                "derived",
-                "the kernel is the difference of the two ruling hyperplane classes",
-            ),
-        ],
-    }
-
-
-def _build_local_model_stabilizers():
-    return {
-        "format": FORMAT_TAG,
-        "name": "local-model-stabilizers",
-        "description": "Classification census for the local models: "
-        "stabilizer classes over two pairing shapes, order-two symmetry "
-        "relations, and the isotropy-vanishing equivalence checked "
-        "exhaustively over the three-element field and on seeded rational "
-        "samples.",
-        "n_policy": POLICY_ANY,
-        "spaces": [],
-        "bundles": [],
-        "maps": [],
-        "curves": [],
-        "expect": [
-            _exp(
-                "omega-census",
-                "stabilizer-census",
-                {},
-                {
-                    "total": "75",
-                    "counts": {
-                        "additive": "32",
-                        "full_so_w": "1",
-                        "multiplicative": "32",
-                        "trivial": "10",
-                    },
-                    "strata": {
-                        "rank0": "1",
-                        "rank1-additive": "32",
-                        "rank1-multiplicative": "32",
-                        "rank2": "6",
-                        "rank3": "4",
-                    },
-                    "mismatches": "0",
-                    "all_match": True,
-                },
-                "derived",
-                "every member's predicted stabilizer class matches the computed one",
-            ),
-            _exp(
-                "census-floor",
-                "census-size-floor",
-                {"minimum": "50"},
-                True,
-                "trivial",
-                "the census covers at least fifty members",
-            ),
-            _exp(
-                "sigma-census",
-                "sigma-census",
-                {},
-                {
-                    "total": "13",
-                    "counts": {"multiplicative": "1", "trivial": "12"},
-                    "strata": {
-                        "beta-nonzero": "6",
-                        "beta-zero": "6",
-                        "zero-pair": "1",
-                    },
-                    "zero_locus": "7",
-                    "mismatches": "0",
-                    "all_match": True,
-                },
-                "derived",
-                "stabilizer classes and vanishing locus of the extension-pair family",
-            ),
-            _exp(
-                "order-two-relations",
-                "order-two-relations",
-                {},
-                {
-                    "swap_relation": "negated",
-                    "swap_ok": True,
-                    "swap_involution": True,
-                    "scale_relation": "preserved",
-                    "scale_ok": True,
-                    "scale_round_trip": True,
-                },
-                "reference",
-                "the swap symmetry negates the pairing and the scaling "
-                "symmetry preserves it",
-            ),
-            _exp(
-                "f3-equivalence",
-                "isotropy-equivalence",
-                {},
-                {
-                    "homs": "531441",
-                    "multisets": "91881",
-                    "isotropic": "26001",
-                    "disagreements": "0",
-                    "all_agree": True,
-                },
-                "derived",
-                "full enumeration over the three-element field: the pairing "
-                "vanishes exactly on maps with isotropic image",
-            ),
-            _exp(
-                "rational-samples",
-                "rational-isotropy-samples",
-                {"samples": "1000", "seed": "20260822"},
-                {
-                    "samples": "1000",
-                    "agreements": "1000",
-                    "all_agree": True,
-                    "zero_locus_hits": "500",
-                },
-                "derived",
-                "seeded rational sampling agrees with the isotropy criterion "
-                "on every draw",
-            ),
-        ],
-    }
-
-
-def _build_normal_cone_quadric():
-    return {
-        "format": FORMAT_TAG,
-        "name": "normal-cone-quadric",
-        "description": "Rank and smoothness of the projectivized normal-cone "
-        "quadric at a numeric parameter.",
-        "n_policy": POLICY_NUMERIC,
-        "spaces": [],
-        "bundles": [],
-        "maps": [],
-        "curves": [],
-        "expect": [
-            _exp(
-                "quadric",
-                "quadric-rank",
-                {},
-                {
-                    "nvars": _lin(4, -4),
-                    "rank": _lin(4, -4),
-                    "smooth": True,
-                    "ambient_dim": _lin(4, -5),
-                },
-                "reference",
-                "the cone pairing has full rank, so the projectivized cone "
-                "is a smooth quadric",
-            ),
-        ],
-    }
-
-
-def _build_incidence_fixed_locus():
-    return {
-        "format": FORMAT_TAG,
-        "name": "incidence-fixed-locus",
-        "description": "Fixed pairs of the swap involution on the incidence "
-        "correspondence over the three-element field equal the diagonal, in "
-        "two small dimensions.",
-        "n_policy": POLICY_ANY,
-        "spaces": [],
-        "bundles": [],
-        "maps": [],
-        "curves": [],
-        "expect": [
-            _exp(
-                "plane-fixed",
-                "fixed-locus",
-                {"dim": "2"},
-                {
-                    "fixed_pairs": "4",
-                    "diagonal_pairs": "4",
-                    "fixed_equals_diagonal": True,
-                },
-                "reference",
-                "in the plane case the involution fixes exactly the diagonal",
-            ),
-            _exp(
-                "plane-details",
-                "fixed-locus-details",
-                {"dim": "2"},
-                {"projective_points": "4", "incidence_pairs": "4"},
-                "derived",
-                "point and incidence counts over the three-element field, "
-                "plane case",
-            ),
-            _exp(
-                "space-fixed",
-                "fixed-locus",
-                {"dim": "4"},
-                {
-                    "fixed_pairs": "40",
-                    "diagonal_pairs": "40",
-                    "fixed_equals_diagonal": True,
-                },
-                "reference",
-                "in the four-dimensional case the involution fixes exactly "
-                "the diagonal",
-            ),
-            _exp(
-                "space-details",
-                "fixed-locus-details",
-                {"dim": "4"},
-                {"projective_points": "40", "incidence_pairs": "520"},
-                "derived",
-                "point and incidence counts over the three-element field, "
-                "four-dimensional case",
-            ),
-        ],
-    }
-
-
-def _plane_family_sections():
-    spaces = [
-        {
-            "kind": "formal-base",
-            "name": "grass3",
-            "pic": ["g"],
-            "canonical": None,
-            "dim": _ser(_ig_dim_poly(3)),
-        },
-        {
-            "kind": "proj-bundle",
-            "name": "chi_plane",
-            "base": "grass3",
-            "bundle": "rank_three_taut",
-            "taut": "h",
-        },
-    ]
-    bundles = [
-        {
-            "kind": "declared",
-            "name": "rank_three_taut",
-            "space": "grass3",
-            "rank": "3",
-            "c1": ["-1"],
-        },
-        {"kind": "relative-tangent", "name": "plane_tangent", "space": "chi_plane"},
-    ]
-    return spaces, bundles
-
-
-def _build_contraction_numerics():
-    jz_spaces, jz_bundles = _jz_spaces()
-    plane_spaces, plane_bundles = _plane_family_sections()
-    spaces = jz_spaces + plane_spaces + [
-        {
-            "kind": "proj-bundle",
-            "name": "ruling_one",
-            "base": "chi_plane",
-            "bundle": "plane_tangent",
-            "taut": "k10",
-        },
-        {
-            "kind": "proj-bundle",
-            "name": "ruling_two",
-            "base": "chi_plane",
-            "bundle": "plane_tangent",
-            "taut": "k01",
-        },
-        {
-            "kind": "fiber-product",
-            "name": "ruling_product",
-            "left": "ruling_one",
-            "right": "ruling_two",
-            "over": "chi_plane",
-        },
-        {
-            "kind": "formal-base",
-            "name": "plane_product",
-            "pic": ["u", "v"],
-            "canonical": None,
-            "dim": "4",
-        },
-        {
-            "kind": "formal-base",
-            "name": "contracted_target",
-            "pic": ["gamma1", "phi10", "phi01"],
-            "canonical": None,
-            "dim": "0",
-        },
-    ]
-    bundles = jz_bundles + plane_bundles + [
-        {
-            "kind": "declared",
-            "name": "diagonal_line",
-            "space": "plane_product",
-            "rank": "1",
-            "c1": ["1", "1"],
-        },
-        {
-            "kind": "declared",
-            "name": "flat_correction",
-            "space": "plane_product",
-            "rank": _lin(8, -12),
-            "c1": ["0", "0"],
-        },
-        {
-            "kind": "extension",
-            "name": "conormal_model",
-            "sub": "diagonal_line",
-            "quot": "flat_correction",
-        },
-    ]
-    curves = _jz_curves() + [
-        {
-            "name": "ruling_line_ten",
-            "space": "contracted_target",
-            "atomic": {
-                "kind": "declared",
-                "vector": ["0", "1", "0"],
-                "note": "line of the first ruling on the contracted side",
-            },
-        },
-        {
-            "name": "ruling_line_oh_one",
-            "space": "contracted_target",
-            "atomic": {
-                "kind": "declared",
-                "vector": ["0", "0", "1"],
-                "note": "line of the second ruling on the contracted side",
-            },
-        },
-    ]
-    coh_cases = [[str(k), str(k), str(q)] for k in range(4) for q in (1, 2)]
-    return {
-        "format": FORMAT_TAG,
-        "name": "contraction-numerics",
-        "description": "Numerical inputs of the boundary contraction: "
-        "degree minus-one restrictions, vanishing higher cohomology and "
-        "graded ranks of the product family, and the conormal model's rank "
-        "bookkeeping.",
-        "n_policy": POLICY_ANY,
-        "spaces": spaces,
-        "bundles": bundles,
-        "maps": [_boundary_restriction_map()],
-        "curves": curves,
-        "expect": [
-            _exp(
-                "gamma-degree",
-                "curve-degree",
-                {"curve": "gamma_exc", "divisor": ["0", "0", "0", "1"]},
-                "-1",
-                "reference",
-                "the exceptional ruling meets the exceptional divisor in "
-                "degree minus one",
-            ),
-            _exp(
-                "ruling-ten-degree",
-                "curve-degree",
-                {"curve": "ruling_line_ten", "divisor": ["-1", "-1", "-1"]},
-                "-1",
-                "reference",
-                "the transported normal class restricts to degree minus one "
-                "on the first ruling",
-            ),
-            _exp(
-                "ruling-oh-one-degree",
-                "curve-degree",
-                {"curve": "ruling_line_oh_one", "divisor": ["-1", "-1", "-1"]},
-                "-1",
-                "reference",
-                "the transported normal class restricts to degree minus one "
-                "on the second ruling",
-            ),
-            _exp(
-                "higher-cohomology",
-                "cohomology-products",
-                {"cases": coh_cases},
-                ["0"] * 8,
-                "derived",
-                "higher cohomology of the balanced product twists vanishes "
-                "through degree three",
-            ),
-            _exp(
-                "graded-ranks",
-                "graded-ranks",
-                {"ks": ["0", "1", "2", "3"]},
-                ["1", "9", "36", "100"],
-                "reference",
-                "global sections of the balanced product twists have square "
-                "triangular ranks",
-            ),
-            _exp(
-                "graded-ranks-square",
-                "graded-ranks-consistency",
-                {"ks": ["0", "1", "2", "3"]},
-                True,
-                "derived",
-                "each graded rank is the square of the rank of the "
-                "symmetric power",
-            ),
-            _exp(
-                "conormal-invariants",
-                "bundle-invariants",
-                {"bundle": "conormal_model"},
-                {"rank": _lin(8, -11), "c1": ["1", "1"]},
-                "reference",
-                "the conormal model is an extension of the flat part by the "
-                "diagonal line",
-            ),
-            _exp(
-                "ruling-fiber-dim",
-                "fiber-dim",
-                {"total": "ruling_product", "base": "grass3"},
-                "4",
-                "derived",
-                "the doubled ruling family has four-dimensional fibers over "
-                "the plane family",
-            ),
-            _exp(
-                "product-dim",
-                "dim",
-                {"space": "ruling_product"},
-                _lin(6, -8),
-                "derived",
-                "total dimension of the doubled ruling family",
-            ),
-            _exp(
-                "conormal-rank-bookkeeping",
-                "conormal-rank-consistency",
-                {
-                    "bundle": "conormal_model",
-                    "ambient_dim": _lin(8, -7),
-                    "total": "ruling_product",
-                    "base": "grass3",
-                },
-                {
-                    "expected_rank": _lin(8, -11),
-                    "bundle_rank": _lin(8, -11),
-                    "agree": True,
-                },
-                "derived",
-                "ambient dimension minus fiber dimension matches the "
-                "conormal rank",
-            ),
-            _exp(
-                "isotropic-plane-dim",
-                "ig-dim",
-                {"k": "2", "m": "2"},
-                "3",
-                "reference",
-                "dimension of the family of isotropic planes in four-space",
-            ),
-            _exp(
-                "isotropic-space-dim",
-                "ig-dim",
-                {"k": "3", "m": "3"},
-                "6",
-                "reference",
-                "dimension of the family of isotropic three-planes in six-space",
-            ),
-        ],
-    }
-
-
-def _build_euler_convention():
-    plane_spaces, plane_bundles = _plane_family_sections()
-    spaces = plane_spaces + [
-        {
-            "kind": "proj-bundle",
-            "name": "kappa_curve",
-            "base": "chi_plane",
-            "bundle": "plane_tangent",
-            "taut": "xk",
-        },
-        {
-            "kind": "formal-base",
-            "name": "point_base",
-            "pic": [],
-            "canonical": [],
-            "dim": "0",
-        },
-        {
-            "kind": "proj-bundle",
-            "name": "proj_line",
-            "base": "point_base",
-            "bundle": "rank_two_trivial",
-            "taut": "s",
-        },
-    ]
-    bundles = plane_bundles + [
-        {
-            "kind": "declared",
-            "name": "rank_two_trivial",
-            "space": "point_base",
-            "rank": "2",
-            "c1": [],
-        },
-        {"kind": "relative-tangent", "name": "curve_tangent", "space": "kappa_curve"},
-        {"kind": "dual", "name": "curve_cotangent", "of": "curve_tangent"},
-        {"kind": "relative-tangent", "name": "line_tangent", "space": "proj_line"},
-    ]
-    return {
-        "format": FORMAT_TAG,
-        "name": "euler-convention",
-        "description": "Sign and twist conventions of the relative Euler "
-        "sequence, pinned by the relative cotangent class of the curve "
-        "fibration and a projective-line sanity case.",
-        "n_policy": POLICY_ANY,
-        "spaces": spaces,
-        "bundles": bundles,
-        "maps": [],
-        "curves": [],
-        "expect": [
-            _exp(
-                "curve-tangent",
-                "bundle-invariants",
-                {"bundle": "curve_tangent"},
-                {"rank": "1", "c1": ["-1", "3", "2"]},
-                "derived",
-                "relative tangent class of the curve fibration from the "
-                "Euler sequence",
-            ),
-            _exp(
-                "curve-cotangent",
-                "bundle-invariants",
-                {"bundle": "curve_cotangent"},
-                {"rank": "1", "c1": ["1", "-3", "-2"]},
-                "reference",
-                "the relative cotangent class in the stated basis",
-            ),
-            _exp(
-                "line-sanity",
-                "bundle-invariants",
-                {"bundle": "line_tangent"},
-                {"rank": "1", "c1": ["2"]},
-                "derived",
-                "the relative Euler sequence gives degree two on a "
-                "projective line",
-            ),
-        ],
-    }
-
-
-_BUILDERS = {
-    "jz-intersection-table": _build_jz_intersection_table,
-    "jz-canonical-class": _build_jz_canonical_class,
-    "picard-matrices": _build_picard_matrices,
-    "normal-bundle-transport": _build_normal_bundle_transport,
-    "mori-chain-jz": _build_mori_chain_jz,
-    "mori-chain-ez": _build_mori_chain_ez,
-    "pushforward-iz1z2": _build_pushforward_iz1z2,
-    "extremal-sigma-ray": _build_extremal_sigma_ray,
-    "ez-kernel-x2-x3": _build_ez_kernel,
-    "local-model-stabilizers": _build_local_model_stabilizers,
-    "normal-cone-quadric": _build_normal_cone_quadric,
-    "incidence-fixed-locus": _build_incidence_fixed_locus,
-    "contraction-numerics": _build_contraction_numerics,
-    "euler-convention": _build_euler_convention,
-}
+    validate_doc(doc)
+    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -2689,20 +1271,19 @@ _BUILDERS = {
 
 def scenario_doc(name: str) -> dict:
     """Fresh document for a built-in scenario."""
-    if name not in _BUILDERS:
+    if name not in _BUILTIN:
         raise UnknownScenarioError(
-            "unknown scenario %r; known scenarios: %s"
-            % (name, ", ".join(sorted(_BUILDERS)))
+            "unknown scenario %r; known scenarios: %s" % (name, ", ".join(_BUILTIN))
         )
-    return _BUILDERS[name]()
+    return _parse_doc((_DATA / (name + ".json")).read_text(encoding="utf-8"))
 
 
 def list_scenarios() -> list:
     """Name, description, and parameter policy of every built-in scenario,
     sorted by name."""
     out = []
-    for name in sorted(_BUILDERS):
-        doc = _BUILDERS[name]()
+    for name in _BUILTIN:
+        doc = scenario_doc(name)
         out.append(
             {
                 "name": name,
@@ -2725,24 +1306,6 @@ def export_scenario(name: str) -> str:
 
 
 def load_scenario_file(path) -> dict:
-    """Parse and validate a scenario document from a JSON file.
-
-    Parse errors carry the line and column; semantic errors name the
-    offending object."""
+    """Parse and validate a scenario document from a JSON file."""
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ScenarioFileError(
-            "parse error at line %d column %d: %s" % (exc.lineno, exc.colno, exc.msg)
-        ) from exc
-    if not isinstance(doc, dict):
-        raise ScenarioFileError("scenario document must be a JSON object")
-    fmt = doc.get("format")
-    if fmt != FORMAT_TAG:
-        raise ScenarioFileError(
-            "unsupported format %r (expected %r)" % (fmt, FORMAT_TAG)
-        )
-    validate_doc(doc)
-    return doc
+        return _parse_doc(fh.read())

@@ -10,7 +10,6 @@ locus.  All checks run over exact rationals or a small prime field.
 from __future__ import annotations
 
 import enum
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -18,7 +17,6 @@ from typing import Sequence
 
 from .exactnum import (
     ExactMatrix,
-    PrimeField,
     PrimeFieldConfig,
     nullspace,
     rank,
@@ -43,10 +41,6 @@ class SingularPairingError(ValueError):
 
 class DegenerateModelError(ValueError):
     """The pairing feeding the normal cone quadric is rank deficient."""
-
-
-def _frac_rows(rows) -> list[list[Fraction]]:
-    return [[Fraction(x) for x in row] for row in rows]
 
 
 @dataclass(frozen=True)
@@ -414,88 +408,3 @@ def fixed_locus_incidence(
         diagonal_pairs=diagonal,
     )
 
-
-class NonHomogeneousError(ValueError):
-    pass
-
-
-@dataclass(frozen=True)
-class QuadraticForm:
-    """Homogeneous quadratic form given by a symmetric gram matrix."""
-
-    gram: ExactMatrix
-
-    def __post_init__(self):
-        if self.gram.rows != self.gram.cols:
-            raise ValueError("gram must be square")
-        if self.gram.transpose() != self.gram:
-            raise ValueError("gram must be symmetric")
-
-    @classmethod
-    def from_monomials(cls, dim: int, monomials: dict) -> "QuadraticForm":
-        """Build from {(i, j): coeff}; any key that is not a pair of indices
-        denotes a lower-degree term and is rejected."""
-        rows = [[Fraction(0)] * dim for _ in range(dim)]
-        for key, c in monomials.items():
-            if not (isinstance(key, tuple) and len(key) == 2):
-                raise NonHomogeneousError("non-quadratic monomial key %r" % (key,))
-            i, j = key
-            c = Fraction(c)
-            rows[i][j] += c / 2
-            rows[j][i] += c / 2
-        return cls(ExactMatrix(rows))
-
-    @property
-    def dim(self) -> int:
-        return self.gram.rows
-
-    def gradient(self, x: Sequence[Fraction]) -> list[Fraction]:
-        g = self.gram.const_entries()
-        return [
-            2 * sum(g[i][j] * x[j] for j in range(self.dim)) for i in range(self.dim)
-        ]
-
-
-def omega_pullback_forms(e_space: SymplecticSpace) -> list[QuadraticForm]:
-    """The three components of phi -> phi^* omega as quadratic forms in the
-    column-stacked entries of a hom W -> E."""
-    d = e_space.dim
-    omega = e_space.gram.const_entries()
-    forms = []
-    for a, b in ((0, 1), (0, 2), (1, 2)):
-        rows = [[Fraction(0)] * (3 * d) for _ in range(3 * d)]
-        for i in range(d):
-            for j in range(d):
-                c = omega[i][j]
-                if c == 0:
-                    continue
-                rows[a * d + i][b * d + j] += c / 2
-                rows[b * d + j][a * d + i] += c / 2
-        forms.append(QuadraticForm(ExactMatrix(rows)))
-    return forms
-
-
-def regular_sequence_check(
-    forms: Sequence[QuadraticForm], samples: int = 8, seed: int = 7
-) -> bool:
-    """Jacobian-rank witness that the quadrics cut out codimension len(forms).
-
-    Samples rational points with a fixed seeded generator; returns True as
-    soon as one sample has a full-rank Jacobian.  A duplicated quadric can
-    never pass.
-    """
-    if not forms:
-        raise ValueError("need at least one form")
-    dim = forms[0].dim
-    if any(f.dim != dim for f in forms):
-        raise ValueError("forms live on different spaces")
-    k = len(forms)
-    if k > dim:
-        return False
-    rng = random.Random(seed)
-    for _ in range(samples):
-        x = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(dim)]
-        jac = ExactMatrix([f.gradient(x) for f in forms])
-        if rank(jac) == k:
-            return True
-    return False

@@ -489,18 +489,6 @@ class PullbackMap:
         )
 
 
-def compose(second: PullbackMap, first: PullbackMap) -> PullbackMap:
-    """Composite that first applies ``first``, then ``second``."""
-    if first.target_names != second.source_names:
-        raise LatticeError("bases do not line up for composition")
-    return PullbackMap(
-        name="%s.%s" % (second.name, first.name),
-        source_names=first.source_names,
-        target_names=second.target_names,
-        matrix=second.matrix * first.matrix,
-    )
-
-
 @dataclass(frozen=True)
 class TransportResult:
     names: tuple[str, ...]

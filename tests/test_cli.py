@@ -5,6 +5,7 @@ import json
 import pytest
 
 from towercalc.cli import REPORT_DIR_ENV, main
+from towercalc.scenarios import scenario_doc
 
 
 def run(capsys, argv):
@@ -143,6 +144,27 @@ def test_parse_error_in_scenario_file(capsys, tmp_path):
     code, _, err = run(capsys, ["verify", "--scenario-file", str(path)])
     assert code == 2
     assert "parse error at line" in err
+
+
+@pytest.mark.parametrize(
+    "check, field, value, offender",
+    [
+        ("incidence-dim", "value", "1/0", "1/0"),
+        ("incidence-dim", "space", ["incidence_divisor"], "['incidence_divisor']"),
+        ("table", "divisors", ["x9", "x2", "x3", "x4"], "x9"),
+        ("table", "curves", "ehat_one", "'curves'"),
+    ],
+    ids=["zero-denominator", "list-as-name", "unknown-divisor", "string-as-list"],
+)
+def test_bad_document_is_a_named_error(capsys, tmp_path, check, field, value, offender):
+    doc = scenario_doc("jz-intersection-table")
+    next(e for e in doc["expect"] if e["name"] == check)[field] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, _, err = run(capsys, ["verify", "--scenario-file", str(path), "--n", "3"])
+    assert code == 2
+    assert check in err and offender in err
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

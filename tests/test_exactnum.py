@@ -21,7 +21,6 @@ from towercalc.exactnum import (
     inverse,
     matrix_product_is_identity,
     nullspace,
-    poly_identity_check,
     rank,
     rat_str,
     solve_linear,
@@ -87,21 +86,6 @@ class TestParamPoly:
     def test_reduced_representation(self) -> None:
         x = Fraction(6, -4)
         assert (x.numerator, x.denominator) == (-3, 2)
-
-
-class TestPolyIdentity:
-    def test_equal_and_unequal(self) -> None:
-        assert poly_identity_check(2 * N - 4, 2 * (N - 2), degree_bound=1)
-        assert not poly_identity_check(2 * N - 4, 2 * N - 3, degree_bound=1)
-
-    def test_degree_bound_enforced(self) -> None:
-        with pytest.raises(ValueError):
-            poly_identity_check(N * N, N * N, degree_bound=1)
-
-    @given(small_polys, small_polys)
-    def test_matches_structural_equality(self, p: ParamPoly, q: ParamPoly) -> None:
-        bound = max(p.degree, q.degree)
-        assert poly_identity_check(p, q, bound) == (p == q)
 
 
 class TestSolveLinear:
@@ -178,8 +162,11 @@ class TestInterpolation:
 
 class TestPrimeField:
     def test_config_requires_prime(self) -> None:
-        with pytest.raises(ValueError):
-            PrimeFieldConfig(modulus=9)
+        for composite in (9, 25, 49):
+            with pytest.raises(ValueError):
+                PrimeFieldConfig(modulus=composite)
+        for prime in (2, 97):
+            assert PrimeFieldConfig(modulus=prime).modulus == prime
 
     @given(rats, rats)
     def test_agrees_with_rational_arithmetic(self, a: Fraction, b: Fraction) -> None:

@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 from hypothesis import given
@@ -10,12 +11,14 @@ from hypothesis import strategies as st
 from towercalc.exactnum import ParamPoly
 from towercalc.scenarios import (
     BadParameterError,
+    FORMAT_TAG,
     POLICY_ANY,
     POLICY_NUMERIC,
     PolicyError,
     ScenarioFileError,
     SYMBOLIC,
     UnknownScenarioError,
+    canonical_json,
     derive_boundary_restriction,
     derive_psi_pullback,
     derive_xi_pullback,
@@ -96,6 +99,23 @@ def test_expected_scenarios_are_present():
 
 
 # ---------------------------------------------------------------------------
+# packaged documents
+
+DATA = resources.files("towercalc") / "data"
+DATA_FILES = sorted(p.name for p in DATA.iterdir() if p.name.endswith(".json"))
+
+
+@pytest.mark.parametrize("filename", DATA_FILES)
+def test_data_file_is_its_own_canonical_export(filename):
+    text = (DATA / filename).read_text(encoding="utf-8")
+    doc = json.loads(text)
+    assert text == canonical_json(doc)
+    assert filename == doc["name"] + ".json"
+    assert doc["format"] == FORMAT_TAG
+    assert export_scenario(doc["name"]) == text
+
+
+# ---------------------------------------------------------------------------
 # reports
 
 
@@ -172,9 +192,10 @@ def test_rejects_small_and_malformed_parameters():
 
 
 def test_unknown_scenario_names_the_known_ones():
-    with pytest.raises(UnknownScenarioError) as err:
-        run_scenario("no-such-scenario", 3)
-    assert "jz-intersection-table" in str(err.value)
+    for name in ("no-such-scenario", "../pyproject", "jz-intersection-table.json"):
+        with pytest.raises(UnknownScenarioError) as err:
+            run_scenario(name, 3)
+        assert "jz-intersection-table" in str(err.value)
 
 
 def test_numeric_only_policy_is_enforced():

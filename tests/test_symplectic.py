@@ -11,10 +11,8 @@ from towercalc.symplectic import (
     DegenerateModelError,
     ExtPair,
     HomWE,
-    NonHomogeneousError,
     NotInHomOmegaError,
     QuadSpaceW,
-    QuadraticForm,
     Scale,
     StabilizerClass,
     Swap,
@@ -22,10 +20,7 @@ from towercalc.symplectic import (
     fixed_locus_incidence,
     is_isotropic,
     normal_cone_quadric,
-    omega_pullback_forms,
-    pairing_quadric_gram,
     po2_act,
-    regular_sequence_check,
     stabilizer_class_omega,
     stabilizer_class_sigma,
     yoneda_omega,
@@ -208,19 +203,3 @@ class TestFixedLocus:
         with pytest.raises(ValueError):
             fixed_locus_incidence(3)
 
-
-class TestRegularSequence:
-    def test_pullback_components_cut_codim_three(self) -> None:
-        assert regular_sequence_check(omega_pullback_forms(E6))
-
-    def test_pairing_quadric_codim_one(self) -> None:
-        form = QuadraticForm(pairing_quadric_gram(ExactMatrix.identity(4)))
-        assert regular_sequence_check([form])
-
-    def test_duplicate_fails(self) -> None:
-        forms = omega_pullback_forms(E6)
-        assert not regular_sequence_check([forms[0], forms[0]])
-
-    def test_non_homogeneous_rejected(self) -> None:
-        with pytest.raises(NonHomogeneousError):
-            QuadraticForm.from_monomials(2, {(0,): 1})
