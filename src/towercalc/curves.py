@@ -14,22 +14,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import ceil, gcd
+from math import gcd
 from typing import Mapping, Sequence
 
 from .exactnum import (
+    SIGN_SAMPLE_START,
     ExactMatrix,
     NoSolutionError,
     ParamPoly,
     UnderdeterminedError,
     aspoly,
+    negative_on_integers_from,
+    nonnegative_on_integers_from,
     nullspace,
+    positive_on_integers_from,
     solve_linear_generic,
 )
 from .towers import BlowUp, DivClass, ProjBundle, Space
 
 DEFAULT_HEIGHT_BOUND = 8
-SIGN_SAMPLE_START = 3
 
 
 class CurveSpaceError(ValueError):
@@ -277,51 +280,6 @@ def push_from_sublattice(restriction: ExactMatrix, degrees: Sequence) -> tuple[P
     return restriction.transpose().apply(degrees)
 
 
-# ---------------------------------------------------------------------------
-# sign analysis of pairings as functions of the integer parameter
-
-
-def negative_on_integers_from(p: ParamPoly, start: int = SIGN_SAMPLE_START) -> bool:
-    """Exact verdict of p(k) < 0 for every integer k >= start.
-
-    Uses the Cauchy root bound: beyond it the sign is the leading sign, and
-    every integer between start and the bound is checked directly.
-    """
-    if p.is_zero():
-        return False
-    d = p.degree
-    if d == 0:
-        return p.constant_value() < 0
-    lead = p.coeff(d)
-    if lead > 0:
-        return False
-    bound = 1 + max(abs(p.coeff(i) / lead) for i in range(d))
-    limit = max(start, ceil(bound)) + 1
-    return all(p.eval(k) < 0 for k in range(start, limit + 1))
-
-
-def positive_on_integers_from(p: ParamPoly, start: int = SIGN_SAMPLE_START) -> bool:
-    return negative_on_integers_from(-p, start)
-
-
-def nonnegative_on_integers_from(p: ParamPoly, start: int = SIGN_SAMPLE_START) -> bool:
-    return p.is_zero() or positive_on_integers_from(p, start) or _eventually_zero_mix(p, start)
-
-
-def _eventually_zero_mix(p: ParamPoly, start: int) -> bool:
-    # Nonnegative but not strictly positive: must vanish somewhere yet never
-    # dip below zero; checked exactly on the same bounded window.
-    d = p.degree
-    if d == 0:
-        return p.constant_value() >= 0
-    lead = p.coeff(d)
-    if lead < 0:
-        return False
-    bound = 1 + max(abs(p.coeff(i) / lead) for i in range(d))
-    limit = max(start, ceil(bound)) + 1
-    return all(p.eval(k) >= 0 for k in range(start, limit + 1))
-
-
 @dataclass(frozen=True)
 class KNegEntry:
     curve: CurveClass
@@ -528,6 +486,12 @@ class ChainStep:
         )
         if len(self.generator_names) != len(self.generators):
             raise ValueError("generator names and vectors must align")
+        for c in (self.cprime, self.cdouble):
+            if c.images is not None and len(c.images) != len(self.generators):
+                raise ValueError(
+                    "%s declares %d images for %d generators"
+                    % (c.name, len(c.images), len(self.generators))
+                )
         if self.contracted not in self.generator_names:
             raise ValueError(
                 "contracted curve %r not among the generators" % self.contracted

@@ -1,9 +1,10 @@
 """Exact arithmetic substrate.
 
-Rationals, sparse polynomials in one integer parameter ``n``, small exact
-matrices with Gaussian elimination, and a tiny prime-field mode used by the
-brute-force enumeration oracles.  Floating point is deliberately absent from
-this module and from everything built on top of it.
+Rationals, sparse polynomials in one integer parameter ``n`` with an exact
+decision of their sign on the integers ``n >= 3``, small exact matrices with
+Gaussian elimination, and the prime-field configuration of the brute-force
+enumeration oracles.  Floating point is deliberately absent from this module
+and from everything built on top of it.
 """
 
 from __future__ import annotations
@@ -202,6 +203,48 @@ def _rat_str(c: Fraction) -> str:
 def rat_str(c) -> str:
     """Serialize an exact rational as "p" or "p/q"."""
     return _rat_str(_as_rat(c))
+
+
+# ---------------------------------------------------------------------------
+# sign of a polynomial on the integers from a start value on
+
+#: First parameter value the verified constructions are claimed for.
+SIGN_SAMPLE_START = 3
+
+
+def _signs_from(p: ParamPoly, start: int) -> set:
+    """The signs (-1, 0, 1) that p(k) takes over the integers k >= start.
+
+    Every root of p lies below the Cauchy bound 1 + max |a_i / a_d|, so from
+    the bound on p has the sign of its leading coefficient; the integers
+    below it are evaluated one by one.
+    """
+    if p.is_constant():
+        return {_sign(p.constant_value())}
+    d = p.degree
+    lead = p.coeff(d)
+    bound = 1 + max(abs(p.coeff(i) / lead) for i in range(d))
+    window = range(start, max(start, math.ceil(bound)) + 1)
+    return {_sign(p.eval(k)) for k in window} | {_sign(lead)}
+
+
+def _sign(x: Fraction) -> int:
+    return (x > 0) - (x < 0)
+
+
+def negative_on_integers_from(p: ParamPoly, start: int = SIGN_SAMPLE_START) -> bool:
+    """Exact verdict of p(k) < 0 for every integer k >= start."""
+    return _signs_from(p, start) == {-1}
+
+
+def positive_on_integers_from(p: ParamPoly, start: int = SIGN_SAMPLE_START) -> bool:
+    """Exact verdict of p(k) > 0 for every integer k >= start."""
+    return _signs_from(p, start) == {1}
+
+
+def nonnegative_on_integers_from(p: ParamPoly, start: int = SIGN_SAMPLE_START) -> bool:
+    """Exact verdict of p(k) >= 0 for every integer k >= start."""
+    return -1 not in _signs_from(p, start)
 
 
 class ExactMatrix:
@@ -471,34 +514,3 @@ class PrimeFieldConfig:
         m = self.modulus
         if m < 2 or any(m % d == 0 for d in range(2, math.isqrt(m) + 1)):
             raise ValueError("modulus %d is not prime" % m)
-
-
-class PrimeField:
-    """Arithmetic mod p on plain ints, plus reduction of exact rationals."""
-
-    def __init__(self, cfg: PrimeFieldConfig = PrimeFieldConfig()):
-        self.p = cfg.modulus
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
-
-    def inv(self, a: int) -> int:
-        a %= self.p
-        if a == 0:
-            raise ZeroDivisionError("0 has no inverse mod %d" % self.p)
-        return pow(a, self.p - 2, self.p)
-
-    def from_fraction(self, x) -> int:
-        x = _as_rat(x)
-        if x.denominator % self.p == 0:
-            raise ZeroDivisionError("denominator not invertible mod %d" % self.p)
-        return (x.numerator % self.p) * self.inv(x.denominator % self.p) % self.p

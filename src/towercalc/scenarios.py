@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from importlib import resources
 
 from .census import (
@@ -37,11 +38,11 @@ from .census import (
     sigma_census,
 )
 from .curves import (
+    DEFAULT_HEIGHT_BOUND,
     ChainSpec,
     ChainStep,
     Cone,
     ContractionData,
-    CurveClass,
     DeclaredSection,
     LineInExceptionalFiber,
     LineInProjFiber,
@@ -76,7 +77,6 @@ from .towers import (
     FiberProduct,
     FormalBase,
     FormalBundle,
-    LatticeError,
     ProjBundle,
     PullbackMap,
     RestrictionClassSpec,
@@ -190,7 +190,17 @@ def canonical_json(data) -> str:
 
 
 # ---------------------------------------------------------------------------
-# environment construction from a document
+# typed readers for document fields
+#
+# Each entry kind is one row of a kind table: the engine function it calls
+# and a reader for each of its fields.  A reader turns the raw JSON value into
+# an engine value, looking names up in the environment built so far, or
+# raises _BadField; _read adds the field's path and _entry names the entry,
+# so that a bad field always ends as a ScenarioFileError such as
+# "space 'x': field 'pic[0]': expected a name, got 5".  Rows call engine
+# functions through their module-level names (hence the forwarding lambdas),
+# so that whatever rebinds those names, such as the span tracer in
+# perfbench/, sees the calls.
 
 
 @dataclass
@@ -201,261 +211,163 @@ class Env:
     curves: dict
 
 
-def _req(obj: dict, key: str, what: str):
-    if key not in obj:
-        raise ScenarioFileError("%s: missing field %r" % (what, key))
-    return obj[key]
+class _BadField(ValueError):
+    def __init__(self, message: str, path: tuple = ()):
+        super().__init__(message)
+        self.path = path
 
 
-def _poly_field(raw, what: str) -> ParamPoly:
+_REQUIRED = object()
+
+
+def _at(step, read, raw, env):
+    """``read(raw, env)``, with a failure placed under ``step`` (a field
+    name or a list index)."""
     try:
-        parsed = parse_value(raw)
+        return read(raw, env)
+    except _BadField as exc:
+        raise _BadField(exc.args[0], (step,) + exc.path) from None
+    except ValueError as exc:
+        raise _BadField(str(exc), (step,)) from None
+
+
+def _read(obj, fields: dict, env) -> list:
+    """The values of the fields of ``obj`` declared in ``fields``, in
+    declaration order.  A field declared as ``(reader, default)`` is optional
+    and takes the default when it is missing."""
+    if not isinstance(obj, dict):
+        raise _BadField("expected an object, got %r" % (obj,))
+    values = []
+    for key, spec in fields.items():
+        read, default = spec if isinstance(spec, tuple) else (spec, _REQUIRED)
+        if key in obj:
+            values.append(_at(key, read, obj[key], env))
+        elif default is _REQUIRED:
+            raise _BadField("missing", (key,))
+        else:
+            values.append(default)
+    return values
+
+
+def _entry(what: str, build):
+    """``build()``, with a bad field or an engine rejection reported as a
+    ScenarioFileError naming ``what``."""
+    try:
+        return build()
+    except _BadField as exc:
+        path = "".join("[%d]" % s if isinstance(s, int) else "." + s for s in exc.path)
+        where = " field %r:" % path.lstrip(".") if path else ""
+        raise ScenarioFileError("%s:%s %s" % (what, where, exc.args[0])) from None
+    except ValueError as exc:
+        raise ScenarioFileError("%s: %s" % (what, exc)) from exc
+
+
+def _name(raw, env) -> str:
+    if not isinstance(raw, str):
+        raise _BadField("expected a name, got %r" % (raw,))
+    return raw
+
+
+def _number(raw, env) -> ParamPoly:
+    """An exact rational or a polynomial in n."""
+    try:
+        parsed = None if isinstance(raw, bool) else parse_value(raw)
     except ScenarioFileError as exc:
-        raise ScenarioFileError("%s: %s" % (what, exc)) from None
-    if isinstance(parsed, (Fraction, ParamPoly, int)):
-        return aspoly(parsed)
-    raise ScenarioFileError("%s: %r is not an exact number or polynomial" % (what, raw))
+        raise _BadField(str(exc)) from None
+    if not isinstance(parsed, (Fraction, ParamPoly)):
+        raise _BadField("expected an exact number, got %r" % (raw,))
+    return aspoly(parsed)
 
 
-def _poly_vector(raw, what: str) -> tuple:
-    if not isinstance(raw, (list, tuple)):
-        raise ScenarioFileError("%s: expected a list of numbers" % what)
-    return tuple(_poly_field(x, what) for x in raw)
-
-
-def _int_field(raw, what: str) -> int:
-    p = _poly_field(raw, what)
+def _integer(raw, env) -> int:
+    p = _number(raw, env)
     if not p.is_constant() or p.constant_value().denominator != 1:
-        raise ScenarioFileError("%s: %r is not an integer" % (what, raw))
+        raise _BadField("expected an integer, got %r" % (raw,))
     return int(p.constant_value())
 
 
-def _lookup(table: dict, name, what: str):
-    if not isinstance(name, str):
-        raise ScenarioFileError("%s: reference %r is not a name" % (what, name))
-    if name not in table:
-        raise ScenarioFileError("%s: unknown reference %r" % (what, name))
-    return table[name]
+def _flag(raw, env) -> bool:
+    if not isinstance(raw, bool):
+        raise _BadField("expected true or false, got %r" % (raw,))
+    return raw
 
 
-def _make_space(sd, spaces, bundles):
-    name = _req(sd, "name", "space entry")
-    what = "space %r" % name
-    kind = _req(sd, "kind", what)
-    try:
-        if kind == "formal-base":
-            canonical = sd.get("canonical")
-            spaces[name] = FormalBase(
-                name,
-                tuple(sd.get("pic", ())),
-                None if canonical is None else [_poly_field(c, what) for c in canonical],
-                _poly_field(sd.get("dim", 0), what),
-            )
-        elif kind == "proj-bundle":
-            spaces[name] = ProjBundle(
-                name,
-                _lookup(spaces, _req(sd, "base", what), what),
-                _lookup(bundles, _req(sd, "bundle", what), what),
-                _req(sd, "taut", what),
-            )
-        elif kind == "blow-up":
-            directions = sd.get("exc_directions")
-            restriction = None
-            if directions:
-                restriction = RestrictionClassSpec(
-                    tuple(directions),
-                    _poly_vector(_req(sd, "exc_degrees", what), what),
-                )
-            spaces[name] = BlowUp(
-                name,
-                _lookup(spaces, _req(sd, "ambient", what), what),
-                CenterSpec(_poly_field(_req(sd, "codim", what), what), restriction),
-                _req(sd, "exc", what),
-            )
-        elif kind == "fiber-product":
-            spaces[name] = FiberProduct(
-                name,
-                _lookup(spaces, _req(sd, "left", what), what),
-                _lookup(spaces, _req(sd, "right", what), what),
-                _lookup(spaces, _req(sd, "over", what), what),
-            )
-        elif kind == "divisor-in":
-            ambient = _lookup(spaces, _req(sd, "ambient", what), what)
-            spaces[name] = DivisorIn(
-                name,
-                ambient,
-                ambient.div(_poly_vector(_req(sd, "class", what), what)),
-            )
-        else:
-            raise ScenarioFileError("%s: unknown kind %r" % (what, kind))
-    except (LatticeError, ValueError) as exc:
-        raise ScenarioFileError("%s: %s" % (what, exc)) from exc
+def _list_of(read, length=None, nonempty=False):
+    """A list whose items all read with ``read``, as a tuple."""
+
+    def read_list(raw, env) -> tuple:
+        if not isinstance(raw, list):
+            raise _BadField("expected a list, got %r" % (raw,))
+        if length is not None and len(raw) != length:
+            raise _BadField("expected %d items, got %d" % (length, len(raw)))
+        if nonempty and not raw:
+            raise _BadField("expected at least one item")
+        return tuple(_at(i, read, item, env) for i, item in enumerate(raw))
+
+    return read_list
 
 
-def _make_bundle(bd, spaces, bundles):
-    name = _req(bd, "name", "bundle entry")
-    what = "bundle %r" % name
-    kind = _req(bd, "kind", what)
-    try:
-        if kind == "declared":
-            space = _lookup(spaces, _req(bd, "space", what), what)
-            bundles[name] = FormalBundle(
-                space,
-                _poly_field(_req(bd, "rank", what), what),
-                space.div(_poly_vector(_req(bd, "c1", what), what)),
-                name=name,
-            )
-        elif kind == "dual":
-            bundles[name] = dual(_lookup(bundles, _req(bd, "of", what), what))
-        elif kind == "quotient":
-            bundles[name] = quotient(
-                _lookup(bundles, _req(bd, "of", what), what),
-                _lookup(bundles, _req(bd, "sub", what), what),
-            )
-        elif kind == "tensor-line":
-            f = _lookup(bundles, _req(bd, "of", what), what)
-            bundles[name] = tensor_line(
-                f, f.space.div(_poly_vector(_req(bd, "line", what), what))
-            )
-        elif kind == "extension":
-            bundles[name] = extension(
-                _lookup(bundles, _req(bd, "sub", what), what),
-                _lookup(bundles, _req(bd, "quot", what), what),
-            )
-        elif kind == "sym-power":
-            bundles[name] = sym_power(
-                _lookup(bundles, _req(bd, "of", what), what),
-                _int_field(_req(bd, "power", what), what),
-            )
-        elif kind == "wedge-top":
-            bundles[name] = wedge_top(_lookup(bundles, _req(bd, "of", what), what))
-        elif kind == "relative-tangent":
-            space = _lookup(spaces, _req(bd, "space", what), what)
-            if not isinstance(space, ProjBundle):
-                raise ScenarioFileError(
-                    "%s: %r is not a projective bundle" % (what, space.name)
-                )
-            bundles[name] = relative_tangent(space)
-        elif kind == "pull-to":
-            bundles[name] = pull_to(
-                _lookup(bundles, _req(bd, "of", what), what),
-                _lookup(spaces, _req(bd, "space", what), what),
-            )
-        else:
-            raise ScenarioFileError("%s: unknown kind %r" % (what, kind))
-    except (LatticeError, ValueError) as exc:
-        raise ScenarioFileError("%s: %s" % (what, exc)) from exc
+def _or_null(read):
+    return lambda raw, env: None if raw is None else read(raw, env)
 
 
-def _make_env(doc) -> Env:
-    spaces: dict = {}
-    bundles: dict = {}
-    maps: dict = {}
-    curves: dict = {}
+def _one_of(table: dict, label: str):
+    """A name that is a key of ``table``; reads as the table's value."""
 
-    # Spaces and bundles live in separate lists but depend on each other in
-    # an interleaved order (a projective bundle needs a bundle that lives on
-    # an earlier space).  Build with a worklist that keeps document order
-    # within each pass and retries entries whose references are not ready
-    # yet; a pass with no progress surfaces the first missing reference.
-    pending = [("space", sd) for sd in doc.get("spaces", ())]
-    pending += [("bundle", bd) for bd in doc.get("bundles", ())]
-    while pending:
-        progress = False
-        deferred = []
-        first_error = None
-        for kind, entry in pending:
-            try:
-                if kind == "space":
-                    _make_space(entry, spaces, bundles)
-                else:
-                    _make_bundle(entry, spaces, bundles)
-                progress = True
-            except ScenarioFileError as exc:
-                if "unknown reference" in str(exc):
-                    deferred.append((kind, entry))
-                    if first_error is None:
-                        first_error = exc
-                else:
-                    raise
-        if not progress:
-            raise first_error
-        pending = deferred
+    def read(raw, env):
+        if not isinstance(raw, str) or raw not in table:
+            raise _BadField(
+                "unknown %s %r; known %ss: %s"
+                % (label, raw, label, ", ".join(sorted(table)))
+            )
+        return table[raw]
 
-    for md in doc.get("maps", ()):
-        name = _req(md, "name", "map entry")
-        what = "map %r" % name
-        kind = _req(md, "kind", what)
-        source = tuple(_req(md, "source", what))
-        target = tuple(_req(md, "target", what))
-        try:
-            if kind == "declared":
-                rows = _req(md, "matrix", what)
-                matrix = ExactMatrix(
-                    [[_poly_field(e, what) for e in row] for row in rows],
-                    cols=len(source),
-                )
-            elif kind == "recipe":
-                recipe = _req(md, "recipe", what)
-                if recipe not in RECIPES:
-                    raise ScenarioFileError("%s: unknown recipe %r" % (what, recipe))
-                matrix = RECIPES[recipe]()
-            else:
-                raise ScenarioFileError("%s: unknown kind %r" % (what, kind))
-            maps[name] = PullbackMap(name, source, target, matrix)
-        except (LatticeError, ValueError) as exc:
-            raise ScenarioFileError("%s: %s" % (what, exc)) from exc
+    return read
 
-    for cd in doc.get("curves", ()):
-        name = _req(cd, "name", "curve entry")
-        what = "curve %r" % name
-        space = _lookup(spaces, _req(cd, "space", what), what)
-        atomic = _req(cd, "atomic", what)
-        akind = _req(atomic, "kind", what)
-        try:
-            if akind == "line-in-proj-fiber":
-                curve = curve_from_atomic(
-                    space, LineInProjFiber(_req(atomic, "taut", what))
-                )
-            elif akind == "line-in-exceptional-fiber":
-                curve = curve_from_atomic(
-                    space, LineInExceptionalFiber(_req(atomic, "direction", what))
-                )
-            elif akind == "strict-transform":
-                ambient_curve = _lookup(
-                    curves, _req(atomic, "ambient_curve", what), what
-                )
-                curve = curve_from_atomic(
-                    space,
-                    StrictTransform(
-                        ambient_curve,
-                        _int_field(atomic.get("mult", 1), what),
-                    ),
-                )
-            elif akind == "declared":
-                curve = curve_from_atomic(
-                    space,
-                    DeclaredSection(
-                        _poly_vector(_req(atomic, "vector", what), what),
-                        atomic.get("note", ""),
-                    ),
-                )
-            elif akind == "pushed":
-                m = _lookup(maps, _req(atomic, "matrix", what), what)
-                curve = CurveClass(
-                    space,
-                    push_from_sublattice(
-                        m.matrix, _poly_vector(_req(atomic, "degrees", what), what)
-                    ),
-                    provenance=atomic.get("note", ""),
-                )
-            else:
-                raise ScenarioFileError("%s: unknown atomic kind %r" % (what, akind))
-        except (LatticeError, ValueError) as exc:
-            raise ScenarioFileError("%s: %s" % (what, exc)) from exc
-        curves[name] = curve
 
-    return Env(spaces, bundles, maps, curves)
+def _ref(section: str, cls=None, what: str = ""):
+    """The name of an object defined earlier in ``section`` of the document,
+    optionally of class ``cls``; reads as that object."""
+
+    def read(raw, env):
+        defined = getattr(env, section)
+        name = _name(raw, env)
+        if name not in defined:
+            raise _BadField("unknown reference %r" % name)
+        if cls is not None and not isinstance(defined[name], cls):
+            raise _BadField("%r is not a %s" % (name, what))
+        return defined[name]
+
+    return read
+
+
+def _object(build, fields: dict):
+    """A nested object: ``build`` called with its declared fields."""
+    return lambda raw, env: build(*_read(raw, fields, env))
+
+
+def _row(entry, key: str, kind, env):
+    """Read ``entry[key]`` with ``kind``, a `_one_of` reader of a kind table,
+    then the fields of the row it names.  Returns the row's function with
+    those fields bound."""
+    build, fields = _read(entry, {key: kind}, env)[0]
+    return partial(build, *_read(entry, fields, env))
+
+
+def _kinded(kinds: dict, label: str):
+    """An object whose ``kind`` field names its row of ``kinds``."""
+    kind = _one_of(kinds, label)
+    return lambda raw, env: _row(raw, "kind", kind, env)()
+
+
+_space = _ref("spaces")
+_blow_up = _ref("spaces", BlowUp, "blow-up")
+_bundle = _ref("bundles")
+_map = _ref("maps")
+_curve = _ref("curves")
+_names = _list_of(_name)
+_vector = _list_of(_number)
+_curves = _list_of(_curve)
 
 
 # ---------------------------------------------------------------------------
@@ -589,190 +501,235 @@ RECIPES = {
 
 
 # ---------------------------------------------------------------------------
+# the spaces, bundles, maps and curves of a document
+
+
+def _blow_up_space(name, ambient, codim, exc, exc_directions, exc_degrees):
+    restriction = None
+    if exc_directions:
+        restriction = RestrictionClassSpec(exc_directions, exc_degrees)
+    return BlowUp(name, ambient, CenterSpec(codim, restriction), exc)
+
+
+SPACE_KINDS = {
+    "formal-base": (
+        FormalBase,
+        {
+            "name": _name,
+            "pic": (_names, ()),
+            "canonical": (_or_null(_vector), None),
+            "dim": (_number, 0),
+        },
+    ),
+    "proj-bundle": (
+        ProjBundle,
+        {"name": _name, "base": _space, "bundle": _bundle, "taut": _name},
+    ),
+    "blow-up": (
+        _blow_up_space,
+        {
+            "name": _name,
+            "ambient": _space,
+            "codim": _number,
+            "exc": _name,
+            "exc_directions": (_names, ()),
+            "exc_degrees": (_vector, ()),
+        },
+    ),
+    "fiber-product": (
+        FiberProduct,
+        {"name": _name, "left": _space, "right": _space, "over": _space},
+    ),
+    "divisor-in": (
+        lambda name, ambient, klass: DivisorIn(name, ambient, ambient.div(klass)),
+        {"name": _name, "ambient": _space, "class": _vector},
+    ),
+}
+
+BUNDLE_KINDS = {
+    "declared": (
+        lambda name, space, rank, c1: FormalBundle(
+            space, rank, space.div(c1), name=name
+        ),
+        {"name": _name, "space": _space, "rank": _number, "c1": _vector},
+    ),
+    "dual": (lambda of: dual(of), {"of": _bundle}),
+    "quotient": (lambda of, sub: quotient(of, sub), {"of": _bundle, "sub": _bundle}),
+    "tensor-line": (
+        lambda of, line: tensor_line(of, of.space.div(line)),
+        {"of": _bundle, "line": _vector},
+    ),
+    "extension": (
+        lambda sub, quot: extension(sub, quot),
+        {"sub": _bundle, "quot": _bundle},
+    ),
+    "sym-power": (
+        lambda of, power: sym_power(of, power),
+        {"of": _bundle, "power": _integer},
+    ),
+    "wedge-top": (lambda of: wedge_top(of), {"of": _bundle}),
+    "relative-tangent": (
+        lambda space: relative_tangent(space),
+        {"space": _ref("spaces", ProjBundle, "projective bundle")},
+    ),
+    "pull-to": (lambda of, space: pull_to(of, space), {"of": _bundle, "space": _space}),
+}
+
+_MAP_BASES = {"name": _name, "source": _names, "target": _names}
+
+MAP_KINDS = {
+    "declared": (
+        lambda name, source, target, matrix: PullbackMap(
+            name, source, target, ExactMatrix(matrix, cols=len(source))
+        ),
+        dict(_MAP_BASES, matrix=_list_of(_vector)),
+    ),
+    "recipe": (
+        lambda name, source, target, recipe: PullbackMap(
+            name, source, target, recipe()
+        ),
+        dict(_MAP_BASES, recipe=_one_of(RECIPES, "recipe")),
+    ),
+}
+
+#: Atomic curve descriptors, read from a curve entry's ``atomic`` object.
+CURVE_KINDS = {
+    "line-in-proj-fiber": (LineInProjFiber, {"taut": _name}),
+    "line-in-exceptional-fiber": (LineInExceptionalFiber, {"direction": _name}),
+    "strict-transform": (
+        StrictTransform,
+        {"ambient_curve": _curve, "mult": (_integer, 1)},
+    ),
+    "declared": (DeclaredSection, {"vector": _vector, "note": (_name, "")}),
+    "pushed": (
+        lambda matrix, degrees, note: DeclaredSection(
+            push_from_sublattice(matrix.matrix, degrees), note
+        ),
+        {"matrix": _map, "degrees": _vector, "note": (_name, "")},
+    ),
+}
+
+_SPACE_ENTRY = _kinded(SPACE_KINDS, "space kind")
+_BUNDLE_ENTRY = _kinded(BUNDLE_KINDS, "bundle kind")
+_MAP_ENTRY = _kinded(MAP_KINDS, "map kind")
+_CURVE_ENTRY = _object(
+    lambda space, atomic: curve_from_atomic(space, atomic),
+    {"space": _space, "atomic": _kinded(CURVE_KINDS, "curve kind")},
+)
+
+
+def _make_env(doc) -> Env:
+    env = Env({}, {}, {}, {})
+
+    def define(store: dict, label: str, read, entry) -> None:
+        name = entry["name"]
+        store[name] = _entry("%s %r" % (label, name), lambda: read(entry, env))
+
+    # Spaces and bundles live in separate lists but depend on each other in
+    # an interleaved order (a projective bundle needs a bundle that lives on
+    # an earlier space).  Build with a worklist that keeps document order
+    # within each pass and retries entries whose references are not ready
+    # yet; a pass with no progress surfaces the first missing reference.
+    pending = [(env.spaces, "space", _SPACE_ENTRY, sd) for sd in doc.get("spaces", ())]
+    pending += [
+        (env.bundles, "bundle", _BUNDLE_ENTRY, bd) for bd in doc.get("bundles", ())
+    ]
+    while pending:
+        progress = False
+        deferred = []
+        first_error = None
+        for item in pending:
+            try:
+                define(*item)
+                progress = True
+            except ScenarioFileError as exc:
+                if "unknown reference" in str(exc):
+                    deferred.append(item)
+                    if first_error is None:
+                        first_error = exc
+                else:
+                    raise
+        if not progress:
+            raise first_error
+        pending = deferred
+
+    for md in doc.get("maps", ()):
+        define(env.maps, "map", _MAP_ENTRY, md)
+    for cd in doc.get("curves", ()):
+        define(env.curves, "curve", _CURVE_ENTRY, cd)
+    return env
+
+
+# ---------------------------------------------------------------------------
 # check kinds
+#
+# A row's function takes the declared fields in order, then the parameter n.
 
 
-def _space_of(env, params, key="space"):
-    return _lookup(env.spaces, _req(params, key, "check params"), "check params")
+def _pairings(space, curves, divisors):
+    return pairing_table(curves, [space.gen(d) for d in divisors])
 
 
-def _names_of(params, key):
-    names = _req(params, key, "check params")
-    if not isinstance(names, list):
-        raise ScenarioFileError("check params: %r must be a list of names" % key)
-    return names
-
-
-def _curves_of(env, params, key="curves"):
-    return [_lookup(env.curves, c, "check params") for c in _names_of(params, key)]
-
-
-def _divisors_of(env, space, params, key="divisors"):
-    return [space.gen(d) for d in _names_of(params, key)]
-
-
-def _check_dim(env, params, n):
-    return _space_of(env, params).dim()
-
-
-def _check_codim(env, params, n):
-    space = _space_of(env, params)
-    if not isinstance(space, BlowUp):
-        raise ScenarioFileError("check params: %r is not a blow-up" % space.name)
-    return space.center.codim
-
-
-def _check_codim_in_ambient(env, params, n):
-    return _check_codim(env, params, n) + 1
-
-
-def _check_canonical(env, params, n):
-    return list(canonical_class(_space_of(env, params)).coords)
-
-
-def _check_restricted_canonical(env, params, n):
-    divisor = _lookup(env.spaces, _req(params, "divisor", "check params"), "check params")
-    normal = _poly_vector(_req(params, "normal", "check params"), "check params")
-    k_div = canonical_class(divisor)
-    restricted = divisor.div(tuple(a - b for a, b in zip(k_div.coords, normal)))
-    if "blowup" not in params:
-        return list(restricted.coords)
-    blowup = _lookup(env.spaces, params["blowup"], "check params")
-    codim = _poly_field(
-        _req(params, "ambient_center_codim", "check params"), "check params"
-    )
-    lifted = lift_class(restricted, blowup)
-    result = lifted + blowup.gen(blowup.exc_name) * (codim - 1)
-    return list(result.coords)
-
-
-def _check_kneg(env, params, n):
-    space = _space_of(env, params)
-    k = space.div(_poly_vector(_req(params, "k_class", "check params"), "check params"))
-    report = kneg_check(k, _curves_of(env, params))
+def _check_kneg(space, k_class, curves, n):
+    report = kneg_check(space.div(k_class), curves)
     return {
         "pairings": [e.pairing for e in report.entries],
         "all_negative": report.all_negative,
     }
 
 
-def _check_pairing_table(env, params, n):
-    space = _space_of(env, params)
-    table = pairing_table(_curves_of(env, params), _divisors_of(env, space, params))
-    return table
+def _check_restricted_canonical(divisor, normal, blowup, ambient_center_codim, n):
+    restricted = canonical_class(divisor) - divisor.div(normal)
+    if blowup is None:
+        return list(restricted.coords)
+    if ambient_center_codim is None:
+        raise ScenarioFileError("a blowup needs its ambient_center_codim")
+    lifted = lift_class(restricted, blowup)
+    result = lifted + blowup.gen(blowup.exc_name) * (ambient_center_codim - 1)
+    return list(result.coords)
 
 
-def _check_pairing_table_constant(env, params, n):
-    return _check_pairing_table(env, params, n).is_constant()
+def _check_combination_pairings(space, curves, divisors, coefficients, n):
+    if len(coefficients) != len(curves):
+        raise ScenarioFileError("one coefficient per curve")
+    combo = curves[0] * coefficients[0]
+    for c, curve in zip(coefficients[1:], curves[1:]):
+        combo = combo + curve * c
+    return [intersect(combo, space.gen(d)) for d in divisors]
 
 
-def _check_curve_vector(env, params, n):
-    curve = _lookup(env.curves, _req(params, "curve", "check params"), "check params")
-    return list(curve.vector)
-
-
-def _check_combination_pairings(env, params, n):
-    space = _space_of(env, params)
-    curves = _curves_of(env, params)
-    coeffs = _poly_vector(_req(params, "coefficients", "check params"), "check params")
-    if len(coeffs) != len(curves):
-        raise ScenarioFileError("check params: one coefficient per curve")
-    combo = None
-    for c, curve in zip(coeffs, curves):
-        term = curve * c
-        combo = term if combo is None else combo + term
-    return [intersect(combo, d) for d in _divisors_of(env, space, params)]
-
-
-def _check_functional_values(env, params, n):
-    space = _space_of(env, params)
-    functional = space.div(
-        _poly_vector(_req(params, "functional", "check params"), "check params")
-    )
-    return [intersect(c, functional) for c in _curves_of(env, params)]
-
-
-def _check_vector_sum(env, params, n):
-    terms = [
-        _poly_vector(t, "check params")
-        for t in _req(params, "terms", "check params")
-    ]
+def _check_vector_sum(terms, n):
+    if len({len(t) for t in terms}) != 1:
+        raise ScenarioFileError("terms of different lengths")
     acc = list(terms[0])
     for t in terms[1:]:
         acc = [a + b for a, b in zip(acc, t)]
     return acc
 
 
-def _check_map_matrix(env, params, n):
-    return _lookup(env.maps, _req(params, "map", "check params"), "check params").matrix
-
-
-def _check_matrix_product_identity(env, params, n):
-    a = _lookup(env.maps, _req(params, "left", "check params"), "check params").matrix
-    b = _lookup(env.maps, _req(params, "right", "check params"), "check params").matrix
-    return {
-        "left_right": matrix_product_is_identity(a, b),
-        "right_left": matrix_product_is_identity(b, a),
-    }
-
-
-def _check_map_inverse_equals(env, params, n):
-    a = _lookup(env.maps, _req(params, "of", "check params"), "check params").matrix
-    b = _lookup(
-        env.maps, _req(params, "expected_map", "check params"), "check params"
-    ).matrix
+def _check_map_inverse_equals(of, expected_map, n):
     try:
-        return inverse(a) == b
+        return inverse(of.matrix) == expected_map.matrix
     except LinearSolveError:
         return False
 
 
-def _check_map_invertible(env, params, n):
-    a = _lookup(env.maps, _req(params, "map", "check params"), "check params").matrix
+def _check_map_invertible(m, n):
     try:
-        inverse(a)
+        inverse(m.matrix)
         return True
     except LinearSolveError:
         return False
 
 
-def _check_transport(env, params, n):
-    start = _poly_vector(_req(params, "start", "check params"), "check params")
-    via = []
-    for step in _req(params, "via", "check params"):
-        m = _lookup(env.maps, _req(step, "map", "check params"), "check params")
-        via.append(m.inverted() if step.get("inverted") else m)
-    result = transport_class(start, via, tuple(params.get("drop", ())))
-    return {"names": list(result.names), "coords": list(result.coords)}
-
-
-def _check_solve_pushforward(env, params, n):
-    space = _space_of(env, params)
-    table = pairing_table(_curves_of(env, params), _divisors_of(env, space, params))
-    observed = _poly_vector(_req(params, "observed", "check params"), "check params")
-    return list(solve_pushforward(observed, table))
-
-
-def _check_push_from_sublattice(env, params, n):
-    m = _lookup(env.maps, _req(params, "matrix", "check params"), "check params")
-    degrees = _poly_vector(_req(params, "degrees", "check params"), "check params")
-    return list(push_from_sublattice(m.matrix, degrees))
-
-
-def _check_extremal_certificate(env, params, n):
-    space = _space_of(env, params)
-    curves = _curves_of(env, params)
-    names = tuple(_req(params, "curves", "check params"))
+def _check_extremal_certificate(space, curves, face, height_bound, n):
+    names, classes = curves
     cone = Cone(
         dim=len(space.pic_names()),
-        generators=tuple(c.vector for c in curves),
+        generators=tuple(c.vector for c in classes),
         names=names,
     )
-    cert = extremal_certificate(
-        cone,
-        tuple(_req(params, "face", "check params")),
-        height_bound=_int_field(params.get("height_bound", 8), "check params"),
-    )
+    cert = extremal_certificate(cone, face, height_bound=height_bound)
     return {
         "status": cert.status,
         "functional": None if cert.functional is None else list(cert.functional),
@@ -784,58 +741,12 @@ def _check_extremal_certificate(env, params, n):
     }
 
 
-def _contraction_from_doc(data, what: str) -> ContractionData:
-    name = _req(data, "name", what)
-    has_pullbacks = "pullbacks" in data
-    has_images = "images" in data
-    if has_pullbacks == has_images:
-        raise ScenarioFileError(
-            "%s: contraction %r needs exactly one of pullbacks/images" % (what, name)
-        )
-    if has_pullbacks:
-        rows = data["pullbacks"]
-        return ContractionData(
-            name,
-            pullbacks=ExactMatrix(
-                [[_poly_field(e, what) for e in row] for row in rows]
-            ),
-            note=data.get("note", ""),
-        )
-    return ContractionData(
-        name,
-        images=tuple(_poly_vector(v, what) for v in data["images"]),
-        note=data.get("note", ""),
-    )
+def _check_transport(start, via, drop, n):
+    result = transport_class(start, via, drop)
+    return {"names": list(result.names), "coords": list(result.coords)}
 
 
-def _check_mori_chain(env, params, n):
-    chain_doc = _req(params, "chain", "check params")
-    what = "mori chain"
-    base = _req(chain_doc, "base", what)
-    base_names = tuple(g["name"] for g in _req(base, "generators", what))
-    base_vectors = tuple(
-        _poly_vector(g["vector"], what) for g in base["generators"]
-    )
-    steps = []
-    for sd in _req(chain_doc, "steps", what):
-        names = tuple(g["name"] for g in _req(sd, "generators", what))
-        vectors = tuple(_poly_vector(g["vector"], what) for g in sd["generators"])
-        steps.append(
-            ChainStep(
-                space_name=_req(sd, "space", what),
-                generator_names=names,
-                generators=vectors,
-                contracted=_req(sd, "contracted", what),
-                cprime=_contraction_from_doc(_req(sd, "cprime", what), what),
-                cdouble=_contraction_from_doc(_req(sd, "cdouble", what), what),
-            )
-        )
-    chain = ChainSpec(
-        base_space=_req(base, "space", what),
-        base_generator_names=base_names,
-        base_generators=base_vectors,
-        steps=tuple(steps),
-    )
+def _check_mori_chain(chain, n):
     try:
         cone, reports = mori_propagate(chain)
     except PropagationError as exc:
@@ -847,15 +758,6 @@ def _check_mori_chain(env, params, n):
             {"space": r.space_name, "conditions": dict(r.conditions)}
             for r in reports
         ],
-    }
-
-
-def _check_restriction_kernel(env, params, n):
-    m = _lookup(env.maps, _req(params, "matrix", "check params"), "check params")
-    report = restriction_kernel(m.matrix, _curves_of(env, params))
-    return {
-        "kernel": [list(v) for v in report.kernel],
-        "perp": [list(v) for v in report.perp],
     }
 
 
@@ -880,41 +782,20 @@ def _combo_string(names, vector) -> str:
     return " ".join(parts) if parts else "0"
 
 
-def _check_kernel_polynomials(env, params, n):
-    m = _lookup(env.maps, _req(params, "matrix", "check params"), "check params")
-    report = restriction_kernel(m.matrix, _curves_of(env, params))
+def _check_restriction_kernel(m, curves, n):
+    report = restriction_kernel(m.matrix, curves)
+    return {
+        "kernel": [list(v) for v in report.kernel],
+        "perp": [list(v) for v in report.perp],
+    }
+
+
+def _check_kernel_polynomials(m, curves, n):
+    report = restriction_kernel(m.matrix, curves)
     return [_combo_string(m.source_names, v) for v in report.kernel]
 
 
-def _check_stabilizer_census(env, params, n):
-    return omega_census()
-
-
-def _check_sigma_census(env, params, n):
-    return sigma_census()
-
-
-def _check_order_two_relations(env, params, n):
-    return order_two_relations()
-
-
-def _check_census_size_floor(env, params, n):
-    minimum = _int_field(_req(params, "minimum", "check params"), "check params")
-    return omega_census()["total"] >= minimum
-
-
-def _check_isotropy_equivalence(env, params, n):
-    return isotropy_equivalence_f3()
-
-
-def _check_rational_isotropy_samples(env, params, n):
-    return rational_isotropy_samples(
-        _int_field(_req(params, "samples", "check params"), "check params"),
-        _int_field(_req(params, "seed", "check params"), "check params"),
-    )
-
-
-def _check_quadric_rank(env, params, n):
+def _check_quadric_rank(n):
     if n == SYMBOLIC:
         raise PolicyError(
             "finite rank computation needs a numeric parameter; "
@@ -929,8 +810,8 @@ def _check_quadric_rank(env, params, n):
     }
 
 
-def _check_fixed_locus(env, params, n):
-    report = fixed_locus_incidence(_int_field(_req(params, "dim", "check params"), "check params"))
+def _check_fixed_locus(dim, n):
+    report = fixed_locus_incidence(dim)
     return {
         "fixed_pairs": report.fixed_pairs,
         "diagonal_pairs": report.diagonal_pairs,
@@ -938,122 +819,200 @@ def _check_fixed_locus(env, params, n):
     }
 
 
-def _check_fixed_locus_details(env, params, n):
-    report = fixed_locus_incidence(_int_field(_req(params, "dim", "check params"), "check params"))
+def _check_fixed_locus_details(dim, n):
+    report = fixed_locus_incidence(dim)
     return {
         "projective_points": report.projective_points,
         "incidence_pairs": report.incidence_pairs,
     }
 
 
-def _check_cohomology_products(env, params, n):
-    return [
-        coh_dim_product_proj(
-            _int_field(case[0], "check params"),
-            _int_field(case[1], "check params"),
-            _int_field(case[2], "check params"),
-        )
-        for case in _req(params, "cases", "check params")
-    ]
-
-
-def _check_graded_ranks(env, params, n):
-    return [
-        coh_dim_product_proj(k, k, 0)
-        for k in (_int_field(k, "check params") for k in _req(params, "ks", "check params"))
-    ]
-
-
-def _check_graded_ranks_consistency(env, params, n):
-    ks = [_int_field(k, "check params") for k in _req(params, "ks", "check params")]
-    return all(coh_dim_product_proj(k, k, 0) == sym_rank(3, k) ** 2 for k in ks)
-
-
-def _check_bundle_invariants(env, params, n):
-    f = _lookup(env.bundles, _req(params, "bundle", "check params"), "check params")
-    return {"rank": f.rank, "c1": list(f.c1.coords)}
-
-
-def _check_fiber_dim(env, params, n):
-    total = _lookup(env.spaces, _req(params, "total", "check params"), "check params")
-    base = _lookup(env.spaces, _req(params, "base", "check params"), "check params")
-    return total.dim() - base.dim()
-
-
-def _check_conormal_rank_consistency(env, params, n):
-    ambient = _poly_field(_req(params, "ambient_dim", "check params"), "check params")
-    fiber = _check_fiber_dim(env, params, n)
-    f = _lookup(env.bundles, _req(params, "bundle", "check params"), "check params")
-    expected_rank = ambient - fiber
+def _check_conormal_rank_consistency(ambient_dim, total, base, bundle, n):
+    expected_rank = ambient_dim - (total.dim() - base.dim())
     return {
         "expected_rank": expected_rank,
-        "bundle_rank": f.rank,
-        "agree": f.rank == expected_rank,
+        "bundle_rank": bundle.rank,
+        "agree": bundle.rank == expected_rank,
     }
 
 
-def _check_ig_dim(env, params, n):
-    return ig_dim(
-        _int_field(_req(params, "k", "check params"), "check params"),
-        _int_field(_req(params, "m", "check params"), "check params"),
+def _generators(raw, env):
+    """A list of ``{"name", "vector"}`` objects, as (names, vectors)."""
+    pairs = _list_of(
+        _object(lambda name, vector: (name, vector), {"name": _name, "vector": _vector})
+    )(raw, env)
+    return tuple(name for name, _ in pairs), tuple(vector for _, vector in pairs)
+
+
+def _contraction(name, pullbacks, images, note):
+    return ContractionData(
+        name, None if pullbacks is None else ExactMatrix(pullbacks), images, note
     )
 
 
-def _check_exc_restriction_routes(env, params, n):
-    return exc_restriction_routes()
-
-
-def _check_curve_degree(env, params, n):
-    curve = _lookup(env.curves, _req(params, "curve", "check params"), "check params")
-    div = curve.space.div(
-        _poly_vector(_req(params, "divisor", "check params"), "check params")
-    )
-    return intersect(curve, div)
-
+_CONTRACTION = _object(
+    _contraction,
+    {
+        "name": _name,
+        "pullbacks": (_list_of(_vector), None),
+        "images": (_list_of(_vector), None),
+        "note": (_name, ""),
+    },
+)
+_CHAIN = _object(
+    lambda base, steps: ChainSpec(*base, steps),
+    {
+        "base": _object(
+            lambda space, generators: (space, *generators),
+            {"space": _name, "generators": _generators},
+        ),
+        "steps": _list_of(
+            _object(
+                lambda space, generators, contracted, cprime, cdouble: ChainStep(
+                    space, *generators, contracted, cprime, cdouble
+                ),
+                {
+                    "space": _name,
+                    "generators": _generators,
+                    "contracted": _name,
+                    "cprime": _CONTRACTION,
+                    "cdouble": _CONTRACTION,
+                },
+            )
+        ),
+    },
+)
+_TRANSPORT_STEP = _object(
+    lambda m, inverted: m.inverted() if inverted else m,
+    {"map": _map, "inverted": (_flag, False)},
+)
+_TABLE = {"space": _space, "curves": _curves, "divisors": _names}
+_KERNEL = {"matrix": _map, "curves": _curves}
 
 CHECK_KINDS = {
-    "dim": _check_dim,
-    "codim": _check_codim,
-    "codim-in-ambient": _check_codim_in_ambient,
-    "canonical": _check_canonical,
-    "restricted-canonical": _check_restricted_canonical,
-    "kneg": _check_kneg,
-    "pairing-table": _check_pairing_table,
-    "pairing-table-constant": _check_pairing_table_constant,
-    "curve-vector": _check_curve_vector,
-    "combination-pairings": _check_combination_pairings,
-    "functional-values": _check_functional_values,
-    "vector-sum": _check_vector_sum,
-    "map-matrix": _check_map_matrix,
-    "matrix-product-identity": _check_matrix_product_identity,
-    "map-inverse-equals": _check_map_inverse_equals,
-    "map-invertible": _check_map_invertible,
-    "transport": _check_transport,
-    "solve-pushforward": _check_solve_pushforward,
-    "push-from-sublattice": _check_push_from_sublattice,
-    "extremal-certificate": _check_extremal_certificate,
-    "mori-chain": _check_mori_chain,
-    "restriction-kernel": _check_restriction_kernel,
-    "kernel-polynomials": _check_kernel_polynomials,
-    "stabilizer-census": _check_stabilizer_census,
-    "sigma-census": _check_sigma_census,
-    "order-two-relations": _check_order_two_relations,
-    "census-size-floor": _check_census_size_floor,
-    "isotropy-equivalence": _check_isotropy_equivalence,
-    "rational-isotropy-samples": _check_rational_isotropy_samples,
-    "quadric-rank": _check_quadric_rank,
-    "fixed-locus": _check_fixed_locus,
-    "fixed-locus-details": _check_fixed_locus_details,
-    "cohomology-products": _check_cohomology_products,
-    "graded-ranks": _check_graded_ranks,
-    "graded-ranks-consistency": _check_graded_ranks_consistency,
-    "bundle-invariants": _check_bundle_invariants,
-    "fiber-dim": _check_fiber_dim,
-    "conormal-rank-consistency": _check_conormal_rank_consistency,
-    "ig-dim": _check_ig_dim,
-    "exc-restriction-routes": _check_exc_restriction_routes,
-    "curve-degree": _check_curve_degree,
+    "dim": (lambda space, n: space.dim(), {"space": _space}),
+    "codim": (lambda space, n: space.center.codim, {"space": _blow_up}),
+    "codim-in-ambient": (lambda space, n: space.center.codim + 1, {"space": _blow_up}),
+    "canonical": (
+        lambda space, n: list(canonical_class(space).coords),
+        {"space": _space},
+    ),
+    "restricted-canonical": (
+        _check_restricted_canonical,
+        {
+            "divisor": _space,
+            "normal": _vector,
+            "blowup": (_blow_up, None),
+            "ambient_center_codim": (_number, None),
+        },
+    ),
+    "kneg": (_check_kneg, {"space": _space, "k_class": _vector, "curves": _curves}),
+    "pairing-table": (
+        lambda space, curves, divisors, n: _pairings(space, curves, divisors),
+        _TABLE,
+    ),
+    "pairing-table-constant": (
+        lambda space, curves, divisors, n: _pairings(
+            space, curves, divisors
+        ).is_constant(),
+        _TABLE,
+    ),
+    "curve-vector": (lambda curve, n: list(curve.vector), {"curve": _curve}),
+    "combination-pairings": (
+        _check_combination_pairings,
+        dict(_TABLE, curves=_list_of(_curve, nonempty=True), coefficients=_vector),
+    ),
+    "functional-values": (
+        lambda space, functional, curves, n: [
+            intersect(c, space.div(functional)) for c in curves
+        ],
+        {"space": _space, "functional": _vector, "curves": _curves},
+    ),
+    "vector-sum": (_check_vector_sum, {"terms": _list_of(_vector, nonempty=True)}),
+    "map-matrix": (lambda m, n: m.matrix, {"map": _map}),
+    "matrix-product-identity": (
+        lambda left, right, n: {
+            "left_right": matrix_product_is_identity(left.matrix, right.matrix),
+            "right_left": matrix_product_is_identity(right.matrix, left.matrix),
+        },
+        {"left": _map, "right": _map},
+    ),
+    "map-inverse-equals": (
+        _check_map_inverse_equals,
+        {"of": _map, "expected_map": _map},
+    ),
+    "map-invertible": (_check_map_invertible, {"map": _map}),
+    "transport": (
+        _check_transport,
+        {"start": _vector, "via": _list_of(_TRANSPORT_STEP), "drop": (_names, ())},
+    ),
+    "solve-pushforward": (
+        lambda space, curves, divisors, observed, n: list(
+            solve_pushforward(observed, _pairings(space, curves, divisors))
+        ),
+        dict(_TABLE, observed=_vector),
+    ),
+    "push-from-sublattice": (
+        lambda m, degrees, n: list(push_from_sublattice(m.matrix, degrees)),
+        {"matrix": _map, "degrees": _vector},
+    ),
+    "extremal-certificate": (
+        _check_extremal_certificate,
+        {
+            "space": _space,
+            "curves": lambda raw, env: (_names(raw, env), _curves(raw, env)),
+            "face": _names,
+            "height_bound": (_integer, DEFAULT_HEIGHT_BOUND),
+        },
+    ),
+    "mori-chain": (_check_mori_chain, {"chain": _CHAIN}),
+    "restriction-kernel": (_check_restriction_kernel, _KERNEL),
+    "kernel-polynomials": (_check_kernel_polynomials, _KERNEL),
+    "stabilizer-census": (lambda n: omega_census(), {}),
+    "sigma-census": (lambda n: sigma_census(), {}),
+    "order-two-relations": (lambda n: order_two_relations(), {}),
+    "census-size-floor": (
+        lambda minimum, n: omega_census()["total"] >= minimum,
+        {"minimum": _integer},
+    ),
+    "isotropy-equivalence": (lambda n: isotropy_equivalence_f3(), {}),
+    "rational-isotropy-samples": (
+        lambda samples, seed, n: rational_isotropy_samples(samples, seed),
+        {"samples": _integer, "seed": _integer},
+    ),
+    "quadric-rank": (_check_quadric_rank, {}),
+    "fixed-locus": (_check_fixed_locus, {"dim": _integer}),
+    "fixed-locus-details": (_check_fixed_locus_details, {"dim": _integer}),
+    "cohomology-products": (
+        lambda cases, n: [coh_dim_product_proj(*case) for case in cases],
+        {"cases": _list_of(_list_of(_integer, length=3))},
+    ),
+    "graded-ranks-consistency": (
+        lambda ks, n: all(
+            coh_dim_product_proj(k, k, 0) == sym_rank(3, k) ** 2 for k in ks
+        ),
+        {"ks": _list_of(_integer)},
+    ),
+    "bundle-invariants": (
+        lambda f, n: {"rank": f.rank, "c1": list(f.c1.coords)},
+        {"bundle": _bundle},
+    ),
+    "fiber-dim": (
+        lambda total, base, n: total.dim() - base.dim(),
+        {"total": _space, "base": _space},
+    ),
+    "conormal-rank-consistency": (
+        _check_conormal_rank_consistency,
+        {"ambient_dim": _number, "total": _space, "base": _space, "bundle": _bundle},
+    ),
+    "ig-dim": (lambda k, m, n: ig_dim(k, m), {"k": _integer, "m": _integer}),
+    "exc-restriction-routes": (lambda n: exc_restriction_routes(), {}),
+    "curve-degree": (
+        lambda curve, divisor, n: intersect(curve, curve.space.div(divisor)),
+        {"curve": _curve, "divisor": _vector},
+    ),
 }
+_CHECK_KIND = _one_of(CHECK_KINDS, "check kind")
 
 
 # ---------------------------------------------------------------------------
@@ -1186,9 +1145,7 @@ def validate_doc(doc) -> None:
     for entry in doc.get("expect", []):
         ename = entry["name"]
         ewhere = "%s check %r" % (where, ename)
-        kind = entry.get("check")
-        if kind not in CHECK_KINDS:
-            raise ScenarioFileError("%s: unknown check kind %r" % (ewhere, kind))
+        _entry(ewhere, lambda: _read(entry, {"check": _CHECK_KIND}, None))
         if "value" not in entry:
             raise ScenarioFileError("%s: missing expected value" % ewhere)
         if "provenance" not in entry:
@@ -1211,16 +1168,20 @@ def evaluate_doc(doc, n) -> VerificationReport:
             % doc["name"]
         )
     env = _make_env(doc)
-    results = []
+    # Every check reads its fields before the first one runs, so that a bad
+    # field fails the document before any expensive check starts.
+    checks = []
     for entry in doc.get("expect", []):
-        fn = CHECK_KINDS[entry["check"]]
+        what = "scenario %r check %r" % (doc["name"], entry["name"])
+        check = _entry(what, lambda: _row(entry, "check", _CHECK_KIND, env))
+        checks.append((entry, what, check))
+    results = []
+    for entry, what, check in checks:
         try:
-            computed = serialize_value(fn(env, entry, n), n)
+            computed = serialize_value(check(n), n)
             expected = serialize_value(parse_value(entry["value"]), n)
         except (ValueError, ScenarioFileError) as exc:
-            raise ScenarioFileError(
-                "scenario %r check %r: %s" % (doc["name"], entry["name"], exc)
-            ) from exc
+            raise ScenarioFileError("%s: %s" % (what, exc)) from exc
         results.append(
             CheckResult(
                 name=entry["name"],

@@ -19,9 +19,13 @@ from fractions import Fraction
 from math import comb
 from typing import Sequence
 
-from .exactnum import ExactMatrix, N, ParamPoly, aspoly, inverse as matrix_inverse
-
-RANK_SAMPLES = (3, 4, 5)
+from .exactnum import (
+    ExactMatrix,
+    ParamPoly,
+    aspoly,
+    inverse as matrix_inverse,
+    nonnegative_on_integers_from,
+)
 
 
 class LatticeError(ValueError):
@@ -150,7 +154,7 @@ class DivClass:
 @dataclass(frozen=True)
 class FormalBundle:
     """A vector bundle remembered only through its rank and first Chern
-    class.  Rank must be positive at the sample values of n."""
+    class.  The rank must be at least 1 for every integer n >= 3."""
 
     space: Space
     rank: ParamPoly
@@ -161,11 +165,8 @@ class FormalBundle:
         object.__setattr__(self, "rank", aspoly(self.rank))
         if self.c1.space.pic_names() != self.space.pic_names():
             raise LatticeError("c1 lives on the wrong lattice")
-        for n in RANK_SAMPLES:
-            if self.rank.eval(n) < 1:
-                raise ValueError(
-                    "rank %s not positive at n=%d" % (self.rank, n)
-                )
+        if not nonnegative_on_integers_from(self.rank - 1):
+            raise ValueError("rank %s is below 1 for some n >= 3" % self.rank)
 
 
 class FormalBase(Space):
@@ -281,9 +282,8 @@ class CenterSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "codim", aspoly(self.codim))
-        for n in RANK_SAMPLES:
-            if self.codim.eval(n) < 1:
-                raise ValueError("codimension %s not positive at n=%d" % (self.codim, n))
+        if not nonnegative_on_integers_from(self.codim - 1):
+            raise ValueError("codimension %s is below 1 for some n >= 3" % self.codim)
 
 
 class BlowUp(Space):
@@ -417,11 +417,7 @@ def extension(sub: FormalBundle, quot: FormalBundle) -> FormalBundle:
 def quotient(total: FormalBundle, sub: FormalBundle) -> FormalBundle:
     if total.space.pic_names() != sub.space.pic_names():
         raise LatticeError("quotient on different spaces")
-    r = total.rank - sub.rank
-    for n in RANK_SAMPLES:
-        if r.eval(n) < 1:
-            raise ValueError("quotient rank %s not positive at n=%d" % (r, n))
-    return FormalBundle(total.space, r, total.c1 - sub.c1)
+    return FormalBundle(total.space, total.rank - sub.rank, total.c1 - sub.c1)
 
 
 def sym2(f: FormalBundle) -> FormalBundle:

@@ -1,11 +1,18 @@
 """Command-line interface: exit codes, formats, and output routing."""
 
+import contextlib
+import copy
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from towercalc.cli import REPORT_DIR_ENV, main
-from towercalc.scenarios import scenario_doc
+from towercalc.scenarios import list_scenarios, scenario_doc
 
 
 def run(capsys, argv):
@@ -147,24 +154,169 @@ def test_parse_error_in_scenario_file(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "check, field, value, offender",
+    "scenario, section, entry, field, value, needle",
     [
-        ("incidence-dim", "value", "1/0", "1/0"),
-        ("incidence-dim", "space", ["incidence_divisor"], "['incidence_divisor']"),
-        ("table", "divisors", ["x9", "x2", "x3", "x4"], "x9"),
-        ("table", "curves", "ehat_one", "'curves'"),
+        ("jz-intersection-table", "expect", "incidence-dim", "value", "1/0", "1/0"),
+        (
+            "jz-intersection-table",
+            "expect",
+            "incidence-dim",
+            "space",
+            ["incidence_divisor"],
+            "['incidence_divisor']",
+        ),
+        (
+            "jz-intersection-table",
+            "expect",
+            "table",
+            "divisors",
+            ["x9", "x2", "x3", "x4"],
+            "x9",
+        ),
+        ("jz-intersection-table", "expect", "table", "curves", "ehat_one", "'curves'"),
+        ("contraction-numerics", "expect", "graded-ranks-square", "ks", 5, "'ks'"),
+        (
+            "contraction-numerics",
+            "expect",
+            "higher-cohomology",
+            "cases",
+            [["1", "1"]],
+            "'cases[0]'",
+        ),
+        ("mori-chain-ez", "expect", "ehat-sum-identity", "terms", [], "'terms'"),
+        ("normal-bundle-transport", "expect", "stage-one", "via", [5], "'via[0]'"),
+        ("mori-chain-jz", "expect", "chain", "chain.base", 5, "'chain.base'"),
+        ("jz-intersection-table", "spaces", "proj_base", "pic", 5, "'pic'"),
+        ("jz-intersection-table", "spaces", "proj_base", "canonical", 5, "'canonical'"),
+        ("picard-matrices", "maps", "xi_inverse_printed", "source", 5, "'source'"),
+        ("picard-matrices", "maps", "xi_inverse_printed", "matrix", [5], "'matrix[0]'"),
+        ("jz-intersection-table", "curves", "sigma_push", "atomic", 5, "'atomic'"),
+        ("jz-intersection-table", "expect", "table", "check", [], "'check'"),
+        ("ez-kernel-x2-x3", "maps", "boundary_restriction", "recipe", [], "'recipe'"),
+        ("extremal-sigma-ray", "expect", "certificate", "face", "sigma_push", "'face'"),
+        (
+            "normal-bundle-transport",
+            "expect",
+            "final-normal-class",
+            "drop",
+            "dhat",
+            "'drop'",
+        ),
+        (
+            "jz-intersection-table",
+            "spaces",
+            "resolved_incidence",
+            "exc_directions",
+            "ab",
+            "'exc_directions'",
+        ),
+        (
+            "mori-chain-ez",
+            "expect",
+            "ehat-sum-identity",
+            "terms",
+            [["0", "1", "0", "1"], ["0", "0", "1", "1", "7"]],
+            "different lengths",
+        ),
+        (
+            "jz-canonical-class",
+            "expect",
+            "restricted-canonical",
+            "normal",
+            ["-1", "0", "0", "5"],
+            "expected 3 coordinates",
+        ),
     ],
-    ids=["zero-denominator", "list-as-name", "unknown-divisor", "string-as-list"],
+    ids=[
+        "zero-denominator",
+        "list-as-name",
+        "unknown-divisor",
+        "string-as-list",
+        "number-as-list",
+        "short-case",
+        "empty-terms",
+        "number-as-transport-step",
+        "number-as-chain-base",
+        "number-as-pic",
+        "number-as-canonical",
+        "number-as-map-source",
+        "number-as-matrix-row",
+        "number-as-atomic",
+        "list-as-check-kind",
+        "list-as-recipe",
+        "string-as-face",
+        "string-as-drop",
+        "string-as-directions",
+        "ragged-terms",
+        "long-normal",
+    ],
 )
-def test_bad_document_is_a_named_error(capsys, tmp_path, check, field, value, offender):
-    doc = scenario_doc("jz-intersection-table")
-    next(e for e in doc["expect"] if e["name"] == check)[field] = value
+def test_bad_document_is_a_named_error(
+    capsys, tmp_path, scenario, section, entry, field, value, needle
+):
+    doc = scenario_doc(scenario)
+    *parents, last = field.split(".")
+    node = next(e for e in doc[section] if e["name"] == entry)
+    for key in parents:
+        node = node[key]
+    node[last] = value
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     code, _, err = run(capsys, ["verify", "--scenario-file", str(path), "--n", "3"])
     assert code == 2
-    assert check in err and offender in err
+    assert entry in err and needle in err
     assert "Traceback" not in err
+
+
+def _field_paths(node, prefix=()):
+    """Paths to every field and list item under ``node``, except expected
+    values."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        if key == "value":
+            continue
+        yield prefix + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _field_paths(child, prefix + (key,))
+
+
+# The two documents whose checks take a second or more are left out to keep
+# the suite fast; their fields are read by the same readers.
+FUZZ_DOCS = {
+    name: scenario_doc(name)
+    for name in (info["name"] for info in list_scenarios())
+    if name not in ("extremal-sigma-ray", "local-model-stabilizers")
+}
+FUZZ_FIELDS = [
+    (name, (section,) + path)
+    for name, doc in FUZZ_DOCS.items()
+    for section in ("spaces", "bundles", "maps", "curves", "expect")
+    for path in _field_paths(doc.get(section, []))
+    if len(path) > 1
+]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(
+    field=st.sampled_from(FUZZ_FIELDS),
+    value=st.sampled_from([5, "x", [], [5], {}, None]),
+)
+def test_wrongly_typed_field_ends_in_a_report_or_a_named_error(field, value):
+    name, path = field
+    doc = copy.deepcopy(FUZZ_DOCS[name])
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        doc_path = os.path.join(tmp, "doc.json")
+        with open(doc_path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["verify", "--scenario-file", doc_path, "--n", "3"])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from towercalc.exactnum import ExactMatrix, N, ParamPoly, aspoly
+from towercalc.exactnum import (
+    ExactMatrix,
+    N,
+    ParamPoly,
+    aspoly,
+    negative_on_integers_from,
+    nonnegative_on_integers_from,
+    positive_on_integers_from,
+)
 from towercalc.towers import (
     BlowUp,
     CenterSpec,
@@ -38,7 +46,6 @@ from towercalc.curves import (
     intersect,
     kneg_check,
     mori_propagate,
-    negative_on_integers_from,
     pairing_table,
     push_from_sublattice,
     restriction_kernel,
@@ -295,6 +302,11 @@ class TestKNegativity:
         assert not negative_on_integers_from(N - 10)  # positive for large n
         assert not negative_on_integers_from(N * N - 8 * N)  # sign change at 8
         assert negative_on_integers_from(-N * N - 1)
+        # zero at n = 5, beyond the first two sample values
+        assert not negative_on_integers_from(-(N - 5) * (N - 6))
+        assert nonnegative_on_integers_from((N - 5) * (N - 6))
+        assert not positive_on_integers_from((N - 5) * (N - 6))
+        assert positive_on_integers_from((N - 5) * (N - 6) + 1)
 
     @given(
         scale=st.integers(min_value=1, max_value=7),
@@ -338,6 +350,14 @@ class TestExtremalCertificate:
         assert cert.witness is not None
         combo = cert.witness["combination"]
         assert combo == {0: aspoly(1), 1: aspoly(1)}
+
+    def test_face_of_two_generators(self):
+        # The functional must vanish on both face generators, not just one.
+        cone = Cone(
+            dim=3, generators=((1, 0, 0), (0, 1, 0), (0, 0, 1)), names=("a", "b", "c")
+        )
+        cert = extremal_certificate(cone, face=("a", "b"))
+        assert cert.functional == (0, 0, 1)
 
     def test_unknown_face_name(self, setup):
         with pytest.raises(ValueError):

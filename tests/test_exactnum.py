@@ -13,7 +13,6 @@ from towercalc.exactnum import (
     N,
     NoSolutionError,
     ParamPoly,
-    PrimeField,
     PrimeFieldConfig,
     UnderdeterminedError,
     aspoly,
@@ -167,22 +166,6 @@ class TestPrimeField:
                 PrimeFieldConfig(modulus=composite)
         for prime in (2, 97):
             assert PrimeFieldConfig(modulus=prime).modulus == prime
-
-    @given(rats, rats)
-    def test_agrees_with_rational_arithmetic(self, a: Fraction, b: Fraction) -> None:
-        ff = PrimeField(PrimeFieldConfig(3))
-        try:
-            ra, rb = ff.from_fraction(a), ff.from_fraction(b)
-            rsum = ff.from_fraction(a + b)
-            rprod = ff.from_fraction(a * b)
-        except ZeroDivisionError:
-            return
-        assert ff.add(ra, rb) == rsum
-        assert ff.mul(ra, rb) == rprod
-
-    def test_inverse(self) -> None:
-        ff = PrimeField(PrimeFieldConfig(3))
-        assert ff.mul(2, ff.inv(2)) == 1
 
 
 class TestGenericSolve:

@@ -92,6 +92,15 @@ class TestTowerAssembly:
         with pytest.raises(LatticeError):
             pt.div((1, 2))
 
+    def test_rank_and_codim_guards_hold_for_every_n(self):
+        # 6 - n is positive at n = 3, 4, 5 but 0 at n = 6.
+        base = FormalBase("pt", (), canonical=(), dim=0)
+        with pytest.raises(ValueError):
+            FormalBundle(base, 6 - N, base.zero())
+        with pytest.raises(ValueError):
+            CenterSpec(6 - N)
+        assert FormalBundle(base, N - 2, base.zero()).rank == N - 2
+
 
 class TestCanonicalClasses:
     def test_projective_space_base(self):
