@@ -33,11 +33,6 @@ def main(argv=None):
     parser.add_argument(
         "--seed", type=int, default=DEFAULT_SAMPLE_SEED, help="sample seed"
     )
-    parser.add_argument(
-        "--skip-f3",
-        action="store_true",
-        help="skip the exhaustive mod-3 enumeration",
-    )
     args = parser.parse_args(argv)
 
     omega = omega_census()
@@ -60,10 +55,9 @@ def main(argv=None):
     print("  order-two relations hold: %s" % relations_hold)
     print()
 
-    if not args.skip_f3:
-        eq = isotropy_equivalence_f3()
-        print("mod-3 enumeration: %d maps, %d isotropic, agreement: %s" % (
-            eq["homs"], eq["isotropic"], eq["all_agree"]))
+    eq = isotropy_equivalence_f3()
+    print("mod-3 enumeration: %d maps, %d isotropic, agreement: %s" % (
+        eq["homs"], eq["isotropic"], eq["all_agree"]))
 
     samples = rational_isotropy_samples(args.samples, seed=args.seed)
     print("rational samples: %d drawn (seed %d), %d on the zero locus, agreement: %s" % (

@@ -14,8 +14,10 @@ Three jobs live here:
   samples and by full enumeration over F_3 into a four-dimensional
   symplectic space.
 
-Everything is exact; the finite-field enumeration is memoized because
-several checks share it.
+Everything is exact.  `omega_census`, `isotropy_equivalence_f3` and
+`rational_isotropy_samples` are memoized with `lru_cache`: several checks of
+one scenario share each of them, so a process computes each once.  They
+return the same dict to every caller, which must not mutate it.
 """
 
 from __future__ import annotations
@@ -169,6 +171,7 @@ def build_stabilizer_family() -> list[dict]:
     return family
 
 
+@lru_cache(maxsize=None)
 def omega_census() -> dict:
     """Classify every family member and tally against the predictions."""
     w_space = QuadSpaceW()
@@ -301,23 +304,74 @@ def _omega_f3(u, v) -> int:
     return (u[0] * v[2] + u[1] * v[3] - u[2] * v[0] - u[3] * v[1]) % 3
 
 
+def _lead(v) -> int:
+    return next(i for i, x in enumerate(v) if x)
+
+
+def _extend_basis_f3(basis, col) -> list[list[int]]:
+    """The row-reduced basis of span(basis, col), as a new list sorted by
+    leading index; `basis` itself is returned when col lies in its span."""
+    v = list(col)
+    for b in basis:
+        c = v[_lead(b)]
+        if c:
+            v = [(x - c * y) % 3 for x, y in zip(v, b)]
+    if not any(v):
+        return basis
+    if v[_lead(v)] == 2:
+        v = [(2 * x) % 3 for x in v]
+    return sorted(basis + [v], key=_lead)
+
+
 def _span_basis_f3(cols) -> list[list[int]]:
     """Row-reduced basis of the span of the given F_3^4 vectors."""
     basis: list[list[int]] = []
     for col in cols:
-        v = list(col)
-        for b in basis:
-            lead = next(i for i, x in enumerate(b) if x)
-            c = v[lead]
-            if c:
-                v = [(x - c * y) % 3 for x, y in zip(v, b)]
-        if any(v):
-            lead = next(i for i, x in enumerate(v) if x)
-            if v[lead] == 2:
-                v = [(2 * x) % 3 for x in v]
-            basis.append(v)
-            basis.sort(key=lambda b: next(i for i, x in enumerate(b) if x))
+        basis = _extend_basis_f3(basis, col)
     return basis
+
+
+def _isotropic_basis_f3(basis) -> bool:
+    return all(
+        _omega_f3(basis[i], basis[j]) == 0
+        for i in range(len(basis))
+        for j in range(i + 1, len(basis))
+    )
+
+
+def _f3_multisets():
+    """Every multiset a <= b <= c of indices into the vectors of F_3^4, with
+    route one's and route two's verdicts on the hom with those columns.
+
+    Route two depends on a triple only through the basis of its first two
+    columns (the prefix) and its third column.  Only 431 prefixes occur, so
+    each verdict is computed once per (prefix, c), on first use, and kept in
+    a row of 81 per prefix; the basis it is computed on is exactly the one
+    `_span_basis_f3` builds from the raw triple.
+    """
+    vecs = _f3_vectors(4)
+    npts = len(vecs)
+    pairzero = [
+        [(_omega_f3(vecs[a], vecs[b]) == 0) for b in range(npts)] for a in range(npts)
+    ]
+    memo: dict[tuple, list] = {}
+    for a in range(npts):
+        rowa = pairzero[a]
+        for b in range(a, npts):
+            rowb = pairzero[b]
+            ab = rowa[b]
+            prefix = _span_basis_f3((vecs[a], vecs[b]))
+            key = tuple(map(tuple, prefix))
+            verdicts = memo.get(key)
+            if verdicts is None:
+                verdicts = memo[key] = [None] * npts
+            for c in range(b, npts):
+                route_two = verdicts[c]
+                if route_two is None:
+                    route_two = verdicts[c] = _isotropic_basis_f3(
+                        _extend_basis_f3(prefix, vecs[c])
+                    )
+                yield a, b, c, ab and rowa[c] and rowb[c], route_two
 
 
 @lru_cache(maxsize=None)
@@ -332,42 +386,23 @@ def isotropy_equivalence_f3() -> dict:
     homs (every line is isotropic), and 40 isotropic planes times 624
     surjections onto a plane, totalling 26001.
     """
-    vecs = _f3_vectors(4)
-    npts = len(vecs)
-    pairzero = [
-        [(_omega_f3(vecs[a], vecs[b]) == 0) for b in range(npts)] for a in range(npts)
-    ]
     total = 0
     isotropic = 0
     disagreements = 0
     multisets = 0
-    for a in range(npts):
-        va = vecs[a]
-        rowa = pairzero[a]
-        for b in range(a, npts):
-            vb = vecs[b]
-            rowb = pairzero[b]
-            ab = rowa[b]
-            for c in range(b, npts):
-                route_one = ab and rowa[c] and rowb[c]
-                basis = _span_basis_f3((va, vb, vecs[c]))
-                route_two = all(
-                    _omega_f3(basis[i], basis[j]) == 0
-                    for i in range(len(basis))
-                    for j in range(i + 1, len(basis))
-                )
-                if a == b == c:
-                    mult = 1
-                elif a == b or b == c:
-                    mult = 3
-                else:
-                    mult = 6
-                multisets += 1
-                total += mult
-                if route_one != route_two:
-                    disagreements += mult
-                if route_one:
-                    isotropic += mult
+    for a, b, c, route_one, route_two in _f3_multisets():
+        if a == b == c:
+            mult = 1
+        elif a == b or b == c:
+            mult = 3
+        else:
+            mult = 6
+        multisets += 1
+        total += mult
+        if route_one != route_two:
+            disagreements += mult
+        if route_one:
+            isotropic += mult
     return {
         "homs": total,
         "multisets": multisets,

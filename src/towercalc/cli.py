@@ -33,8 +33,8 @@ from .scenarios import (
     ScenarioError,
     ScenarioFileError,
     UnknownScenarioError,
+    _evaluate_valid,
     canonical_json,
-    evaluate_doc,
     export_scenario,
     list_scenarios,
     load_scenario_file,
@@ -129,7 +129,7 @@ def _cmd_verify(args) -> int:
         doc = load_scenario_file(args.scenario_file)
     else:
         doc = scenario_doc(args.scenario)
-    reports = [evaluate_doc(doc, n) for n in ns]
+    reports = [_evaluate_valid(doc, n) for n in ns]
     if args.format == "json":
         if len(reports) == 1:
             text = reports[0].to_json_text()
@@ -187,7 +187,7 @@ def _cmd_table(args) -> int:
     if len(ns) != 1:
         raise UsageError("table prints a single parameter value at a time")
     doc = scenario_doc(args.scenario)
-    report = evaluate_doc(doc, ns[0])
+    report = _evaluate_valid(doc, ns[0])
     tables, kernels = _tabular_blocks(doc, report)
     if not tables and not kernels:
         raise UsageError("scenario %r has no tabular checks" % doc["name"])
@@ -213,7 +213,7 @@ def _cmd_cone(args) -> int:
     if len(ns) != 1:
         raise UsageError("cone prints a single parameter value at a time")
     doc = scenario_doc(args.scenario)
-    report = evaluate_doc(doc, ns[0])
+    report = _evaluate_valid(doc, ns[0])
     computed = {c.name: c.computed for c in report.checks}
     cones = []
     certificates = []

@@ -1162,6 +1162,13 @@ def validate_doc(doc) -> None:
 def evaluate_doc(doc, n) -> VerificationReport:
     _validate_n(n)
     validate_doc(doc)
+    return _evaluate_valid(doc, n)
+
+
+def _evaluate_valid(doc, n) -> VerificationReport:
+    """`evaluate_doc` on a document that `validate_doc` has accepted, as every
+    document from `scenario_doc` or `load_scenario_file` has been, at a valid
+    ``n``."""
     if doc.get("n_policy", POLICY_ANY) == POLICY_NUMERIC and n == SYMBOLIC:
         raise PolicyError(
             "scenario %r computes finite ranks; run it at a numeric n >= 3"
@@ -1258,7 +1265,9 @@ def list_scenarios() -> list:
 def run_scenario(name: str, n) -> VerificationReport:
     """Evaluate a built-in scenario at ``n`` (an integer >= 3 or
     ``"symbolic"``)."""
-    return evaluate_doc(scenario_doc(name), n)
+    doc = scenario_doc(name)
+    _validate_n(n)
+    return _evaluate_valid(doc, n)
 
 
 def export_scenario(name: str) -> str:

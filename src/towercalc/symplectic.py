@@ -10,8 +10,9 @@ locus.  All checks run over exact rationals or a small prime field.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from typing import Sequence
 
@@ -74,11 +75,33 @@ class SymplecticSpace:
     def dim(self) -> int:
         return self.gram.rows
 
+    @cached_property
+    def _terms(self) -> tuple[tuple[int, int, Fraction], ...]:
+        return _nonzero_terms(self.gram)
+
     def omega(self, v: Sequence, w: Sequence) -> Fraction:
-        g = self.gram.const_entries()
-        v = [Fraction(x) for x in v]
-        w = [Fraction(x) for x in w]
-        return sum(v[i] * g[i][j] * w[j] for i in range(self.dim) for j in range(self.dim))
+        return _bilinear(self._terms, v, w)
+
+
+def _nonzero_terms(gram: ExactMatrix) -> tuple[tuple[int, int, Fraction], ...]:
+    """The (i, j, g_ij) with g_ij != 0 of a constant gram."""
+    return tuple(
+        (i, j, x)
+        for i, row in enumerate(gram.const_entries())
+        for j, x in enumerate(row)
+        if x
+    )
+
+
+def _bilinear(terms, v: Sequence, w: Sequence) -> Fraction:
+    """sum v_i g_ij w_j over the nonzero terms of a gram.
+
+    A nonsingular gram has a nonzero entry in every row and column, so a
+    vector shorter than the gram still fails with IndexError.
+    """
+    v = [Fraction(x) for x in v]
+    w = [Fraction(x) for x in w]
+    return sum((v[i] * g * w[j] for i, j, g in terms), Fraction(0))
 
 
 #: Hyperbolic gram of the three-dimensional quadratic space carrying the
@@ -101,11 +124,12 @@ class QuadSpaceW:
         if rank(g) != 3:
             raise ValueError("gram must be nonsingular")
 
+    @cached_property
+    def _terms(self) -> tuple[tuple[int, int, Fraction], ...]:
+        return _nonzero_terms(self.gram)
+
     def kappa(self, v: Sequence, w: Sequence) -> Fraction:
-        g = self.gram.const_entries()
-        v = [Fraction(x) for x in v]
-        w = [Fraction(x) for x in w]
-        return sum(v[i] * g[i][j] * w[j] for i in range(3) for j in range(3))
+        return _bilinear(self._terms, v, w)
 
 
 @dataclass(frozen=True)

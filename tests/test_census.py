@@ -1,5 +1,6 @@
 """Census families: sizes, strata, oracles, and determinism."""
 
+import random
 from fractions import Fraction
 
 from towercalc.census import (
@@ -14,6 +15,11 @@ from towercalc.census import (
     order_two_relations,
     rational_isotropy_samples,
     sigma_census,
+    _extend_basis_f3,
+    _f3_multisets,
+    _f3_vectors,
+    _omega_f3,
+    _span_basis_f3,
 )
 
 
@@ -55,6 +61,12 @@ def test_omega_census_matches_predictions_everywhere():
     }
 
 
+def test_omega_census_is_shared_and_equals_a_fresh_run():
+    first = omega_census()
+    assert omega_census() == first
+    assert omega_census.__wrapped__() == first
+
+
 def test_ext_pair_family_and_sigma_census():
     family = build_ext_pair_family()
     assert len(family) == 13
@@ -87,6 +99,55 @@ def test_f3_enumeration_counts_and_closed_form():
     rank_le_one_maps_to_plane = 1 + 4 * (3 ** 3 - 1)
     surjections = 3 ** 6 - rank_le_one_maps_to_plane
     assert report["isotropic"] == 1 + lines + 40 * surjections == 26001
+
+
+def reference_span_basis(cols):
+    """Reference for `_span_basis_f3`: the same row reduction written as
+    one loop, independent of `_extend_basis_f3`."""
+    basis = []
+    for col in cols:
+        v = list(col)
+        for b in basis:
+            lead = next(i for i, x in enumerate(b) if x)
+            c = v[lead]
+            if c:
+                v = [(x - c * y) % 3 for x, y in zip(v, b)]
+        if any(v):
+            lead = next(i for i, x in enumerate(v) if x)
+            if v[lead] == 2:
+                v = [(2 * x) % 3 for x in v]
+            basis.append(v)
+            basis.sort(key=lambda b: next(i for i, x in enumerate(b) if x))
+    return basis
+
+
+def test_span_basis_scales_each_lead_to_one():
+    assert _span_basis_f3([(2, 0, 0, 0)]) == [[1, 0, 0, 0]]
+    assert _span_basis_f3([(0, 0, 2, 1), (2, 1, 0, 0)]) == [[1, 2, 0, 0], [0, 0, 1, 2]]
+    assert _span_basis_f3([(1, 1, 0, 0), (2, 2, 0, 0)]) == [[1, 1, 0, 0]]
+    assert _span_basis_f3([]) == []
+
+
+def test_memoised_route_two_matches_the_raw_triple():
+    vecs = _f3_vectors(4)
+    rng = random.Random(8111)
+    picked = set(rng.sample(range(91881), 600))
+    seen = 0
+    for index, (a, b, c, route_one, route_two) in enumerate(_f3_multisets()):
+        if index not in picked:
+            continue
+        seen += 1
+        triple = (vecs[a], vecs[b], vecs[c])
+        basis = reference_span_basis(triple)
+        assert _extend_basis_f3(_span_basis_f3(triple[:2]), triple[2]) == basis
+        assert route_two == all(
+            _omega_f3(basis[i], basis[j]) == 0
+            for i in range(len(basis))
+            for j in range(i + 1, len(basis))
+        )
+        pairs = ((0, 1), (0, 2), (1, 2))
+        assert route_one == all(_omega_f3(triple[i], triple[j]) == 0 for i, j in pairs)
+    assert seen == 600
 
 
 def test_rational_samples_agree_and_are_deterministic():

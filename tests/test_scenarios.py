@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from towercalc import scenarios
+from towercalc.cli import REPORT_DIR_ENV, main
 from towercalc.exactnum import ParamPoly
 from towercalc.scenarios import (
     BadParameterError,
@@ -223,6 +225,20 @@ def test_export_then_load_reproduces_the_report(tmp_path):
         path.write_text(export_scenario(name), encoding="utf-8")
         doc = load_scenario_file(path)
         assert evaluate_doc(doc, n).to_json_text() == run_scenario(name, n).to_json_text()
+
+
+def test_a_document_is_validated_once_per_request(monkeypatch, capsys):
+    monkeypatch.delenv(REPORT_DIR_ENV, raising=False)
+    calls = []
+    real = scenarios.validate_doc
+    monkeypatch.setattr(
+        scenarios, "validate_doc", lambda doc: calls.append(1) or real(doc)
+    )
+    run_scenario("jz-intersection-table", 3)
+    assert len(calls) == 1
+    assert main(["verify", "--scenario", "jz-intersection-table", "--n", "3"]) == 0
+    assert len(calls) == 2
+    capsys.readouterr()
 
 
 def test_loaded_doc_with_a_wrong_value_fails_cleanly(tmp_path):

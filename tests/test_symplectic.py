@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -44,6 +45,68 @@ X2 = (0, 1, 0, 0, 0, 0)
 X3 = (0, 0, 1, 0, 0, 0)
 Y1 = (0, 0, 0, 1, 0, 0)
 Z6 = (0, 0, 0, 0, 0, 0)
+
+
+def dense_form(gram: ExactMatrix, v, w) -> Fraction:
+    """Reference: sum v_i g_ij w_j over every entry of the gram."""
+    g = gram.const_entries()
+    v = [Fraction(x) for x in v]
+    w = [Fraction(x) for x in w]
+    return sum(v[i] * g[i][j] * w[j] for i in range(len(g)) for j in range(len(g)))
+
+
+def mixed_vector(rng: random.Random, dim: int) -> list:
+    """Coordinates drawn as int, Fraction or "p/q" string."""
+    out = []
+    for _ in range(dim):
+        num, den = rng.randint(-7, 7), rng.randint(1, 5)
+        out.append(rng.choice([num, Fraction(num, den), "%d/%d" % (num, den)]))
+    return out
+
+
+class TestBilinearForms:
+    # Antisymmetric and nonsingular (Pfaffian -13/2), with fractional entries
+    # outside the [[0, I], [-I, 0]] blocks.
+    OTHER_SYMPLECTIC = ExactMatrix(
+        [
+            [0, Fraction(1, 2), 3, -1],
+            [Fraction(-1, 2), 0, 2, Fraction(5, 3)],
+            [-3, -2, 0, 1],
+            [1, Fraction(-5, 3), -1, 0],
+        ]
+    )
+    # Symmetric and nonsingular (determinant -41/18).
+    OTHER_QUADRATIC = ExactMatrix(
+        [[2, Fraction(1, 3), 0], [Fraction(1, 3), 0, -1], [0, -1, Fraction(5, 2)]]
+    )
+
+    @pytest.mark.parametrize(
+        "space", [E6, SymplecticSpace(OTHER_SYMPLECTIC)], ids=["standard", "other"]
+    )
+    def test_omega_equals_the_dense_sum(self, space) -> None:
+        rng = random.Random(4021)
+        for _ in range(200):
+            v, w = mixed_vector(rng, space.dim), mixed_vector(rng, space.dim)
+            got = space.omega(v, w)
+            assert isinstance(got, Fraction)
+            assert got == dense_form(space.gram, v, w)
+            assert space.omega(w, v) == -got
+
+    @pytest.mark.parametrize(
+        "w_space", [W, QuadSpaceW(OTHER_QUADRATIC)], ids=["hyperbolic", "other"]
+    )
+    def test_kappa_equals_the_dense_sum(self, w_space) -> None:
+        rng = random.Random(4022)
+        for _ in range(200):
+            v, w = mixed_vector(rng, 3), mixed_vector(rng, 3)
+            got = w_space.kappa(v, w)
+            assert isinstance(got, Fraction)
+            assert got == dense_form(w_space.gram, v, w)
+            assert w_space.kappa(w, v) == got
+
+    def test_short_vector_is_rejected(self) -> None:
+        with pytest.raises(IndexError):
+            E6.omega((1, 0, 0), (0, 0, 0, 1, 0, 0))
 
 
 class TestIsotropy:
