@@ -428,10 +428,10 @@ def rational_isotropy_samples(count: int = 1000, seed: int = DEFAULT_SAMPLE_SEED
     half = count // 2
     for i in range(count):
         if i < half:
-            rows = [[Fraction(rng.randint(-4, 4)) for _ in range(3)] for _ in range(6)]
+            rows = [[rng.randint(-4, 4) for _ in range(3)] for _ in range(6)]
         else:
-            rows = [[Fraction(rng.randint(-4, 4)) for _ in range(3)] for _ in range(3)]
-            rows += [[Fraction(0)] * 3 for _ in range(3)]
+            rows = [[rng.randint(-4, 4) for _ in range(3)] for _ in range(3)]
+            rows += [[0] * 3 for _ in range(3)]
         phi = HomWE(ExactMatrix(rows))
         on_zero_locus = all(x == 0 for x in yoneda_omega(phi, e_space))
         isotropic = is_isotropic(phi.columns(), e_space)

@@ -14,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 from typing import Mapping, Sequence
 
 from .exactnum import (
@@ -33,6 +34,10 @@ from .exactnum import (
 from .towers import BlowUp, DivClass, ProjBundle, Space
 
 DEFAULT_HEIGHT_BOUND = 8
+
+#: Most candidate functionals, (2 * height_bound + 1) ** dim, that one
+#: extremal_certificate search may enumerate.
+MAX_SEARCH_SIZE = 10**6
 
 
 class CurveSpaceError(ValueError):
@@ -341,18 +346,37 @@ class ExtremalCertificate:
     note: str = ""
 
 
-def _pair_vec(functional: Sequence[int], gen: Sequence[ParamPoly]) -> ParamPoly:
-    acc = ParamPoly()
-    for f, g in zip(functional, gen):
-        acc = acc + g * f
-    return acc
-
-
 def _shell_vectors(dim: int, h: int):
     """Integer vectors of sup-height exactly h, lexicographically."""
     for vec in product(range(-h, h + 1), repeat=dim):
-        if max((abs(x) for x in vec), default=0) == h:
+        if h == 0 or h in vec or -h in vec:
             yield vec
+
+
+def _coefficient_rows(gen: Sequence[ParamPoly]) -> list[tuple[int, int, tuple]]:
+    """One (e, scale, row) per exponent e of n occurring in the generator.
+
+    row[k] is scale times the n^e coefficient of gen[k], where scale is the
+    lcm of those coefficients' denominators, so row is integral and
+    functional . row == scale * (n^e coefficient of functional . gen).
+    """
+    out = []
+    for e in sorted({e for x in gen for e in x.coeffs}):
+        coeffs = [x.coeff(e) for x in gen]
+        scale = lcm(*(c.denominator for c in coeffs))
+        out.append((e, scale, tuple(int(c * scale) for c in coeffs)))
+    return out
+
+
+def _dot(u: Sequence[int], v: Sequence[int]) -> int:
+    return sum(map(mul, u, v))
+
+
+def _value(functional: Sequence[int], rows) -> ParamPoly:
+    """functional . gen as a ParamPoly, from the generator's coefficient rows."""
+    return ParamPoly(
+        {e: Fraction(_dot(functional, row), scale) for e, scale, row in rows}
+    )
 
 
 def extremal_certificate(
@@ -369,19 +393,42 @@ def extremal_certificate(
     "inconclusive", never as a refutation; when a face generator is found to
     be a nonnegative combination of the remaining generators, that dependency
     witness is attached.
+
+    Each generator is turned once into integer coefficient rows, one per
+    exponent of n occurring in it, scaled by the lcm of their denominators
+    (`_coefficient_rows`).  A candidate vanishes on the face exactly when its
+    integer dot product with every face row is zero; only the survivors get
+    their pairings with the other generators built as ParamPolys and
+    sign-decided, stopping at the first one that is not positive.
+
+    The search size (2 * height_bound + 1) ** dim is budgeted: a negative
+    height_bound, or a size above MAX_SEARCH_SIZE, raises ValueError before
+    the first candidate.
     """
+    if height_bound < 0:
+        raise ValueError("height_bound %d is negative" % height_bound)
+    size = (2 * height_bound + 1) ** cone.dim
+    if size > MAX_SEARCH_SIZE:
+        raise ValueError(
+            "height_bound %d in dimension %d searches %d candidates, over the "
+            "budget of %d" % (height_bound, cone.dim, size, MAX_SEARCH_SIZE)
+        )
     face_idx = _face_indices(cone, face)
     others = [i for i in range(len(cone.generators)) if i not in face_idx]
+    rows = [_coefficient_rows(g) for g in cone.generators]
+    face_rows = [row for i in face_idx for _, _, row in rows[i]]
     for h in range(height_bound + 1):
         for cand in _shell_vectors(cone.dim, h):
-            values = [_pair_vec(cand, g) for g in cone.generators]
-            if not all(values[i].is_zero() for i in face_idx):
+            if any(_dot(cand, row) for row in face_rows):
                 continue
-            if all(positive_on_integers_from(values[j], start) for j in others):
+            if all(
+                positive_on_integers_from(_value(cand, rows[j]), start)
+                for j in others
+            ):
                 return ExtremalCertificate(
                     status="certified",
                     functional=cand,
-                    values=tuple(values),
+                    values=tuple(_value(cand, r) for r in rows),
                     height=h,
                     note="exhaustive search, lexicographic first hit",
                 )

@@ -76,32 +76,43 @@ class SymplecticSpace:
         return self.gram.rows
 
     @cached_property
-    def _terms(self) -> tuple[tuple[int, int, Fraction], ...]:
+    def _terms(self) -> tuple[tuple[int, int, int | Fraction], ...]:
         return _nonzero_terms(self.gram)
 
     def omega(self, v: Sequence, w: Sequence) -> Fraction:
         return _bilinear(self._terms, v, w)
 
 
-def _nonzero_terms(gram: ExactMatrix) -> tuple[tuple[int, int, Fraction], ...]:
-    """The (i, j, g_ij) with g_ij != 0 of a constant gram."""
+def _nonzero_terms(gram: ExactMatrix) -> tuple[tuple[int, int, int | Fraction], ...]:
+    """The (i, j, g_ij) with g_ij != 0 of a constant gram; integral entries
+    are stored as int."""
     return tuple(
-        (i, j, x)
+        (i, j, _exact(x))
         for i, row in enumerate(gram.const_entries())
         for j, x in enumerate(row)
         if x
     )
 
 
+def _exact(x) -> int | Fraction:
+    """An exact rational, as int when it is integral."""
+    if isinstance(x, int):
+        return x
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
 def _bilinear(terms, v: Sequence, w: Sequence) -> Fraction:
     """sum v_i g_ij w_j over the nonzero terms of a gram.
 
-    A nonsingular gram has a nonzero entry in every row and column, so a
+    Integral inputs stay int until the one Fraction of the result.  A
+    nonsingular gram has a nonzero entry in every row and column, so a
     vector shorter than the gram still fails with IndexError.
     """
-    v = [Fraction(x) for x in v]
-    w = [Fraction(x) for x in w]
-    return sum((v[i] * g * w[j] for i, j, g in terms), Fraction(0))
+    v = [_exact(x) for x in v]
+    w = [_exact(x) for x in w]
+    return Fraction(sum(v[i] * g * w[j] for i, j, g in terms))
 
 
 #: Hyperbolic gram of the three-dimensional quadratic space carrying the
@@ -125,7 +136,7 @@ class QuadSpaceW:
             raise ValueError("gram must be nonsingular")
 
     @cached_property
-    def _terms(self) -> tuple[tuple[int, int, Fraction], ...]:
+    def _terms(self) -> tuple[tuple[int, int, int | Fraction], ...]:
         return _nonzero_terms(self.gram)
 
     def kappa(self, v: Sequence, w: Sequence) -> Fraction:
@@ -142,9 +153,15 @@ class HomWE:
         if self.matrix.cols != 3:
             raise ValueError("need exactly three columns")
 
-    def columns(self) -> list[tuple[Fraction, ...]]:
+    @cached_property
+    def _columns(self) -> tuple[tuple[Fraction, ...], ...]:
         ent = self.matrix.const_entries()
-        return [tuple(ent[i][j] for i in range(self.matrix.rows)) for j in range(3)]
+        return tuple(
+            tuple(ent[i][j] for i in range(self.matrix.rows)) for j in range(3)
+        )
+
+    def columns(self) -> list[tuple[Fraction, ...]]:
+        return list(self._columns)
 
 
 def is_isotropic(generators: Sequence[Sequence], space: SymplecticSpace) -> bool:
@@ -152,7 +169,7 @@ def is_isotropic(generators: Sequence[Sequence], space: SymplecticSpace) -> bool
 
     The empty list spans the zero subspace, which is isotropic.
     """
-    gens = [[Fraction(x) for x in g] for g in generators]
+    gens = [[_exact(x) for x in g] for g in generators]
     for g in gens:
         if len(g) != space.dim:
             raise ValueError("generator length %d, expected %d" % (len(g), space.dim))

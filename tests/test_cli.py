@@ -194,6 +194,15 @@ def test_parse_error_in_scenario_file(capsys, tmp_path):
         ("jz-intersection-table", "expect", "table", "check", [], "'check'"),
         ("ez-kernel-x2-x3", "maps", "boundary_restriction", "recipe", [], "'recipe'"),
         ("extremal-sigma-ray", "expect", "certificate", "face", "sigma_push", "'face'"),
+        ("extremal-sigma-ray", "expect", "certificate", "height_bound", "16", "budget"),
+        (
+            "extremal-sigma-ray",
+            "expect",
+            "certificate",
+            "height_bound",
+            "-1",
+            "negative",
+        ),
         (
             "normal-bundle-transport",
             "expect",
@@ -245,6 +254,8 @@ def test_parse_error_in_scenario_file(capsys, tmp_path):
         "list-as-check-kind",
         "list-as-recipe",
         "string-as-face",
+        "height-over-budget",
+        "negative-height",
         "string-as-drop",
         "string-as-directions",
         "ragged-terms",
@@ -280,13 +291,7 @@ def _field_paths(node, prefix=()):
             yield from _field_paths(child, prefix + (key,))
 
 
-# The two documents whose checks take a second or more are left out to keep
-# the suite fast; their fields are read by the same readers.
-FUZZ_DOCS = {
-    name: scenario_doc(name)
-    for name in (info["name"] for info in list_scenarios())
-    if name not in ("extremal-sigma-ray", "local-model-stabilizers")
-}
+FUZZ_DOCS = {info["name"]: scenario_doc(info["name"]) for info in list_scenarios()}
 FUZZ_FIELDS = [
     (name, (section,) + path)
     for name, doc in FUZZ_DOCS.items()

@@ -1,6 +1,8 @@
 """Tests for the curve-class, pairing, cone, and propagation engine."""
 
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,6 +29,7 @@ from towercalc.towers import (
     lift_class,
     quotient,
 )
+from towercalc import curves
 from towercalc.curves import (
     ChainSpec,
     ChainStep,
@@ -35,12 +38,16 @@ from towercalc.curves import (
     CurveClass,
     CurveSpaceError,
     DeclaredSection,
+    ExtremalCertificate,
     InconsistentObservationError,
     LineInExceptionalFiber,
     LineInProjFiber,
     PropagationError,
     SingularTableError,
     StrictTransform,
+    _coefficient_rows,
+    _dependency_witness,
+    _face_indices,
     curve_from_atomic,
     extremal_certificate,
     intersect,
@@ -378,6 +385,127 @@ class TestExtremalCertificate:
     def test_zero_generator_rejected(self):
         with pytest.raises(ValueError):
             Cone(dim=2, generators=((0, 0),))
+
+    def test_negative_height_bound_rejected(self):
+        cone = Cone(dim=2, generators=((1, 0), (0, 1)))
+        with pytest.raises(ValueError, match="negative"):
+            extremal_certificate(cone, face=(0,), height_bound=-1)
+
+    def test_height_bound_over_budget_rejected_before_the_search(self, monkeypatch):
+        cone = Cone(dim=4, generators=((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 1)))
+        assert 33**4 > curves.MAX_SEARCH_SIZE >= 31**4
+
+        def unreachable(dim, h):
+            raise AssertionError("the search started")
+
+        monkeypatch.setattr(curves, "_shell_vectors", unreachable)
+        with pytest.raises(ValueError, match="budget"):
+            extremal_certificate(cone, face=(0,), height_bound=16)
+
+    def test_height_bound_at_budget_accepted(self):
+        # 31^4 candidates fit the budget; the whole-cone face is certified
+        # by the zero functional in shell 0, so nothing large runs.
+        cone = Cone(dim=4, generators=((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 1)))
+        cert = extremal_certificate(cone, face=(0, 1, 2), height_bound=15)
+        assert cert.functional == (0, 0, 0, 0)
+
+
+def reference_certificate(cone, face, height_bound, start=3):
+    """The per-candidate ParamPoly search: pair every candidate with every
+    generator, then test the face and the signs."""
+    face_idx = _face_indices(cone, face)
+    others = [i for i in range(len(cone.generators)) if i not in face_idx]
+    for h in range(height_bound + 1):
+        for cand in product(range(-h, h + 1), repeat=cone.dim):
+            if max((abs(x) for x in cand), default=0) != h:
+                continue
+            values = [
+                sum((g * f for f, g in zip(cand, gen)), ParamPoly())
+                for gen in cone.generators
+            ]
+            if not all(values[i].is_zero() for i in face_idx):
+                continue
+            if all(positive_on_integers_from(values[j], start) for j in others):
+                return ExtremalCertificate(
+                    status="certified",
+                    functional=cand,
+                    values=tuple(values),
+                    height=h,
+                    note="exhaustive search, lexicographic first hit",
+                )
+    witness = _dependency_witness(cone, face_idx, others, start)
+    note = "no supporting functional within height %d" % height_bound
+    if witness is not None:
+        note += "; a face generator is a nonnegative combination of the others"
+    return ExtremalCertificate(status="inconclusive", witness=witness, note=note)
+
+
+HALF, FIVE_THIRDS = Fraction(1, 2), Fraction(5, 3)
+
+# (generators, face, height_bound, status of the reference search)
+DESIGNED_CONES = [
+    # Face generator linear in n: two coefficient rows must vanish.
+    (((N - 2, 1, 0), (0, HALF, FIVE_THIRDS), (1, 0, 1)), (0,), 3, "certified"),
+    # Fractional two-generator face whose supporting functional (6, -3, 5)
+    # lies beyond height 3.
+    (
+        ((HALF, 1, 0), (0, FIVE_THIRDS, 1), (1, 0, 1), (0, 0, 1)),
+        (0, 1),
+        3,
+        "inconclusive",
+    ),
+    (((1, 0), (0, 1), (1, 1)), (2,), 3, "inconclusive"),
+    (
+        ((1, N, 0, 0), (0, HALF, 1, 0), (0, 0, FIVE_THIRDS, 1), (1, 1, 1, 1)),
+        (0, 1),
+        2,
+        "certified",
+    ),
+    (((N, 1), (1, 0), (0, 1)), (0,), 3, "inconclusive"),
+]
+
+CONE_ENTRIES = (0, 0, 0, 1, 1, -1, 2, HALF, FIVE_THIRDS, -HALF, N - 2, 2 * N - 3, 3 - N)
+
+
+def seeded_cone(seed):
+    """A 2-4 dimensional cone with integer, fractional and n-linear entries;
+    in a quarter of them the first generator is the sum of two others."""
+    rng = random.Random(seed)
+    dim = rng.choice([2, 3, 4])
+    count = rng.randint(dim, dim + 1)
+    while True:
+        gens = [
+            tuple(rng.choice(CONE_ENTRIES) for _ in range(dim)) for _ in range(count)
+        ]
+        if rng.random() < 0.25:
+            gens[0] = tuple(a + b for a, b in zip(gens[1], gens[2 % count]))
+        if all(any(x != 0 for x in g) for g in gens):
+            break
+    face = (0,) if rng.random() < 0.6 else (0, 1)
+    height_bound = rng.randint(1, 3) if dim < 4 else rng.randint(1, 2)
+    return Cone(dim=dim, generators=tuple(gens)), face, height_bound
+
+
+class TestIntegerFaceRows:
+    @pytest.mark.parametrize("gens, face, height_bound, status", DESIGNED_CONES)
+    def test_designed_cone_matches_the_reference(
+        self, gens, face, height_bound, status
+    ):
+        cone = Cone(dim=len(gens[0]), generators=gens)
+        cert = extremal_certificate(cone, face, height_bound=height_bound)
+        assert cert == reference_certificate(cone, face, height_bound)
+        assert cert.status == status
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_seeded_cone_matches_the_reference(self, seed):
+        cone, face, height_bound = seeded_cone(seed)
+        cert = extremal_certificate(cone, face, height_bound=height_bound)
+        assert cert == reference_certificate(cone, face, height_bound)
+
+    def test_coefficient_rows_are_scaled_to_integers(self):
+        gen = tuple(aspoly(x) for x in (N * HALF - 1, FIVE_THIRDS, 0))
+        rows = _coefficient_rows(gen)
+        assert rows == [(0, 3, (-3, 5, 0)), (1, 2, (1, 0, 0))]
 
 
 class TestRestrictionKernel:
