@@ -18,8 +18,8 @@ the entries of other labels already there, with the interpreter version and
 the CPU count.  ``--src`` selects the source tree that is imported, so one
 file can hold the figures of two checkouts measured in the same host phase:
 
-    python scripts/bench.py --src ../parent/src --label parent
-    python scripts/bench.py --label change
+    python scripts/bench.py --src ../parent/src --label parent --out BENCH_6.json
+    python scripts/bench.py --label change --out BENCH_6.json
 """
 
 import argparse
@@ -106,9 +106,7 @@ def main(argv=None):
     parser.add_argument(
         "--src", default=os.path.join(ROOT, "src"), help="source tree to import"
     )
-    parser.add_argument(
-        "--out", default=os.path.join(ROOT, "BENCH_5.json"), help="JSON file to update"
-    )
+    parser.add_argument("--out", required=True, help="JSON file to update")
     args = parser.parse_args(argv)
     if args.runs < 1:
         parser.error("--runs must be at least 1")

@@ -14,6 +14,12 @@ Three jobs live here:
   samples and by full enumeration over F_3 into a four-dimensional
   symplectic space.
 
+The enumeration works on integer codes: each vector of F_3^4 is the int
+0..80 whose base-3 digits are its coordinates, omega is an 81 x 81 table
+over the codes, and row reduction reads the leading index, the
+normalisation and each elimination step from lookup tables.  The tables are
+built on first use, so importing this module stays cheap.
+
 Everything is exact.  `omega_census`, `isotropy_equivalence_f3` and
 `rational_isotropy_samples` are memoized with `lru_cache`: several checks of
 one scenario share each of them, so a process computes each once.  They
@@ -76,6 +82,8 @@ IMAGE_VECTORS = (
 )
 
 DEFAULT_SAMPLE_SEED = 20260822
+#: Most samples that one `rational_isotropy_samples` call may draw.
+MAX_SAMPLES = 10**5
 
 
 def hyperbolic_criterion(f) -> Fraction:
@@ -293,6 +301,8 @@ def order_two_relations() -> dict:
 
 
 def _f3_vectors(dim: int) -> list[tuple[int, ...]]:
+    """The vectors of F_3^dim in order of their integer codes: vector number
+    k has the base-3 digits of k, most significant first."""
     vecs = [()]
     for _ in range(dim):
         vecs = [v + (x,) for v in vecs for x in range(3)]
@@ -304,105 +314,110 @@ def _omega_f3(u, v) -> int:
     return (u[0] * v[2] + u[1] * v[3] - u[2] * v[0] - u[3] * v[1]) % 3
 
 
-def _lead(v) -> int:
-    return next(i for i, x in enumerate(v) if x)
+@lru_cache(maxsize=None)
+def _f3_omega_table() -> list[list[int]]:
+    """omega on F_3^4 as an 81 x 81 table over the integer codes."""
+    vecs = _f3_vectors(4)
+    return [[_omega_f3(u, v) for v in vecs] for u in vecs]
 
 
-def _extend_basis_f3(basis, col) -> list[list[int]]:
-    """The row-reduced basis of span(basis, col), as a new list sorted by
-    leading index; `basis` itself is returned when col lies in its span."""
-    v = list(col)
+@lru_cache(maxsize=None)
+def _f3_reduction_tables() -> tuple[list[int], list[int], list[list[int]]]:
+    """Lookup tables for row reduction over the integer codes of F_3^4.
+
+    lead[v] is the index of the first nonzero coordinate of v (0 for v = 0),
+    norm[v] the multiple of v whose leading coordinate is 1 (0 for v = 0),
+    and elim[v][b] is v - c b with c = v[lead[b]], which clears v at the
+    lead of a normalised b.
+    """
+    vecs = _f3_vectors(4)
+    # sub[v][w] is the code of v - w, built one base-3 digit at a time: the
+    # vectors coded 3v + x and 3w + y differ by the one coded
+    # 3 sub[v][w] + (x - y) % 3.
+    sub = [[0]]
+    for _ in range(4):
+        size = 3 * len(sub)
+        sub = [
+            [3 * sub[v // 3][w // 3] + (v - w) % 3 for w in range(size)]
+            for v in range(size)
+        ]
+    neg = sub[0]
+    lead = [next((i for i, x in enumerate(v) if x), 0) for v in vecs]
+    norm = [neg[k] if v[lead[k]] == 2 else k for k, v in enumerate(vecs)]
+    multiples = [(0, k, neg[k]) for k in range(len(vecs))]
+    elim = [
+        [sub[k][multiples[j][v[lead[j]]]] for j in range(len(vecs))]
+        for k, v in enumerate(vecs)
+    ]
+    return lead, norm, elim
+
+
+def _extend_basis_f3(basis: tuple[int, ...], v: int) -> tuple[int, ...]:
+    """The row-reduced basis of span(basis, v), sorted by leading index;
+    `basis` itself is returned when v lies in its span.  Vectors are integer
+    codes, and every basis vector has leading coordinate 1."""
+    lead, norm, elim = _f3_reduction_tables()
     for b in basis:
-        c = v[_lead(b)]
-        if c:
-            v = [(x - c * y) % 3 for x, y in zip(v, b)]
-    if not any(v):
+        v = elim[v][b]
+    if not v:
         return basis
-    if v[_lead(v)] == 2:
-        v = [(2 * x) % 3 for x in v]
-    return sorted(basis + [v], key=_lead)
+    return tuple(sorted(basis + (norm[v],), key=lead.__getitem__))
 
 
-def _span_basis_f3(cols) -> list[list[int]]:
-    """Row-reduced basis of the span of the given F_3^4 vectors."""
-    basis: list[list[int]] = []
+def _span_basis_f3(cols) -> tuple[int, ...]:
+    """Row-reduced basis of the span of the given F_3^4 vector codes."""
+    basis: tuple[int, ...] = ()
     for col in cols:
         basis = _extend_basis_f3(basis, col)
     return basis
 
 
-def _isotropic_basis_f3(basis) -> bool:
+def _isotropic_basis_f3(basis, omega) -> bool:
     return all(
-        _omega_f3(basis[i], basis[j]) == 0
+        omega[basis[i]][basis[j]] == 0
         for i in range(len(basis))
         for j in range(i + 1, len(basis))
     )
 
 
-def _f3_multisets():
-    """Every multiset a <= b <= c of indices into the vectors of F_3^4, with
-    route one's and route two's verdicts on the hom with those columns.
+def _f3_enumeration(memo: dict) -> dict:
+    """Both routes on every multiset a <= b <= c of vector codes, tallied by
+    multiplicity.
 
-    Route two depends on a triple only through the basis of its first two
-    columns (the prefix) and its third column.  Only 431 prefixes occur, so
-    each verdict is computed once per (prefix, c), on first use, and kept in
-    a row of 81 per prefix; the basis it is computed on is exactly the one
+    Route one reads omega of the raw columns off the table.  Route two
+    depends on a triple only through the basis of its first two columns (the
+    prefix) and its third column.  Only 431 prefixes occur, so each verdict
+    is computed once per (prefix, c), on first use, and kept in `memo`: a
+    row of 81 per prefix; the basis it is computed on is exactly the one
     `_span_basis_f3` builds from the raw triple.
     """
-    vecs = _f3_vectors(4)
-    npts = len(vecs)
-    pairzero = [
-        [(_omega_f3(vecs[a], vecs[b]) == 0) for b in range(npts)] for a in range(npts)
-    ]
-    memo: dict[tuple, list] = {}
+    omega = _f3_omega_table()
+    npts = len(omega)
+    pairzero = [[x == 0 for x in row] for row in omega]
+    total = isotropic = disagreements = multisets = 0
     for a in range(npts):
         rowa = pairzero[a]
         for b in range(a, npts):
             rowb = pairzero[b]
             ab = rowa[b]
-            prefix = _span_basis_f3((vecs[a], vecs[b]))
-            key = tuple(map(tuple, prefix))
-            verdicts = memo.get(key)
+            prefix = _span_basis_f3((a, b))
+            verdicts = memo.get(prefix)
             if verdicts is None:
-                verdicts = memo[key] = [None] * npts
+                verdicts = memo[prefix] = [None] * npts
             for c in range(b, npts):
                 route_two = verdicts[c]
                 if route_two is None:
                     route_two = verdicts[c] = _isotropic_basis_f3(
-                        _extend_basis_f3(prefix, vecs[c])
+                        _extend_basis_f3(prefix, c), omega
                     )
-                yield a, b, c, ab and rowa[c] and rowb[c], route_two
-
-
-@lru_cache(maxsize=None)
-def isotropy_equivalence_f3() -> dict:
-    """Full enumeration of Hom(F_3^3, F_3^4): quadratic zero locus == isotropy.
-
-    A hom is its triple of columns; triples are enumerated as multisets with
-    multiplicity bookkeeping (column order affects neither side).  Route one
-    tests the three pairwise omega values of the raw columns; route two row-
-    reduces the column span and tests omega on the extracted basis.  The
-    isotropic count has a closed-form cross-check: 1 zero hom, 1040 rank-one
-    homs (every line is isotropic), and 40 isotropic planes times 624
-    surjections onto a plane, totalling 26001.
-    """
-    total = 0
-    isotropic = 0
-    disagreements = 0
-    multisets = 0
-    for a, b, c, route_one, route_two in _f3_multisets():
-        if a == b == c:
-            mult = 1
-        elif a == b or b == c:
-            mult = 3
-        else:
-            mult = 6
-        multisets += 1
-        total += mult
-        if route_one != route_two:
-            disagreements += mult
-        if route_one:
-            isotropic += mult
+                route_one = ab and rowa[c] and rowb[c]
+                mult = 1 if a == c else 3 if a == b or b == c else 6
+                multisets += 1
+                total += mult
+                if route_one != route_two:
+                    disagreements += mult
+                if route_one:
+                    isotropic += mult
     return {
         "homs": total,
         "multisets": multisets,
@@ -413,14 +428,36 @@ def isotropy_equivalence_f3() -> dict:
 
 
 @lru_cache(maxsize=None)
+def isotropy_equivalence_f3() -> dict:
+    """Full enumeration of Hom(F_3^3, F_3^4): quadratic zero locus == isotropy.
+
+    Each vector of F_3^4 is coded as an int 0..80 (its base-3 digits), and
+    omega is read from an 81 x 81 table over the codes.  A hom is its triple
+    of columns; triples are enumerated as multisets with multiplicity
+    bookkeeping (column order affects neither side).  Route one tests the
+    three pairwise omega values of the raw columns; route two row-reduces
+    the column span over lookup tables and tests omega on the extracted
+    basis.  The isotropic count has a closed-form cross-check: 1 zero hom,
+    1040 rank-one homs (every line is isotropic), and 40 isotropic planes
+    times 624 surjections onto a plane, totalling 26001.
+    """
+    return _f3_enumeration({})
+
+
+@lru_cache(maxsize=None)
 def rational_isotropy_samples(count: int = 1000, seed: int = DEFAULT_SAMPLE_SEED) -> dict:
     """Seeded rational homs: the quadratic map vanishes iff the image is
     isotropic, where the isotropy side runs through span generators rather
     than the quadratic coordinates.
 
     Half the samples are unconstrained; the other half take values in the
-    standard Lagrangian so both verdicts are exercised.
+    standard Lagrangian so both verdicts are exercised.  A count below 1 or
+    above MAX_SAMPLES raises ValueError before the first draw.
     """
+    if not 1 <= count <= MAX_SAMPLES:
+        raise ValueError(
+            "samples %d is outside the budget of 1 to %d" % (count, MAX_SAMPLES)
+        )
     rng = random.Random(seed)
     e_space = SymplecticSpace.standard(3)
     agree = 0

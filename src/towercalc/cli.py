@@ -11,10 +11,10 @@ Subcommands:
 * ``export``  - print a scenario document as canonical JSON.
 
 ``--n`` accepts an integer >= 3, ``symbolic``, or ``range:A..B`` (inclusive,
-aggregating one report per value).  ``--format`` selects ``text`` or
-``json``.  ``--output`` writes to a file instead of stdout; without it,
-``verify`` also drops a copy of the report into ``$TOWERCALC_REPORT_DIR``
-when that variable is set.  Usage errors exit with 2.
+at most ``MAX_RANGE_WIDTH`` values, aggregating one report per value).
+``--format`` selects ``text`` or ``json``.  ``--output`` writes to a file
+instead of stdout; without it, ``verify`` also drops a copy of the report
+into ``$TOWERCALC_REPORT_DIR`` when that variable is set.  Usage errors exit with 2.
 """
 
 from __future__ import annotations
@@ -42,7 +42,11 @@ from .scenarios import (
 )
 
 REPORT_DIR_ENV = "TOWERCALC_REPORT_DIR"
-_RANGE_RE = re.compile(r"^range:(\d+)\.\.(\d+)$")
+#: Most values of n that one ``range:A..B`` may ask for.
+MAX_RANGE_WIDTH = 1000
+# Bounds of more than nine digits are not read as a range, so int() never
+# meets a number too long to convert; they end as an invalid n.
+_RANGE_RE = re.compile(r"^range:(\d{1,9})\.\.(\d{1,9})$")
 
 
 class UsageError(Exception):
@@ -59,6 +63,11 @@ def _parse_n_spec(text: str) -> list:
             raise UsageError("n must be >= 3 (range starts at %d)" % lo)
         if hi < lo:
             raise UsageError("empty range %s" % text)
+        if hi - lo + 1 > MAX_RANGE_WIDTH:
+            raise UsageError(
+                "range %s has %d values, over the budget of %d"
+                % (text, hi - lo + 1, MAX_RANGE_WIDTH)
+            )
         return list(range(lo, hi + 1))
     try:
         n = int(text)

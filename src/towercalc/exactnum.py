@@ -247,26 +247,70 @@ def nonnegative_on_integers_from(p: ParamPoly, start: int = SIGN_SAMPLE_START) -
     return -1 not in _signs_from(p, start)
 
 
+def _const_value(x) -> int | Fraction | None:
+    """x as an exact rational, int when it is integral; None when x is a
+    ParamPoly that depends on n."""
+    if type(x) is int:
+        return x
+    if isinstance(x, ParamPoly):
+        if not x.is_constant():
+            return None
+        x = x.constant_value()
+    else:
+        x = _as_rat(x)
+    return x.numerator if x.denominator == 1 else x
+
+
 class ExactMatrix:
-    """Dense matrix with ParamPoly entries (constants included).
+    """Dense matrix of exact entries: rationals, or ParamPolys in n.
+
+    A matrix whose entries are all constant (ints, Fractions, "p/q" strings
+    or constant ParamPolys) stores its rows as exact rationals, integral
+    entries as int, and builds no ParamPoly: `==`, `is_constant`,
+    `const_entries`, `is_identity`, `transpose`, negation and the product of
+    two constant matrices read those rows directly.  The ParamPoly view
+    `entries` is built on first access and cached, so it reads the same
+    however the matrix was built.
 
     Row-reduction style algorithms require constant entries; purely algebraic
     operations (product, transpose, identity comparison) work symbolically.
     """
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "_const", "_entries")
 
     def __init__(self, entries: Iterable[Iterable], cols: int | None = None):
-        rows = [tuple(aspoly(x) for x in row) for row in entries]
+        rows = [tuple(row) for row in entries]
         width = len(rows[0]) if rows else (cols or 0)
+        const = []
+        for row in rows:
+            values = tuple(_const_value(x) for x in row)
+            if None in values:
+                const = None
+                break
+            const.append(values)
+        if const is None:
+            rows = [tuple(aspoly(x) for x in row) for row in rows]
         if any(len(r) != width for r in rows):
             raise ValueError("ragged rows")
         if cols is not None and cols != width:
             raise ValueError("declared column count %d does not match %d"
                              % (cols, width))
-        self.entries = tuple(rows)
+        self._const = None if const is None else tuple(const)
+        self._entries = None if const is not None else tuple(rows)
         self.rows = len(rows)
         self.cols = width
+
+    @property
+    def entries(self) -> tuple[tuple[ParamPoly, ...], ...]:
+        if self._entries is None:
+            self._entries = tuple(
+                tuple(ParamPoly.const(x) for x in row) for row in self._const
+            )
+        return self._entries
+
+    def _cells(self) -> tuple[tuple, ...]:
+        """The stored rows: exact rationals when constant, else ParamPolys."""
+        return self._entries if self._const is None else self._const
 
     @classmethod
     def identity(cls, k: int) -> "ExactMatrix":
@@ -275,7 +319,10 @@ class ExactMatrix:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        return self.entries == other.entries
+        if self._const is None and other._const is None:
+            return self._entries == other._entries
+        # An entry depending on n never equals a constant one.
+        return self._const == other._const
 
     def __hash__(self):
         return hash(self.entries)
@@ -285,12 +332,24 @@ class ExactMatrix:
             [[str(x) for x in row] for row in self.entries],
         )
 
+    def __neg__(self) -> "ExactMatrix":
+        return ExactMatrix([[-x for x in row] for row in self._cells()],
+                           cols=self.cols)
+
     def __mul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if not isinstance(other, ExactMatrix):
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError("shape mismatch %dx%d * %dx%d"
                              % (self.rows, self.cols, other.rows, other.cols))
+        if self._const is not None and other._const is not None:
+            b = other._const
+            out = [
+                [sum(row[k] * b[k][j] for k in range(self.cols))
+                 for j in range(other.cols)]
+                for row in self._const
+            ]
+            return ExactMatrix(out, cols=other.cols)
         out = []
         for i in range(self.rows):
             row = []
@@ -306,38 +365,34 @@ class ExactMatrix:
         """Matrix times column vector."""
         if len(vec) != self.cols:
             raise ValueError("vector length %d, expected %d" % (len(vec), self.cols))
-        vec = [aspoly(v) for v in vec]
-        out = []
-        for i in range(self.rows):
-            acc = ParamPoly()
-            for k in range(self.cols):
-                acc = acc + self.entries[i][k] * vec[k]
-            out.append(acc)
-        return tuple(out)
+        column = self * ExactMatrix([[v] for v in vec], cols=1)
+        return tuple(row[0] for row in column.entries)
 
     def transpose(self) -> "ExactMatrix":
+        cells = self._cells()
         return ExactMatrix(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
+            [[cells[i][j] for i in range(self.rows)] for j in range(self.cols)],
             cols=self.rows,
         )
 
     def is_identity(self) -> bool:
-        if self.rows != self.cols:
+        if self._const is None or self.rows != self.cols:
             return False
-        for i in range(self.rows):
-            for j in range(self.cols):
-                want = 1 if i == j else 0
-                if self.entries[i][j] != want:
-                    return False
-        return True
+        return all(
+            x == (1 if i == j else 0)
+            for i, row in enumerate(self._const)
+            for j, x in enumerate(row)
+        )
 
     def is_constant(self) -> bool:
-        return all(x.is_constant() for row in self.entries for x in row)
+        return self._const is not None
 
-    def const_entries(self) -> list[list[Fraction]]:
-        if not self.is_constant():
+    def const_entries(self) -> list[list[int | Fraction]]:
+        """The entries as fresh row lists of exact rationals, integral ones
+        as int."""
+        if self._const is None:
             raise ValueError("matrix has symbolic entries; evaluate first")
-        return [[x.constant_value() for x in row] for row in self.entries]
+        return [list(row) for row in self._const]
 
     def eval_at(self, n) -> "ExactMatrix":
         return ExactMatrix(
@@ -357,8 +412,11 @@ def matrix_product_is_identity(a: ExactMatrix, b: ExactMatrix) -> bool:
     return (a * b).is_identity()
 
 
-def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """In-place reduced row echelon form; returns (rows, pivot columns)."""
+def _rref(rows: list[list]) -> tuple[list[list], list[int]]:
+    """In-place reduced row echelon form; returns (rows, pivot columns).
+
+    Entries may be int or Fraction; every pivot row comes out as Fractions.
+    """
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
     pivots: list[int] = []
@@ -372,7 +430,7 @@ def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][c]
+        inv = Fraction(rows[r][c])
         rows[r] = [x / inv for x in rows[r]]
         for i in range(nrows):
             if i != r and rows[i][c] != 0:
@@ -386,14 +444,14 @@ def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
 
 
 def rank(a: ExactMatrix) -> int:
-    _, pivots = _rref([list(r) for r in a.const_entries()])
+    _, pivots = _rref(a.const_entries())
     return len(pivots)
 
 
 def nullspace(a: ExactMatrix) -> tuple[tuple[Fraction, ...], ...]:
     """Basis of the right kernel, one vector per free column, in column order
     with the free coordinate set to 1."""
-    rows, pivots = _rref([list(r) for r in a.const_entries()])
+    rows, pivots = _rref(a.const_entries())
     free = [c for c in range(a.cols) if c not in pivots]
     basis = []
     for fc in free:

@@ -54,7 +54,7 @@ class SymplecticSpace:
         g = self.gram
         if g.rows != g.cols or g.rows % 2 != 0:
             raise ValueError("gram must be square of even size")
-        if g.transpose() != ExactMatrix([[-x for x in row] for row in g.entries]):
+        if g.transpose() != -g:
             raise ValueError("gram must be antisymmetric")
         if rank(g) != g.rows:
             raise ValueError("gram must be nonsingular")
@@ -154,13 +154,13 @@ class HomWE:
             raise ValueError("need exactly three columns")
 
     @cached_property
-    def _columns(self) -> tuple[tuple[Fraction, ...], ...]:
+    def _columns(self) -> tuple[tuple[int | Fraction, ...], ...]:
         ent = self.matrix.const_entries()
         return tuple(
             tuple(ent[i][j] for i in range(self.matrix.rows)) for j in range(3)
         )
 
-    def columns(self) -> list[tuple[Fraction, ...]]:
+    def columns(self) -> list[tuple[int | Fraction, ...]]:
         return list(self._columns)
 
 
@@ -317,9 +317,7 @@ def po2_act(element, pair: ExtPair) -> tuple[ExtPair, dict]:
         relation = "preserved"
         expected = before
     elif isinstance(element, Swap):
-        flipped = ExactMatrix(
-            [[-x for x in row] for row in pair.pairing.transpose().entries]
-        )
+        flipped = -pair.pairing.transpose()
         out = ExtPair(pair.e21, pair.e12, flipped, pair.diag)
         relation = "negated"
         expected = -before
@@ -360,8 +358,8 @@ def pairing_quadric_gram(pairing: ExactMatrix) -> ExactMatrix:
     rows = [[Fraction(0)] * size for _ in range(size)]
     for i in range(k):
         for j in range(k):
-            rows[i][k + j] = g[i][j] / 2
-            rows[k + j][i] = g[i][j] / 2
+            rows[i][k + j] = Fraction(g[i][j], 2)
+            rows[k + j][i] = Fraction(g[i][j], 2)
     return ExactMatrix(rows)
 
 

@@ -2,10 +2,16 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
+from types import SimpleNamespace
 
+import pytest
+
+from towercalc import census
 from towercalc.census import (
     ADDITIVE_COVECTORS,
     DEFAULT_SAMPLE_SEED,
+    MAX_SAMPLES,
     MULTIPLICATIVE_COVECTORS,
     build_ext_pair_family,
     build_stabilizer_family,
@@ -16,11 +22,14 @@ from towercalc.census import (
     rational_isotropy_samples,
     sigma_census,
     _extend_basis_f3,
-    _f3_multisets,
+    _f3_enumeration,
+    _f3_omega_table,
     _f3_vectors,
+    _isotropic_basis_f3,
     _omega_f3,
     _span_basis_f3,
 )
+from towercalc.exactnum import ParamPoly
 
 
 def test_additive_covectors_satisfy_the_hyperbolic_criterion():
@@ -102,8 +111,9 @@ def test_f3_enumeration_counts_and_closed_form():
 
 
 def reference_span_basis(cols):
-    """Reference for `_span_basis_f3`: the same row reduction written as
-    one loop, independent of `_extend_basis_f3`."""
+    """Reference for `_span_basis_f3`: the same row reduction on coordinate
+    tuples, written as one loop, independent of the integer codes and their
+    lookup tables."""
     basis = []
     for col in cols:
         v = list(col)
@@ -121,33 +131,85 @@ def reference_span_basis(cols):
     return basis
 
 
+VECS = _f3_vectors(4)
+CODE = {v: k for k, v in enumerate(VECS)}
+
+
+def span_basis(vectors):
+    """`_span_basis_f3` on F_3^4 tuples, decoded back to coordinate lists."""
+    return [list(VECS[k]) for k in _span_basis_f3([CODE[v] for v in vectors])]
+
+
+def reference_verdict(basis):
+    return all(
+        _omega_f3(basis[i], basis[j]) == 0
+        for i in range(len(basis))
+        for j in range(i + 1, len(basis))
+    )
+
+
+def test_vector_codes_are_base_three_digits():
+    assert len(VECS) == 81
+    for k, v in enumerate(VECS):
+        assert k == sum(x * 3 ** (3 - i) for i, x in enumerate(v))
+
+
+def test_omega_table_is_omega_on_every_pair():
+    table = _f3_omega_table()
+    assert [[_omega_f3(u, v) for v in VECS] for u in VECS] == table
+
+
 def test_span_basis_scales_each_lead_to_one():
-    assert _span_basis_f3([(2, 0, 0, 0)]) == [[1, 0, 0, 0]]
-    assert _span_basis_f3([(0, 0, 2, 1), (2, 1, 0, 0)]) == [[1, 2, 0, 0], [0, 0, 1, 2]]
-    assert _span_basis_f3([(1, 1, 0, 0), (2, 2, 0, 0)]) == [[1, 1, 0, 0]]
-    assert _span_basis_f3([]) == []
+    assert span_basis([(2, 0, 0, 0)]) == [[1, 0, 0, 0]]
+    assert span_basis([(0, 0, 2, 1), (2, 1, 0, 0)]) == [[1, 2, 0, 0], [0, 0, 1, 2]]
+    assert span_basis([(1, 1, 0, 0), (2, 2, 0, 0)]) == [[1, 1, 0, 0]]
+    assert span_basis([]) == []
 
 
 def test_memoised_route_two_matches_the_raw_triple():
-    vecs = _f3_vectors(4)
+    memo = {}
+    report = _f3_enumeration(memo)
+    assert report == isotropy_equivalence_f3()
+    omega = _f3_omega_table()
+    prefixes = 0
+    for a, b in combinations_with_replacement(range(81), 2):
+        prefix = _span_basis_f3((a, b))
+        assert [list(VECS[k]) for k in prefix] == reference_span_basis(
+            (VECS[a], VECS[b])
+        )
+        assert prefix in memo
+        prefixes += 1
+    assert prefixes == 3321
     rng = random.Random(8111)
     picked = set(rng.sample(range(91881), 600))
     seen = 0
-    for index, (a, b, c, route_one, route_two) in enumerate(_f3_multisets()):
+    for index, (a, b, c) in enumerate(combinations_with_replacement(range(81), 3)):
         if index not in picked:
             continue
         seen += 1
-        triple = (vecs[a], vecs[b], vecs[c])
+        triple = (VECS[a], VECS[b], VECS[c])
         basis = reference_span_basis(triple)
-        assert _extend_basis_f3(_span_basis_f3(triple[:2]), triple[2]) == basis
-        assert route_two == all(
-            _omega_f3(basis[i], basis[j]) == 0
-            for i in range(len(basis))
-            for j in range(i + 1, len(basis))
-        )
+        extended = _extend_basis_f3(_span_basis_f3((a, b)), c)
+        assert [list(VECS[k]) for k in extended] == basis
+        route_two = memo[_span_basis_f3((a, b))][c]
+        assert route_two is reference_verdict(basis)
+        assert _isotropic_basis_f3(extended, omega) is route_two
         pairs = ((0, 1), (0, 2), (1, 2))
+        codes = (a, b, c)
+        route_one = all(omega[codes[i]][codes[j]] == 0 for i, j in pairs)
         assert route_one == all(_omega_f3(triple[i], triple[j]) == 0 for i, j in pairs)
     assert seen == 600
+    assert len(memo) == 431
+
+
+def test_a_flipped_omega_entry_is_caught(monkeypatch):
+    flipped = [list(row) for row in _f3_omega_table()]
+    u, v = CODE[(1, 0, 0, 0)], CODE[(0, 1, 0, 0)]
+    assert flipped[u][v] == 0
+    flipped[u][v] = 1
+    monkeypatch.setattr(census, "_f3_omega_table", lambda: flipped)
+    report = isotropy_equivalence_f3.__wrapped__()
+    assert report["disagreements"] > 0 or report["isotropic"] != 26001
 
 
 def test_rational_samples_agree_and_are_deterministic():
@@ -165,6 +227,32 @@ def test_rational_samples_agree_for_other_seeds():
     assert report["all_agree"] is True
     # half the draws are built inside the vanishing locus by construction
     assert report["zero_locus_hits"] >= 30
+
+
+@pytest.mark.parametrize("count", [0, -1, MAX_SAMPLES + 1])
+def test_sample_count_outside_the_budget_is_rejected_before_drawing(
+    monkeypatch, count
+):
+    def no_draws(seed):
+        raise AssertionError("drew samples")
+
+    monkeypatch.setattr(census, "random", SimpleNamespace(Random=no_draws))
+    with pytest.raises(ValueError, match="budget"):
+        rational_isotropy_samples.__wrapped__(count, DEFAULT_SAMPLE_SEED)
+
+
+def test_sample_homs_build_no_param_poly(monkeypatch):
+    built = []
+    real = ParamPoly.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(ParamPoly, "__init__", counting)
+    report = rational_isotropy_samples.__wrapped__(60, 7)
+    assert report["agreements"] == 60
+    assert built == []
 
 
 def test_family_entries_are_exact():

@@ -11,7 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from towercalc.cli import REPORT_DIR_ENV, main
+from towercalc import cli
+from towercalc.census import MAX_SAMPLES
+from towercalc.cli import MAX_RANGE_WIDTH, REPORT_DIR_ENV, main
 from towercalc.scenarios import list_scenarios, scenario_doc
 
 
@@ -137,12 +139,30 @@ def test_verify_scenario_file_round_trip(capsys, tmp_path):
         ["verify"],
         ["frobnicate"],
         [],
+        ["verify", "--scenario", "picard-matrices", "--n", "range:5..4"],
+        ["verify", "--scenario", "picard-matrices", "--n", "range:3.." + "9" * 5000],
     ],
 )
 def test_usage_errors(capsys, argv):
     code, _, err = run(capsys, argv)
     assert code == 2
     assert err.strip()
+
+
+def test_range_over_budget_is_rejected_before_any_scenario_runs(capsys, monkeypatch):
+    def no_run(doc, n):
+        raise AssertionError("ran a scenario")
+
+    monkeypatch.setattr(cli, "_evaluate_valid", no_run)
+    too_wide = "range:3..%d" % (3 + MAX_RANGE_WIDTH)
+    code, _, err = run(
+        capsys, ["verify", "--scenario", "euler-convention", "--n", too_wide]
+    )
+    assert code == 2
+    assert "budget of %d" % MAX_RANGE_WIDTH in err
+    assert cli._parse_n_spec("range:3..%d" % (2 + MAX_RANGE_WIDTH)) == list(
+        range(3, 3 + MAX_RANGE_WIDTH)
+    )
 
 
 def test_parse_error_in_scenario_file(capsys, tmp_path):
@@ -204,6 +224,22 @@ def test_parse_error_in_scenario_file(capsys, tmp_path):
             "negative",
         ),
         (
+            "local-model-stabilizers",
+            "expect",
+            "rational-samples",
+            "samples",
+            str(MAX_SAMPLES + 1),
+            "budget",
+        ),
+        (
+            "local-model-stabilizers",
+            "expect",
+            "rational-samples",
+            "samples",
+            "0",
+            "budget",
+        ),
+        (
             "normal-bundle-transport",
             "expect",
             "final-normal-class",
@@ -256,6 +292,8 @@ def test_parse_error_in_scenario_file(capsys, tmp_path):
         "string-as-face",
         "height-over-budget",
         "negative-height",
+        "samples-over-budget",
+        "zero-samples",
         "string-as-drop",
         "string-as-directions",
         "ragged-terms",

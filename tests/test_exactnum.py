@@ -148,6 +148,131 @@ class TestMatrix:
             ExactMatrix([[1, 2], [3]])
 
 
+def ref_entries(cells) -> tuple:
+    """Reference for `ExactMatrix.entries`: every entry as a ParamPoly."""
+    return tuple(tuple(aspoly(x) for x in row) for row in cells)
+
+
+def ref_product(a: tuple, b: tuple, inner: int) -> tuple:
+    """Reference product of two ParamPoly grids, one ParamPoly sum per entry."""
+    width = len(b[0]) if b else 0
+    out = []
+    for row in a:
+        out_row = []
+        for j in range(width):
+            acc = ParamPoly()
+            for k in range(inner):
+                acc = acc + row[k] * b[k][j]
+            out_row.append(acc)
+        out.append(tuple(out_row))
+    return tuple(out)
+
+
+def ref_to_lists(grid: tuple) -> list:
+    return [
+        [rat_str(x.constant_value()) if x.is_constant() else x.to_coeff_strings()
+         for x in row]
+        for row in grid
+    ]
+
+
+def grids(cell, rows, cols):
+    return st.lists(st.lists(cell, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+const_cells = st.one_of(st.integers(-6, 6), rats)
+mixed_cells = st.one_of(st.integers(-6, 6), rats, half_polys)
+
+
+def as_const_polys(cells):
+    """The same grid with every constant entry as an explicit ParamPoly."""
+    return [[x if isinstance(x, ParamPoly) else ParamPoly.const(x) for x in row]
+            for row in cells]
+
+
+@st.composite
+def matrix_pair(draw, cell):
+    """(cells, other, vec): a grid, a grid it can multiply, and a vector it
+    can apply to."""
+    r, c, k = (draw(st.integers(1, 3)) for _ in range(3))
+    return (draw(grids(cell, r, c)), draw(grids(cell, c, k)),
+            draw(st.lists(cell, min_size=c, max_size=c)))
+
+
+class TestConstantStorage:
+    """A matrix of ints or Fractions and one of explicit constant ParamPolys
+    are the same matrix, and both match ParamPoly arithmetic."""
+
+    def test_const_poly_equals_int(self) -> None:
+        assert ExactMatrix([[ParamPoly.const(1)]]) == ExactMatrix([[1]])
+        assert hash(ExactMatrix([[ParamPoly.const(1)]])) == hash(ExactMatrix([[1]]))
+        assert ExactMatrix([[1, N]]) != ExactMatrix([[1, 3]])
+        assert ExactMatrix([[Fraction(4, 2), "3/6"]]).const_entries() == [
+            [2, Fraction(1, 2)]
+        ]
+        assert type(ExactMatrix([[Fraction(4, 2)]]).const_entries()[0][0]) is int
+
+    @given(matrix_pair(const_cells), matrix_pair(mixed_cells), st.integers(3, 9))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_param_poly_arithmetic(self, const, mixed, n) -> None:
+        for cells, other, vec in (const, mixed):
+            ref = ref_entries(cells)
+            plain, polys = ExactMatrix(cells), ExactMatrix(as_const_polys(cells))
+            for m in (plain, polys):
+                assert m.entries == ref
+                assert m == plain and m == polys
+                assert hash(m) == hash(ref)
+                assert m.is_constant() == all(x.is_constant() for r in ref for x in r)
+                assert m.transpose().entries == tuple(zip(*ref))
+                assert m.transpose() == ExactMatrix(list(zip(*ref)))
+                for b in (ExactMatrix(other), ExactMatrix(as_const_polys(other))):
+                    assert (m * b).entries == ref_product(
+                        ref, ref_entries(other), m.cols
+                    )
+                column = ref_entries([[v] for v in vec])
+                assert m.apply(vec) == tuple(
+                    row[0] for row in ref_product(ref, column, m.cols)
+                )
+                assert m.eval_at(n).entries == ref_entries(
+                    [[x.eval(n) for x in row] for row in ref]
+                )
+                assert m.eval_at(n) == ExactMatrix(
+                    [[x.eval(n) for x in row] for row in ref]
+                )
+                assert m.to_lists() == ref_to_lists(ref)
+
+    @given(matrix_pair(const_cells), st.lists(const_cells, min_size=3, max_size=3))
+    @settings(max_examples=40, deadline=None)
+    def test_row_reduction_reads_the_same_rationals(self, const, rhs) -> None:
+        cells = const[0]
+        plain, polys = ExactMatrix(cells), ExactMatrix(as_const_polys(cells))
+        assert rank(plain) == rank(polys)
+        kernel = nullspace(plain)
+        assert kernel == nullspace(polys)
+        assert all(type(x) is Fraction for v in kernel for x in v)
+        b = rhs[: plain.rows]
+        outcomes = []
+        for m in (plain, polys):
+            try:
+                solution = solve_linear(m, b)
+            except UnderdeterminedError as exc:
+                outcomes.append(("underdetermined", exc.kernel))
+            except NoSolutionError:
+                outcomes.append("no solution")
+            else:
+                assert all(type(x) is Fraction for x in solution)
+                outcomes.append(solution)
+        assert outcomes[0] == outcomes[1]
+
+    def test_symbolic_matrix_refuses_row_reduction(self) -> None:
+        m = ExactMatrix([[N, 1], [0, 1]])
+        with pytest.raises(ValueError, match="symbolic"):
+            m.const_entries()
+        with pytest.raises(ValueError, match="symbolic"):
+            rank(m)
+
+
 class TestInterpolation:
     @given(small_polys)
     def test_recovers_poly_from_samples(self, p: ParamPoly) -> None:
