@@ -18,8 +18,8 @@ the entries of other labels already there, with the interpreter version and
 the CPU count.  ``--src`` selects the source tree that is imported, so one
 file can hold the figures of two checkouts measured in the same host phase:
 
-    python scripts/bench.py --src ../parent/src --label parent --out BENCH_6.json
-    python scripts/bench.py --label change --out BENCH_6.json
+    python scripts/bench.py --src ../parent/src --label parent --out BENCH_7.json
+    python scripts/bench.py --label change --out BENCH_7.json
 """
 
 import argparse

@@ -18,7 +18,11 @@ The enumeration works on integer codes: each vector of F_3^4 is the int
 0..80 whose base-3 digits are its coordinates, omega is an 81 x 81 table
 over the codes, and row reduction reads the leading index, the
 normalisation and each elimination step from lookup tables.  The tables are
-built on first use, so importing this module stays cheap.
+built on first use, so importing this module stays cheap.  For each pair
+(a, b) of first columns, both routes hold their verdicts on every third
+column c as one 81-bit mask: route one from the omega table, route two
+from a row of verdicts per prefix basis that is filled lazily and reads a
+per-basis memo of the isotropy test.  Tallies are popcounts of those masks.
 
 Everything is exact.  `omega_census`, `isotropy_equivalence_f3` and
 `rational_isotropy_samples` are memoized with `lru_cache`: several checks of
@@ -93,15 +97,13 @@ def hyperbolic_criterion(f) -> Fraction:
 
 
 def rank_one_hom(vector, covector) -> HomWE:
-    """The hom w |-> covector(w) . vector as a 6x3 matrix."""
-    v = [Fraction(x) for x in vector]
-    f = [Fraction(x) for x in covector]
-    return HomWE(ExactMatrix([[f[j] * v[i] for j in range(3)] for i in range(6)]))
+    """The hom w |-> covector(w) . vector as a 6x3 matrix; the entries are
+    int or Fraction."""
+    return HomWE(ExactMatrix([[x * f for f in covector] for x in vector]))
 
 
 def _hom_from_columns(*cols) -> HomWE:
-    rows = len(cols[0])
-    return HomWE(ExactMatrix([[Fraction(c[i]) for c in cols] for i in range(rows)]))
+    return HomWE(ExactMatrix([list(row) for row in zip(*cols)]))
 
 
 def build_stabilizer_family() -> list[dict]:
@@ -382,42 +384,55 @@ def _isotropic_basis_f3(basis, omega) -> bool:
 
 def _f3_enumeration(memo: dict) -> dict:
     """Both routes on every multiset a <= b <= c of vector codes, tallied by
-    multiplicity.
+    multiplicity, one (a, b) pair at a time over 81-bit masks indexed by c.
 
-    Route one reads omega of the raw columns off the table.  Route two
-    depends on a triple only through the basis of its first two columns (the
-    prefix) and its third column.  Only 431 prefixes occur, so each verdict
-    is computed once per (prefix, c), on first use, and kept in `memo`: a
-    row of 81 per prefix; the basis it is computed on is exactly the one
-    `_span_basis_f3` builds from the raw triple.
+    Route one is the mask zero[a] & zero[b] when omega(a, b) = 0 and empty
+    otherwise; zero[x] has bit c set when omega(x, c) = 0.  Route two depends
+    on a triple only through the basis of its first two columns (the prefix)
+    and its third column.  Only 431 prefixes occur, and `memo` maps each to
+    (mask, low): bit c of mask is the route-two verdict for c, computed for
+    every c >= low.  A pair (a, b) needs the bits from b up, so the row is
+    filled lazily downwards to the lowest b that reaches the prefix; each
+    bit is `_isotropic_basis_f3` on `_extend_basis_f3(prefix, c)`, which is
+    exactly the basis `_span_basis_f3` builds from the raw triple, and the
+    verdict is memoised per basis within one call (1,511 distinct echelon
+    bases for the 16,761 bits).  The multisets with third column c = b and
+    c > b are counted by popcount on the two routes and on their difference.
     """
     omega = _f3_omega_table()
     npts = len(omega)
-    pairzero = [[x == 0 for x in row] for row in omega]
+    zero = [sum(1 << c for c, x in enumerate(row) if x == 0) for row in omega]
+    full = (1 << npts) - 1
+    basis_verdicts: dict[tuple[int, ...], bool] = {}
     total = isotropic = disagreements = multisets = 0
     for a in range(npts):
-        rowa = pairzero[a]
+        first = _span_basis_f3((a,))
         for b in range(a, npts):
-            rowb = pairzero[b]
-            ab = rowa[b]
-            prefix = _span_basis_f3((a, b))
-            verdicts = memo.get(prefix)
-            if verdicts is None:
-                verdicts = memo[prefix] = [None] * npts
-            for c in range(b, npts):
-                route_two = verdicts[c]
-                if route_two is None:
-                    route_two = verdicts[c] = _isotropic_basis_f3(
-                        _extend_basis_f3(prefix, c), omega
-                    )
-                route_one = ab and rowa[c] and rowb[c]
-                mult = 1 if a == c else 3 if a == b or b == c else 6
-                multisets += 1
-                total += mult
-                if route_one != route_two:
-                    disagreements += mult
-                if route_one:
-                    isotropic += mult
+            prefix = _extend_basis_f3(first, b)
+            two, low = memo.get(prefix, (0, npts))
+            if b < low:
+                for c in range(b, low):
+                    basis = _extend_basis_f3(prefix, c)
+                    verdict = basis_verdicts.get(basis)
+                    if verdict is None:
+                        verdict = basis_verdicts[basis] = _isotropic_basis_f3(
+                            basis, omega
+                        )
+                    if verdict:
+                        two |= 1 << c
+                memo[prefix] = (two, b)
+            one = zero[a] & zero[b] if omega[a][b] == 0 else 0
+            diff = one ^ two
+            above = full ^ ((2 << b) - 1)
+            # c = b has multiplicity 1 when a = b and 3 when a < b; every
+            # c > b has 3 and 6.
+            at_b, above_b = (1, 3) if a == b else (3, 6)
+            isotropic += at_b * (one >> b & 1) + above_b * (one & above).bit_count()
+            disagreements += (
+                at_b * (diff >> b & 1) + above_b * (diff & above).bit_count()
+            )
+            multisets += npts - b
+            total += at_b + above_b * (npts - 1 - b)
     return {
         "homs": total,
         "multisets": multisets,
@@ -437,9 +452,13 @@ def isotropy_equivalence_f3() -> dict:
     bookkeeping (column order affects neither side).  Route one tests the
     three pairwise omega values of the raw columns; route two row-reduces
     the column span over lookup tables and tests omega on the extracted
-    basis.  The isotropic count has a closed-form cross-check: 1 zero hom,
-    1040 rank-one homs (every line is isotropic), and 40 isotropic planes
-    times 624 surjections onto a plane, totalling 26001.
+    basis.  Both routes are evaluated on every multiset, as bitmasks over
+    the third column (see `_f3_enumeration`): route two's rows are filled
+    lazily per prefix basis, and its isotropy test is memoised per extracted
+    basis.  Neither route reads the closed form of the isotropic count, which
+    is a separate cross-check: 1 zero hom, 1040 rank-one homs (every line is
+    isotropic), and 40 isotropic planes times 624 surjections onto a plane,
+    totalling 26001.
     """
     return _f3_enumeration({})
 

@@ -399,14 +399,6 @@ class ExactMatrix:
             [[x.eval(n) for x in row] for row in self.entries], cols=self.cols
         )
 
-    def to_lists(self):
-        """Entries as nested lists of coefficient strings or plain strings."""
-        out = []
-        for row in self.entries:
-            out.append([_rat_str(x.constant_value()) if x.is_constant()
-                        else x.to_coeff_strings() for x in row])
-        return out
-
 
 def matrix_product_is_identity(a: ExactMatrix, b: ExactMatrix) -> bool:
     return (a * b).is_identity()

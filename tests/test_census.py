@@ -166,6 +166,14 @@ def test_span_basis_scales_each_lead_to_one():
     assert span_basis([]) == []
 
 
+def route_two_bit(memo, a, b, c):
+    """The memoised route-two verdict of the multiset (a, b, c), after
+    checking that the bit for c was computed."""
+    mask, low = memo[_span_basis_f3((a, b))]
+    assert low <= c
+    return bool(mask >> c & 1)
+
+
 def test_memoised_route_two_matches_the_raw_triple():
     memo = {}
     report = _f3_enumeration(memo)
@@ -178,6 +186,7 @@ def test_memoised_route_two_matches_the_raw_triple():
             (VECS[a], VECS[b])
         )
         assert prefix in memo
+        assert memo[prefix][1] <= b
         prefixes += 1
     assert prefixes == 3321
     rng = random.Random(8111)
@@ -191,7 +200,7 @@ def test_memoised_route_two_matches_the_raw_triple():
         basis = reference_span_basis(triple)
         extended = _extend_basis_f3(_span_basis_f3((a, b)), c)
         assert [list(VECS[k]) for k in extended] == basis
-        route_two = memo[_span_basis_f3((a, b))][c]
+        route_two = route_two_bit(memo, a, b, c)
         assert route_two is reference_verdict(basis)
         assert _isotropic_basis_f3(extended, omega) is route_two
         pairs = ((0, 1), (0, 2), (1, 2))
@@ -200,6 +209,66 @@ def test_memoised_route_two_matches_the_raw_triple():
         assert route_one == all(_omega_f3(triple[i], triple[j]) == 0 for i, j in pairs)
     assert seen == 600
     assert len(memo) == 431
+    # Each row is filled down to the lowest b that reaches its prefix and no
+    # further: 16,761 route-two evaluations in all.
+    assert sum(81 - low for _, low in memo.values()) == 16761
+
+
+def test_popcount_tally_matches_a_walk_over_every_multiset():
+    memo = {}
+    report = _f3_enumeration(memo)
+    omega = _f3_omega_table()
+    homs = multisets = isotropic = disagreements = 0
+    for a, b, c in combinations_with_replacement(range(81), 3):
+        route_one = omega[a][b] == 0 and omega[a][c] == 0 and omega[b][c] == 0
+        route_two = route_two_bit(memo, a, b, c)
+        mult = 1 if a == c else 3 if a == b or b == c else 6
+        multisets += 1
+        homs += mult
+        isotropic += mult * route_one
+        disagreements += mult * (route_one != route_two)
+    assert report == {
+        "homs": homs,
+        "multisets": multisets,
+        "isotropic": isotropic,
+        "disagreements": disagreements,
+        "all_agree": disagreements == 0,
+    }
+
+
+def test_isotropy_test_runs_once_per_extracted_basis(monkeypatch):
+    calls = []
+    real = census._isotropic_basis_f3
+
+    def counting(basis, omega):
+        calls.append(basis)
+        return real(basis, omega)
+
+    monkeypatch.setattr(census, "_isotropic_basis_f3", counting)
+    memo = {}
+    _f3_enumeration(memo)
+    reached = {
+        _extend_basis_f3(prefix, c)
+        for prefix, (_, low) in memo.items()
+        for c in range(low, 81)
+    }
+    # The bases are echelon, not fully reduced, so one subspace can have
+    # several: 1,511 distinct bases for the 16,761 route-two bits.
+    assert len(calls) == len(reached) == 1511
+    assert set(calls) == reached
+
+
+@pytest.mark.parametrize("offset", [0, 5], ids=["c-equals-b", "c-above-b"])
+def test_a_flipped_route_two_bit_is_caught(offset):
+    memo = {}
+    _f3_enumeration(memo)
+    a, b = CODE[(0, 1, 0, 0)], CODE[(1, 0, 0, 0)]
+    c = b + offset
+    prefix = _span_basis_f3((a, b))
+    mask, low = memo[prefix]
+    assert low <= c
+    memo[prefix] = (mask ^ 1 << c, low)
+    assert _f3_enumeration(memo)["disagreements"] > 0
 
 
 def test_a_flipped_omega_entry_is_caught(monkeypatch):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from towercalc import cli
+from towercalc import cli, symplectic
 from towercalc.census import MAX_SAMPLES
 from towercalc.cli import MAX_RANGE_WIDTH, REPORT_DIR_ENV, main
 from towercalc.scenarios import list_scenarios, scenario_doc
@@ -163,6 +163,21 @@ def test_range_over_budget_is_rejected_before_any_scenario_runs(capsys, monkeypa
     assert cli._parse_n_spec("range:3..%d" % (2 + MAX_RANGE_WIDTH)) == list(
         range(3, 3 + MAX_RANGE_WIDTH)
     )
+
+
+def test_quadric_over_budget_is_a_named_error_before_any_gram(capsys, monkeypatch):
+    def no_gram(pairing):
+        raise AssertionError("built the gram")
+
+    monkeypatch.setattr(symplectic, "pairing_quadric_gram", no_gram)
+    too_big = str(symplectic.MAX_QUADRIC_N + 1)
+    code, _, err = run(
+        capsys, ["verify", "--scenario", "normal-cone-quadric", "--n", too_big]
+    )
+    assert code == 2
+    assert "'quadric'" in err
+    assert "budget of %d" % symplectic.MAX_QUADRIC_N in err
+    assert "Traceback" not in err
 
 
 def test_parse_error_in_scenario_file(capsys, tmp_path):

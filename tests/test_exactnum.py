@@ -168,14 +168,6 @@ def ref_product(a: tuple, b: tuple, inner: int) -> tuple:
     return tuple(out)
 
 
-def ref_to_lists(grid: tuple) -> list:
-    return [
-        [rat_str(x.constant_value()) if x.is_constant() else x.to_coeff_strings()
-         for x in row]
-        for row in grid
-    ]
-
-
 def grids(cell, rows, cols):
     return st.lists(st.lists(cell, min_size=cols, max_size=cols),
                     min_size=rows, max_size=rows)
@@ -240,7 +232,9 @@ class TestConstantStorage:
                 assert m.eval_at(n) == ExactMatrix(
                     [[x.eval(n) for x in row] for row in ref]
                 )
-                assert m.to_lists() == ref_to_lists(ref)
+                assert [[x.coeffs for x in row] for row in m.entries] == [
+                    [x.coeffs for x in row] for row in ref
+                ]
 
     @given(matrix_pair(const_cells), st.lists(const_cells, min_size=3, max_size=3))
     @settings(max_examples=40, deadline=None)

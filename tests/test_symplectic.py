@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from towercalc import symplectic
 from towercalc.exactnum import ExactMatrix, PrimeFieldConfig
 from towercalc.symplectic import (
+    MAX_QUADRIC_N,
     DegenerateModelError,
     ExtPair,
     HomWE,
@@ -119,6 +121,52 @@ class TestIsotropy:
     def test_pairing_detected(self) -> None:
         assert not is_isotropic([X1, Y1], E6)
 
+    @pytest.mark.parametrize(
+        "space",
+        [E6, SymplecticSpace(TestBilinearForms.OTHER_SYMPLECTIC)],
+        ids=["standard", "other"],
+    )
+    def test_verdicts_match_pairwise_omega(self, space) -> None:
+        # Half the draws are multiples of one vector, so both verdicts occur.
+        rng = random.Random(4023)
+        verdicts = set()
+        for draw in range(200):
+            gens = [mixed_vector(rng, space.dim) for _ in range(rng.randint(1, 3))]
+            if draw % 2:
+                base = [Fraction(x) for x in gens[0]]
+                scales = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in gens]
+                gens = [[rng.choice([s * x, str(s * x)]) for x in base] for s in scales]
+            expected = all(
+                space.omega(gens[i], gens[j]) == 0
+                for i in range(len(gens))
+                for j in range(i, len(gens))
+            )
+            assert is_isotropic(gens, space) is expected
+            verdicts.add(expected)
+        assert verdicts == {True, False}
+
+    def test_converts_each_coordinate_once(self, monkeypatch) -> None:
+        space = SymplecticSpace.standard(3)
+        assert space._terms
+        calls = []
+        real = symplectic._exact
+
+        def counting(x):
+            calls.append(x)
+            return real(x)
+
+        monkeypatch.setattr(symplectic, "_exact", counting)
+        gens = [X1, [Fraction(1, 2), "2/3", 0, 0, 0, 0], X3]
+        assert is_isotropic(gens, space)
+        assert len(calls) == 18
+        calls.clear()
+        assert not is_isotropic([X1, Y1, X2], space)
+        assert len(calls) == 18
+
+    def test_wrong_generator_length_is_rejected(self) -> None:
+        with pytest.raises(ValueError, match="generator length 5"):
+            is_isotropic([X1, (0, 1, 0, 0, 0)], E6)
+
     @given(st.lists(st.tuples(*[rats] * 6), min_size=1, max_size=3))
     @settings(max_examples=50)
     def test_agrees_with_yoneda_zero_locus(self, cols) -> None:
@@ -179,7 +227,9 @@ class TestStabilizerOmega:
 class TestYoneda:
     def test_omega_example(self) -> None:
         phi = hom([X1, Y1, Z6])
-        assert yoneda_omega(phi, E6) == (1, 0, 0)
+        upsilon = yoneda_omega(phi, E6)
+        assert upsilon == (1, 0, 0)
+        assert all(type(x) is Fraction for x in upsilon)
 
     def test_sigma_zero_locus_example(self) -> None:
         assert yoneda_sigma(ExtPair((1, 0), (0, 1))) == (0, 0)
@@ -246,6 +296,19 @@ class TestNormalConeQuadric:
     def test_small_n_rejected(self) -> None:
         with pytest.raises(ValueError):
             normal_cone_quadric(2)
+
+    def test_n_above_the_budget_is_rejected_before_any_matrix(self, monkeypatch) -> None:
+        class Reached(Exception):
+            pass
+
+        def no_gram(pairing):
+            raise Reached
+
+        monkeypatch.setattr(symplectic, "pairing_quadric_gram", no_gram)
+        with pytest.raises(ValueError, match="budget of %d" % MAX_QUADRIC_N):
+            normal_cone_quadric(MAX_QUADRIC_N + 1)
+        with pytest.raises(Reached):
+            normal_cone_quadric(MAX_QUADRIC_N)
 
 
 class TestFixedLocus:
