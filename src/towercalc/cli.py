@@ -25,6 +25,7 @@ import os
 import re
 import sys
 
+from . import exactnum
 from .exactnum import ParamPoly
 from .scenarios import (
     BadParameterError,
@@ -59,8 +60,10 @@ def _parse_n_spec(text: str) -> list:
     match = _RANGE_RE.match(text)
     if match:
         lo, hi = int(match.group(1)), int(match.group(2))
-        if lo < 3:
-            raise UsageError("n must be >= 3 (range starts at %d)" % lo)
+        if lo < exactnum.N_MIN:
+            raise UsageError(
+                "n must be >= %d (range starts at %d)" % (exactnum.N_MIN, lo)
+            )
         if hi < lo:
             raise UsageError("empty range %s" % text)
         if hi - lo + 1 > MAX_RANGE_WIDTH:
@@ -73,10 +76,11 @@ def _parse_n_spec(text: str) -> list:
         n = int(text)
     except ValueError:
         raise UsageError(
-            "invalid n %r: use an integer >= 3, %r, or range:A..B" % (text, SYMBOLIC)
+            "invalid n %r: use an integer >= %d, %r, or range:A..B"
+            % (text, exactnum.N_MIN, SYMBOLIC)
         )
-    if n < 3:
-        raise UsageError("n must be >= 3 (got %d)" % n)
+    if n < exactnum.N_MIN:
+        raise UsageError("n must be >= %d (got %d)" % (exactnum.N_MIN, n))
     return [n]
 
 

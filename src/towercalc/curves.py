@@ -19,7 +19,6 @@ from operator import mul
 from typing import Mapping, Sequence
 
 from .exactnum import (
-    SIGN_SAMPLE_START,
     ExactMatrix,
     NoSolutionError,
     ParamPoly,
@@ -130,123 +129,84 @@ class CurveClass:
 
 
 # ---------------------------------------------------------------------------
-# atomic curve descriptors
+# atomic curve constructors
 
 
-@dataclass(frozen=True)
-class LineInProjFiber:
+def line_in_proj_fiber(taut_name: str, space: Space) -> CurveClass:
     """A line inside a fiber of the projective bundle that created the named
     tautological generator: degree 1 there, 0 against everything else."""
+    names = space.pic_names()
+    creators = [
+        s
+        for s in space.ancestors()
+        if isinstance(s, ProjBundle) and s.taut_name == taut_name
+    ]
+    if not creators:
+        raise CurveSpaceError(
+            "%r is not a projective-bundle generator of %s" % (taut_name, space.name)
+        )
+    vec = [ParamPoly()] * len(names)
+    vec[names.index(taut_name)] = aspoly(1)
+    return CurveClass(space, tuple(vec), provenance="line in %s-fiber" % taut_name)
 
-    taut_name: str
 
-
-@dataclass(frozen=True)
-class LineInExceptionalFiber:
+def line_in_exceptional_fiber(direction: str, space: Space) -> CurveClass:
     """A line along a named ruling of an exceptional fiber; its degree on the
     exceptional class comes from the blow-up's declared restriction class."""
+    names = space.pic_names()
+    hits = []
+    for s in space.ancestors():
+        if isinstance(s, BlowUp) and s.center.exc_restriction is not None:
+            if direction in s.center.exc_restriction.directions:
+                hits.append(s)
+    if not hits:
+        raise CurveSpaceError(
+            "no blow-up of %s declares the ruling %r" % (space.name, direction)
+        )
+    if len(hits) > 1:
+        raise CurveSpaceError(
+            "ruling %r is declared by more than one blow-up" % direction
+        )
+    up = hits[0]
+    vec = [ParamPoly()] * len(names)
+    vec[names.index(up.exc_name)] = up.center.exc_restriction.degree_on(direction)
+    return CurveClass(
+        space, tuple(vec), provenance="line in exceptional fiber along %s" % direction
+    )
 
-    direction: str
 
-
-@dataclass(frozen=True)
-class StrictTransform:
+def strict_transform(
+    ambient_curve: CurveClass, mult_at_center: int, space: Space
+) -> CurveClass:
     """Strict transform in a blow-up of an ambient curve meeting the center
     with the given multiplicity."""
+    if mult_at_center < 0:
+        raise ValueError("multiplicity must be >= 0")
+    if not isinstance(space, BlowUp):
+        raise CurveSpaceError("strict transforms live on a blow-up")
+    if ambient_curve.space.pic_names() != space.ambient.pic_names():
+        raise CurveSpaceError(
+            "ambient curve lives on %s, not on the blow-up's ambient %s"
+            % (ambient_curve.space.name, space.ambient.name)
+        )
+    vec = list(ambient_curve.vector) + [aspoly(mult_at_center)]
+    return CurveClass(
+        space, tuple(vec), provenance="strict transform (mult %d)" % mult_at_center
+    )
 
-    ambient_curve: CurveClass
-    mult_at_center: int = 1
 
-    def __post_init__(self):
-        if self.mult_at_center < 0:
-            raise ValueError("multiplicity must be >= 0")
-
-
-@dataclass(frozen=True)
-class DeclaredSection:
+def declared_section(vector: Sequence, note: str, space: Space) -> CurveClass:
     """A curve class given directly by its vector, with a derivation note."""
-
-    vector: tuple
-    note: str
-
-
-AtomicCurveSpec = (LineInProjFiber, LineInExceptionalFiber, StrictTransform, DeclaredSection)
-
-
-def curve_from_atomic(space: Space, atomic) -> CurveClass:
-    names = space.pic_names()
-    if isinstance(atomic, LineInProjFiber):
-        creators = [
-            s
-            for s in space.ancestors()
-            if isinstance(s, ProjBundle) and s.taut_name == atomic.taut_name
-        ]
-        if not creators:
-            raise CurveSpaceError(
-                "%r is not a projective-bundle generator of %s"
-                % (atomic.taut_name, space.name)
-            )
-        vec = [ParamPoly()] * len(names)
-        vec[names.index(atomic.taut_name)] = aspoly(1)
-        return CurveClass(
-            space, tuple(vec), provenance="line in %s-fiber" % atomic.taut_name
-        )
-    if isinstance(atomic, LineInExceptionalFiber):
-        hits = []
-        for s in space.ancestors():
-            if isinstance(s, BlowUp) and s.center.exc_restriction is not None:
-                if atomic.direction in s.center.exc_restriction.directions:
-                    hits.append(s)
-        if not hits:
-            raise CurveSpaceError(
-                "no blow-up of %s declares the ruling %r"
-                % (space.name, atomic.direction)
-            )
-        if len(hits) > 1:
-            raise CurveSpaceError(
-                "ruling %r is declared by more than one blow-up" % atomic.direction
-            )
-        up = hits[0]
-        vec = [ParamPoly()] * len(names)
-        vec[names.index(up.exc_name)] = up.center.exc_restriction.degree_on(
-            atomic.direction
-        )
-        return CurveClass(
-            space,
-            tuple(vec),
-            provenance="line in exceptional fiber along %s" % atomic.direction,
-        )
-    if isinstance(atomic, StrictTransform):
-        if not isinstance(space, BlowUp):
-            raise CurveSpaceError("strict transforms live on a blow-up")
-        amb = atomic.ambient_curve
-        if amb.space.pic_names() != space.ambient.pic_names():
-            raise CurveSpaceError(
-                "ambient curve lives on %s, not on the blow-up's ambient %s"
-                % (amb.space.name, space.ambient.name)
-            )
-        vec = list(amb.vector) + [aspoly(atomic.mult_at_center)]
-        return CurveClass(
-            space,
-            tuple(vec),
-            provenance="strict transform (mult %d)" % atomic.mult_at_center,
-        )
-    if isinstance(atomic, DeclaredSection):
-        return CurveClass(
-            space,
-            tuple(aspoly(v) for v in atomic.vector),
-            provenance="declared: %s" % atomic.note,
-        )
-    raise TypeError("not an atomic curve descriptor: %r" % (atomic,))
+    return CurveClass(
+        space, tuple(aspoly(v) for v in vector), provenance="declared: %s" % note
+    )
 
 
 # ---------------------------------------------------------------------------
 # pairing
 
 
-def intersect(c, d: DivClass) -> ParamPoly:
-    if not isinstance(c, CurveClass):
-        c = curve_from_atomic(d.space, c)
+def intersect(c: CurveClass, d: DivClass) -> ParamPoly:
     if c.space.pic_names() != d.space.pic_names():
         raise CurveSpaceError(
             "curve on %s paired with class on %s" % (c.space.name, d.space.name)
@@ -294,7 +254,6 @@ class KNegEntry:
 
 @dataclass(frozen=True)
 class KNegReport:
-    start: int
     entries: tuple[KNegEntry, ...]
 
     @property
@@ -302,14 +261,14 @@ class KNegReport:
         return all(e.negative_for_all for e in self.entries)
 
 
-def kneg_check(k_class: DivClass, curves: Sequence[CurveClass], start: int = SIGN_SAMPLE_START) -> KNegReport:
+def kneg_check(k_class: DivClass, curves: Sequence[CurveClass]) -> KNegReport:
     """Pair the canonical-type class against each curve and decide strict
-    negativity for every integer parameter value >= start."""
+    negativity for every integer parameter value >= N_MIN."""
     entries = []
     for c in curves:
         p = intersect(c, k_class)
-        entries.append(KNegEntry(c, p, negative_on_integers_from(p, start)))
-    return KNegReport(start, tuple(entries))
+        entries.append(KNegEntry(c, p, negative_on_integers_from(p)))
+    return KNegReport(tuple(entries))
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +342,6 @@ def extremal_certificate(
     cone: Cone,
     face: Sequence,
     height_bound: int = DEFAULT_HEIGHT_BOUND,
-    start: int = SIGN_SAMPLE_START,
 ) -> ExtremalCertificate:
     """Search for an integral supporting functional vanishing on the face
     generators and strictly positive on every other generator.
@@ -422,7 +380,7 @@ def extremal_certificate(
             if any(_dot(cand, row) for row in face_rows):
                 continue
             if all(
-                positive_on_integers_from(_value(cand, rows[j]), start)
+                positive_on_integers_from(_value(cand, rows[j]))
                 for j in others
             ):
                 return ExtremalCertificate(
@@ -432,7 +390,7 @@ def extremal_certificate(
                     height=h,
                     note="exhaustive search, lexicographic first hit",
                 )
-    witness = _dependency_witness(cone, face_idx, others, start)
+    witness = _dependency_witness(cone, face_idx, others)
     note = "no supporting functional within height %d" % height_bound
     if witness is not None:
         note += "; a face generator is a nonnegative combination of the others"
@@ -454,7 +412,7 @@ def _face_indices(cone: Cone, face: Sequence) -> list[int]:
     return sorted(set(idx))
 
 
-def _dependency_witness(cone: Cone, face_idx, others, start) -> dict | None:
+def _dependency_witness(cone: Cone, face_idx, others) -> dict | None:
     """Try to express some face generator as a nonnegative rational
     combination of the non-face generators, smallest support first."""
     for fi in face_idx:
@@ -469,7 +427,7 @@ def _dependency_witness(cone: Cone, face_idx, others, start) -> dict | None:
                     sol = solve_linear_generic(mat, target)
                 except (NoSolutionError, UnderdeterminedError, ValueError):
                     continue
-                if all(nonnegative_on_integers_from(s, start) for s in sol):
+                if all(nonnegative_on_integers_from(s) for s in sol):
                     return {
                         "face_generator": fi,
                         "combination": {

@@ -2,19 +2,15 @@
 
 Rationals, sparse polynomials in one integer parameter ``n`` with an exact
 decision of their sign on the integers ``n >= 3``, small exact matrices with
-Gaussian elimination, and the prime-field configuration of the brute-force
-enumeration oracles.  Floating point is deliberately absent from this module
+Gaussian elimination.  Floating point is deliberately absent from this module
 and from everything built on top of it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
-
-Rat = Fraction
 
 #: Degree cap for ParamPoly.  Nothing in the verified constructions needs more,
 #: and the cap fails fast on runaway symbolic growth.
@@ -206,14 +202,16 @@ def rat_str(c) -> str:
 
 
 # ---------------------------------------------------------------------------
-# sign of a polynomial on the integers from a start value on
+# sign of a polynomial on the integers n >= N_MIN
 
-#: First parameter value the verified constructions are claimed for.
-SIGN_SAMPLE_START = 3
+#: Least value of the integer parameter n: every verified construction is
+#: claimed for the integers n >= N_MIN.  Read at call time, never bound as a
+#: default argument.
+N_MIN = 3
 
 
-def _signs_from(p: ParamPoly, start: int) -> set:
-    """The signs (-1, 0, 1) that p(k) takes over the integers k >= start.
+def _signs_from(p: ParamPoly) -> set:
+    """The signs (-1, 0, 1) that p(k) takes over the integers k >= N_MIN.
 
     Every root of p lies below the Cauchy bound 1 + max |a_i / a_d|, so from
     the bound on p has the sign of its leading coefficient; the integers
@@ -224,7 +222,7 @@ def _signs_from(p: ParamPoly, start: int) -> set:
     d = p.degree
     lead = p.coeff(d)
     bound = 1 + max(abs(p.coeff(i) / lead) for i in range(d))
-    window = range(start, max(start, math.ceil(bound)) + 1)
+    window = range(N_MIN, max(N_MIN, math.ceil(bound)) + 1)
     return {_sign(p.eval(k)) for k in window} | {_sign(lead)}
 
 
@@ -232,19 +230,19 @@ def _sign(x: Fraction) -> int:
     return (x > 0) - (x < 0)
 
 
-def negative_on_integers_from(p: ParamPoly, start: int = SIGN_SAMPLE_START) -> bool:
-    """Exact verdict of p(k) < 0 for every integer k >= start."""
-    return _signs_from(p, start) == {-1}
+def negative_on_integers_from(p: ParamPoly) -> bool:
+    """Exact verdict of p(k) < 0 for every integer k >= N_MIN."""
+    return _signs_from(p) == {-1}
 
 
-def positive_on_integers_from(p: ParamPoly, start: int = SIGN_SAMPLE_START) -> bool:
-    """Exact verdict of p(k) > 0 for every integer k >= start."""
-    return _signs_from(p, start) == {1}
+def positive_on_integers_from(p: ParamPoly) -> bool:
+    """Exact verdict of p(k) > 0 for every integer k >= N_MIN."""
+    return _signs_from(p) == {1}
 
 
-def nonnegative_on_integers_from(p: ParamPoly, start: int = SIGN_SAMPLE_START) -> bool:
-    """Exact verdict of p(k) >= 0 for every integer k >= start."""
-    return -1 not in _signs_from(p, start)
+def nonnegative_on_integers_from(p: ParamPoly) -> bool:
+    """Exact verdict of p(k) >= 0 for every integer k >= N_MIN."""
+    return -1 not in _signs_from(p)
 
 
 def _const_value(x) -> int | Fraction | None:
@@ -492,14 +490,11 @@ def inverse(a: ExactMatrix) -> ExactMatrix:
     return ExactMatrix([row[k:] for row in rows])
 
 
-GENERIC_SAMPLE_START = 3
-
-
 def solve_linear_generic(a: ExactMatrix, b: Sequence) -> "tuple[ParamPoly, ...]":
     """Solve A x = b where entries may depend on the parameter.
 
     Constant systems go straight to the rational solver.  Symbolic systems are
-    solved at MAX_DEGREE+1 integer parameter values starting at 3, each
+    solved at MAX_DEGREE+1 integer parameter values starting at N_MIN, each
     coordinate is interpolated, and the result is re-substituted at two fresh
     parameter values; a mismatch there means the solution is not polynomial
     within the degree cap and is reported as a LinearSolveError.
@@ -510,7 +505,7 @@ def solve_linear_generic(a: ExactMatrix, b: Sequence) -> "tuple[ParamPoly, ...]"
     if a.is_constant() and all(x.is_constant() for x in bvec):
         sol = solve_linear(a, [x.constant_value() for x in bvec])
         return tuple(ParamPoly.const(c) for c in sol)
-    samples = list(range(GENERIC_SAMPLE_START, GENERIC_SAMPLE_START + MAX_DEGREE + 1))
+    samples = list(range(N_MIN, N_MIN + MAX_DEGREE + 1))
     per_point = [
         solve_linear(a.eval_at(n), [x.eval(n) for x in bvec]) for n in samples
     ]
@@ -553,14 +548,3 @@ def interpolate_poly(points: Sequence[tuple[int, Fraction]]) -> ParamPoly:
             raise AssertionError("interpolation re-substitution failed")
     return total
 
-
-@dataclass(frozen=True)
-class PrimeFieldConfig:
-    """Configuration for brute-force enumeration over a small prime field."""
-
-    modulus: int = 3
-
-    def __post_init__(self):
-        m = self.modulus
-        if m < 2 or any(m % d == 0 for d in range(2, math.isqrt(m) + 1)):
-            raise ValueError("modulus %d is not prime" % m)

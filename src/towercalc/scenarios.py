@@ -30,6 +30,7 @@ from fractions import Fraction
 from functools import partial
 from importlib import resources
 
+from . import exactnum
 from .census import (
     isotropy_equivalence_f3,
     omega_census,
@@ -43,20 +44,19 @@ from .curves import (
     ChainStep,
     Cone,
     ContractionData,
-    DeclaredSection,
-    LineInExceptionalFiber,
-    LineInProjFiber,
     PropagationError,
-    StrictTransform,
-    curve_from_atomic,
+    declared_section,
     extremal_certificate,
     intersect,
     kneg_check,
+    line_in_exceptional_fiber,
+    line_in_proj_fiber,
     mori_propagate,
     pairing_table,
     push_from_sublattice,
     restriction_kernel,
     solve_pushforward,
+    strict_transform,
 )
 from .exactnum import (
     ExactMatrix,
@@ -87,10 +87,8 @@ from .towers import (
     pull_to,
     quotient,
     relative_tangent,
-    sym_power,
     tensor_line,
     transport_class,
-    wedge_top,
 )
 
 SYMBOLIC = "symbolic"
@@ -555,24 +553,14 @@ BUNDLE_KINDS = {
     ),
     "dual": (lambda of: dual(of), {"of": _bundle}),
     "quotient": (lambda of, sub: quotient(of, sub), {"of": _bundle, "sub": _bundle}),
-    "tensor-line": (
-        lambda of, line: tensor_line(of, of.space.div(line)),
-        {"of": _bundle, "line": _vector},
-    ),
     "extension": (
         lambda sub, quot: extension(sub, quot),
         {"sub": _bundle, "quot": _bundle},
     ),
-    "sym-power": (
-        lambda of, power: sym_power(of, power),
-        {"of": _bundle, "power": _integer},
-    ),
-    "wedge-top": (lambda of: wedge_top(of), {"of": _bundle}),
     "relative-tangent": (
         lambda space: relative_tangent(space),
         {"space": _ref("spaces", ProjBundle, "projective bundle")},
     ),
-    "pull-to": (lambda of, space: pull_to(of, space), {"of": _bundle, "space": _space}),
 }
 
 _MAP_BASES = {"name": _name, "source": _names, "target": _names}
@@ -592,18 +580,28 @@ MAP_KINDS = {
     ),
 }
 
-#: Atomic curve descriptors, read from a curve entry's ``atomic`` object.
+#: Atomic curve constructors, read from a curve entry's ``atomic`` object.
+#: A row's function takes the declared fields in order, then the entry's space.
 CURVE_KINDS = {
-    "line-in-proj-fiber": (LineInProjFiber, {"taut": _name}),
-    "line-in-exceptional-fiber": (LineInExceptionalFiber, {"direction": _name}),
+    "line-in-proj-fiber": (
+        lambda taut, space: line_in_proj_fiber(taut, space),
+        {"taut": _name},
+    ),
+    "line-in-exceptional-fiber": (
+        lambda direction, space: line_in_exceptional_fiber(direction, space),
+        {"direction": _name},
+    ),
     "strict-transform": (
-        StrictTransform,
+        lambda ambient_curve, mult, space: strict_transform(ambient_curve, mult, space),
         {"ambient_curve": _curve, "mult": (_integer, 1)},
     ),
-    "declared": (DeclaredSection, {"vector": _vector, "note": (_name, "")}),
+    "declared": (
+        lambda vector, note, space: declared_section(vector, note, space),
+        {"vector": _vector, "note": (_name, "")},
+    ),
     "pushed": (
-        lambda matrix, degrees, note: DeclaredSection(
-            push_from_sublattice(matrix.matrix, degrees), note
+        lambda matrix, degrees, note, space: declared_section(
+            push_from_sublattice(matrix.matrix, degrees), note, space
         ),
         {"matrix": _map, "degrees": _vector, "note": (_name, "")},
     ),
@@ -612,9 +610,10 @@ CURVE_KINDS = {
 _SPACE_ENTRY = _kinded(SPACE_KINDS, "space kind")
 _BUNDLE_ENTRY = _kinded(BUNDLE_KINDS, "bundle kind")
 _MAP_ENTRY = _kinded(MAP_KINDS, "map kind")
+_CURVE_KIND = _one_of(CURVE_KINDS, "curve kind")
 _CURVE_ENTRY = _object(
-    lambda space, atomic: curve_from_atomic(space, atomic),
-    {"space": _space, "atomic": _kinded(CURVE_KINDS, "curve kind")},
+    lambda space, curve: curve(space),
+    {"space": _space, "atomic": lambda raw, env: _row(raw, "kind", _CURVE_KIND, env)},
 )
 
 
@@ -1090,9 +1089,11 @@ def _validate_n(n):
     if n == SYMBOLIC:
         return
     if isinstance(n, bool) or not isinstance(n, int):
-        raise BadParameterError("n must be an integer >= 3 or %r" % SYMBOLIC)
-    if n < 3:
-        raise BadParameterError("n must be >= 3 (got %d)" % n)
+        raise BadParameterError(
+            "n must be an integer >= %d or %r" % (exactnum.N_MIN, SYMBOLIC)
+        )
+    if n < exactnum.N_MIN:
+        raise BadParameterError("n must be >= %d (got %d)" % (exactnum.N_MIN, n))
 
 
 def _reject_floats(value, where: str):

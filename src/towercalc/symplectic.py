@@ -16,12 +16,8 @@ from functools import cached_property
 from itertools import product
 from typing import Sequence
 
-from .exactnum import (
-    ExactMatrix,
-    PrimeFieldConfig,
-    nullspace,
-    rank,
-)
+from . import exactnum
+from .exactnum import ExactMatrix, nullspace, rank
 
 
 class StabilizerClass(enum.Enum):
@@ -79,9 +75,6 @@ class SymplecticSpace:
     def _terms(self) -> tuple[tuple[int, int, int | Fraction], ...]:
         return _nonzero_terms(self.gram)
 
-    def omega(self, v: Sequence, w: Sequence) -> Fraction:
-        return _bilinear(self._terms, v, w)
-
 
 def _nonzero_terms(gram: ExactMatrix) -> tuple[tuple[int, int, int | Fraction], ...]:
     """The (i, j, g_ij) with g_ij != 0 of a constant gram; integral entries
@@ -103,22 +96,13 @@ def _exact(x) -> int | Fraction:
     return x.numerator if x.denominator == 1 else x
 
 
-def _bilinear(terms, v: Sequence, w: Sequence) -> Fraction:
-    """sum v_i g_ij w_j over the nonzero terms of a gram, for any rational
-    input.
-
-    Integral inputs stay int until the one Fraction of the result.  A
-    nonsingular gram has a nonzero entry in every row and column, so a
-    vector shorter than the gram still fails with IndexError.
-    """
-    v = [_exact(x) for x in v]
-    w = [_exact(x) for x in w]
-    return Fraction(_raw_bilinear(terms, v, w))
-
-
 def _raw_bilinear(terms, v: Sequence, w: Sequence) -> int | Fraction:
-    """sum v_i g_ij w_j for vectors whose entries are already int or
-    Fraction, with no conversion."""
+    """sum v_i g_ij w_j over the nonzero terms of a gram, for vectors whose
+    entries are already int or Fraction, with no conversion.
+
+    A nonsingular gram has a nonzero entry in every row and column, so a
+    vector shorter than the gram fails with IndexError.
+    """
     return sum(v[i] * g * w[j] for i, j, g in terms)
 
 
@@ -147,7 +131,11 @@ class QuadSpaceW:
         return _nonzero_terms(self.gram)
 
     def kappa(self, v: Sequence, w: Sequence) -> Fraction:
-        return _bilinear(self._terms, v, w)
+        """kappa(v, w) for any rational input; integral inputs stay int until
+        the one Fraction of the result."""
+        v = [_exact(x) for x in v]
+        w = [_exact(x) for x in w]
+        return Fraction(_raw_bilinear(self._terms, v, w))
 
 
 @dataclass(frozen=True)
@@ -244,16 +232,11 @@ def yoneda_omega(phi: HomWE, e_space: SymplecticSpace) -> tuple[Fraction, Fracti
 
 @dataclass(frozen=True)
 class ExtPair:
-    """Off-diagonal ext pair (e12, e21) with a nonsingular pairing.
-
-    Optional diagonal components are carried unused; only their lengths are
-    validated.
-    """
+    """Off-diagonal ext pair (e12, e21) with a nonsingular pairing."""
 
     e12: tuple
     e21: tuple
     pairing: ExactMatrix | None = None
-    diag: tuple | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "e12", tuple(Fraction(x) for x in self.e12))
@@ -267,8 +250,6 @@ class ExtPair:
             raise ValueError("pairing shape mismatch")
         if rank(p) != p.rows:
             raise SingularPairingError("pairing is singular")
-        if self.diag is not None and len(self.diag) != 2:
-            raise ValueError("diag carries exactly (e11, e22)")
 
     def pair(self) -> Fraction:
         g = self.pairing.const_entries()
@@ -319,13 +300,12 @@ def po2_act(element, pair: ExtPair) -> tuple[ExtPair, dict]:
             tuple(element.lam * x for x in pair.e12),
             tuple(x / element.lam for x in pair.e21),
             pair.pairing,
-            pair.diag,
         )
         relation = "preserved"
         expected = before
     elif isinstance(element, Swap):
         flipped = -pair.pairing.transpose()
-        out = ExtPair(pair.e21, pair.e12, flipped, pair.diag)
+        out = ExtPair(pair.e21, pair.e12, flipped)
         relation = "negated"
         expected = -before
     else:
@@ -351,7 +331,6 @@ MAX_QUADRIC_N = 100
 @dataclass(frozen=True)
 class QuadricModel:
     nvars: int
-    gram: ExactMatrix
     rank: int
 
     @property
@@ -383,8 +362,8 @@ def normal_cone_quadric(n: int, pairing: ExactMatrix | None = None) -> QuadricMo
     reduction is cubic in n, so an n above MAX_QUADRIC_N raises ValueError
     before any matrix is built.
     """
-    if not isinstance(n, int) or n < 3:
-        raise ValueError("n must be an integer >= 3")
+    if not isinstance(n, int) or n < exactnum.N_MIN:
+        raise ValueError("n must be an integer >= %d" % exactnum.N_MIN)
     if n > MAX_QUADRIC_N:
         raise ValueError(
             "n %d is above the quadric budget of %d" % (n, MAX_QUADRIC_N)
@@ -397,13 +376,16 @@ def normal_cone_quadric(n: int, pairing: ExactMatrix | None = None) -> QuadricMo
     if rank(pairing) < k:
         raise DegenerateModelError("pairing is rank deficient")
     gram = pairing_quadric_gram(pairing)
-    return QuadricModel(nvars=2 * k, gram=gram, rank=rank(gram))
+    return QuadricModel(nvars=2 * k, rank=rank(gram))
+
+
+#: The prime field of `fixed_locus_incidence`.
+FIELD_PRIME = 3
 
 
 @dataclass(frozen=True)
 class IncidenceFixedLocusReport:
     dim: int
-    modulus: int
     projective_points: int
     incidence_pairs: int
     fixed_pairs: int
@@ -424,11 +406,10 @@ def _projective_points(dim: int, p: int) -> list[tuple[int, ...]]:
     return pts
 
 
-def fixed_locus_incidence(
-    dim: int, cfg: PrimeFieldConfig = PrimeFieldConfig()
-) -> IncidenceFixedLocusReport:
-    """Enumerate the incidence locus {([v],[w]) : omega(v, w) = 0} over F_p
-    and intersect it with the fixed locus of the swap ([v],[w]) -> ([w],[v]).
+def fixed_locus_incidence(dim: int) -> IncidenceFixedLocusReport:
+    """Enumerate the incidence locus {([v],[w]) : omega(v, w) = 0} over F_p,
+    p = FIELD_PRIME, and intersect it with the fixed locus of the swap
+    ([v],[w]) -> ([w],[v]).
 
     The expected outcome, checked by the caller, is that the fixed pairs are
     exactly the diagonal ones; the diagonal always lies in the incidence
@@ -436,7 +417,7 @@ def fixed_locus_incidence(
     """
     if dim % 2 != 0 or dim < 2 or dim > 6:
         raise ValueError("dim must be even with 2 <= dim <= 6")
-    p = cfg.modulus
+    p = FIELD_PRIME
     m = dim // 2
     pts = _projective_points(dim, p)
 
@@ -459,7 +440,6 @@ def fixed_locus_incidence(
             raise AssertionError("diagonal point outside incidence locus")
     return IncidenceFixedLocusReport(
         dim=dim,
-        modulus=p,
         projective_points=len(pts),
         incidence_pairs=incidence,
         fixed_pairs=fixed,

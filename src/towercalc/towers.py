@@ -15,8 +15,6 @@ canonical class and intersection bookkeeping consume.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import comb
 from typing import Sequence
 
 from .exactnum import (
@@ -83,9 +81,6 @@ class Space:
                 % (self.pic_rank, self.name, len(coords))
             )
         return DivClass(self, coords)
-
-    def zero(self) -> "DivClass":
-        return DivClass(self, tuple(ParamPoly() for _ in self.pic_names()))
 
     def __repr__(self):
         return "<%s %s>" % (type(self).__name__, self.name)
@@ -403,43 +398,17 @@ def tensor_line(f: FormalBundle, line: DivClass) -> FormalBundle:
     return FormalBundle(f.space, f.rank, f.c1 + line * f.rank, name=f.name)
 
 
-def dsum(f: FormalBundle, g: FormalBundle) -> FormalBundle:
-    if f.space.pic_names() != g.space.pic_names():
-        raise LatticeError("summands on different spaces")
-    return FormalBundle(f.space, f.rank + g.rank, f.c1 + g.c1)
-
-
 def extension(sub: FormalBundle, quot: FormalBundle) -> FormalBundle:
     """Middle term of an extension; rank and c1 are additive."""
-    return dsum(sub, quot)
+    if sub.space.pic_names() != quot.space.pic_names():
+        raise LatticeError("summands on different spaces")
+    return FormalBundle(sub.space, sub.rank + quot.rank, sub.c1 + quot.c1)
 
 
 def quotient(total: FormalBundle, sub: FormalBundle) -> FormalBundle:
     if total.space.pic_names() != sub.space.pic_names():
         raise LatticeError("quotient on different spaces")
     return FormalBundle(total.space, total.rank - sub.rank, total.c1 - sub.c1)
-
-
-def sym2(f: FormalBundle) -> FormalBundle:
-    r = f.rank
-    return FormalBundle(f.space, r * (r + 1) * Fraction(1, 2), f.c1 * (r + 1))
-
-
-def sym_power(f: FormalBundle, k: int) -> FormalBundle:
-    """Symmetric power for constant-rank bundles."""
-    if k < 1:
-        raise ValueError("power must be >= 1")
-    r = f.rank.constant_value()
-    if r.denominator != 1:
-        raise ValueError("rank must be an integer")
-    r = int(r)
-    rank_out = comb(r + k - 1, k)
-    c1_mult = comb(r + k - 1, k - 1)
-    return FormalBundle(f.space, aspoly(rank_out), f.c1 * c1_mult)
-
-
-def wedge_top(f: FormalBundle) -> FormalBundle:
-    return FormalBundle(f.space, aspoly(1), f.c1, name="det(%s)" % f.name)
 
 
 def pull_to(f: FormalBundle, dst: Space) -> FormalBundle:

@@ -188,6 +188,11 @@ def test_parse_error_in_scenario_file(capsys, tmp_path):
     assert "parse error at line" in err
 
 
+KNOWN_BUNDLE_KINDS = (
+    "known bundle kinds: declared, dual, extension, quotient, relative-tangent"
+)
+
+
 @pytest.mark.parametrize(
     "scenario, section, entry, field, value, needle",
     [
@@ -286,6 +291,22 @@ def test_parse_error_in_scenario_file(capsys, tmp_path):
             ["-1", "0", "0", "5"],
             "expected 3 coordinates",
         ),
+        (
+            "euler-convention",
+            "bundles",
+            "curve_cotangent",
+            "kind",
+            "sym-power",
+            KNOWN_BUNDLE_KINDS,
+        ),
+        (
+            "euler-convention",
+            "bundles",
+            "curve_cotangent",
+            "kind",
+            "pull-to",
+            KNOWN_BUNDLE_KINDS,
+        ),
     ],
     ids=[
         "zero-denominator",
@@ -313,6 +334,8 @@ def test_parse_error_in_scenario_file(capsys, tmp_path):
         "string-as-directions",
         "ragged-terms",
         "long-normal",
+        "sym-power-bundle",
+        "pull-to-bundle",
     ],
 )
 def test_bad_document_is_a_named_error(
@@ -330,6 +353,28 @@ def test_bad_document_is_a_named_error(
     assert code == 2
     assert entry in err and needle in err
     assert "Traceback" not in err
+
+
+def test_sym_power_of_a_large_rank_is_a_named_error(capsys, tmp_path):
+    # A symmetric power of rank and power 2 * 10^5 costs seconds of binomial
+    # coefficients; no bundle kind computes one, so the document stops at once.
+    doc = scenario_doc("euler-convention")
+    rank = str(2 * 10**5)
+    doc["bundles"] += [
+        {
+            "name": "big",
+            "kind": "declared",
+            "space": "grass3",
+            "rank": rank,
+            "c1": ["1"],
+        },
+        {"name": "big_power", "kind": "sym-power", "of": "big", "power": rank},
+    ]
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, _, err = run(capsys, ["verify", "--scenario-file", str(path)])
+    assert code == 2
+    assert "big_power" in err and KNOWN_BUNDLE_KINDS in err
 
 
 def _field_paths(node, prefix=()):

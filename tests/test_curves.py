@@ -37,26 +37,25 @@ from towercalc.curves import (
     ContractionData,
     CurveClass,
     CurveSpaceError,
-    DeclaredSection,
     ExtremalCertificate,
     InconsistentObservationError,
-    LineInExceptionalFiber,
-    LineInProjFiber,
     PropagationError,
     SingularTableError,
-    StrictTransform,
     _coefficient_rows,
     _dependency_witness,
     _face_indices,
-    curve_from_atomic,
+    declared_section,
     extremal_certificate,
     intersect,
     kneg_check,
+    line_in_exceptional_fiber,
+    line_in_proj_fiber,
     mori_propagate,
     pairing_table,
     push_from_sublattice,
     restriction_kernel,
     solve_pushforward,
+    strict_transform,
 )
 
 # Restriction of the four ambient generators to the boundary sublattice with
@@ -85,16 +84,16 @@ def build_jhat():
 
 
 def standard_curves(jz, jhat):
-    eps1 = curve_from_atomic(jz, LineInProjFiber("x2"))
-    eps2 = curve_from_atomic(jz, LineInProjFiber("x3"))
-    ehat1 = curve_from_atomic(jhat, StrictTransform(eps1, 1))
-    ehat2 = curve_from_atomic(jhat, StrictTransform(eps2, 1))
+    eps1 = line_in_proj_fiber("x2", jz)
+    eps2 = line_in_proj_fiber("x3", jz)
+    ehat1 = strict_transform(eps1, 1, jhat)
+    ehat2 = strict_transform(eps2, 1, jhat)
     sigma = CurveClass(
         jhat,
         push_from_sublattice(BOUNDARY_RESTRICTION, (0, 1, 0)),
         provenance="t-line pushed from the boundary sublattice",
     )
-    gamma = curve_from_atomic(jhat, LineInExceptionalFiber("w"))
+    gamma = line_in_exceptional_fiber("w", jhat)
     return ehat1, ehat2, sigma, gamma
 
 
@@ -107,30 +106,30 @@ def setup():
 class TestAtomics:
     def test_proj_fiber_line(self, setup):
         jz, *_ = setup
-        eps1 = curve_from_atomic(jz, LineInProjFiber("x2"))
+        eps1 = line_in_proj_fiber("x2", jz)
         assert eps1.vector == (aspoly(0), aspoly(1), aspoly(0))
 
     def test_unknown_taut_generator(self, setup):
         jz, *_ = setup
         with pytest.raises(CurveSpaceError):
-            curve_from_atomic(jz, LineInProjFiber("x9"))
+            line_in_proj_fiber("x9", jz)
 
     def test_base_generator_is_not_a_fiber_line(self, setup):
         jz, *_ = setup
         with pytest.raises(CurveSpaceError):
-            curve_from_atomic(jz, LineInProjFiber("x1"))
+            line_in_proj_fiber("x1", jz)
 
     def test_exceptional_line_uses_declared_degree(self, setup):
         _, jhat, *_ = setup
-        gamma = curve_from_atomic(jhat, LineInExceptionalFiber("w"))
+        gamma = line_in_exceptional_fiber("w", jhat)
         assert gamma.vector == (aspoly(0), aspoly(0), aspoly(0), aspoly(-1))
-        theta = curve_from_atomic(jhat, LineInExceptionalFiber("theta"))
+        theta = line_in_exceptional_fiber("theta", jhat)
         assert theta.degree_on("x4") == -1
 
     def test_unknown_ruling(self, setup):
         _, jhat, *_ = setup
         with pytest.raises(CurveSpaceError):
-            curve_from_atomic(jhat, LineInExceptionalFiber("nope"))
+            line_in_exceptional_fiber("nope", jhat)
 
     def test_simple_exceptional_fiber_degree(self):
         # Blow-up of a point-like center: a line in the exceptional fiber
@@ -139,34 +138,34 @@ class TestAtomics:
         up = BlowUp(
             "P3up", base, CenterSpec(3, RestrictionClassSpec(("f",), (-1,))), "e"
         )
-        line = curve_from_atomic(up, LineInExceptionalFiber("f"))
+        line = line_in_exceptional_fiber("f", up)
         assert line.degree_on("e") == -1
 
     def test_strict_transform_extends(self, setup):
         jz, jhat, ehat1, *_ = setup
         assert ehat1.vector == (aspoly(0), aspoly(1), aspoly(0), aspoly(1))
-        eps1 = curve_from_atomic(jz, LineInProjFiber("x2"))
-        off_center = curve_from_atomic(jhat, StrictTransform(eps1, 0))
+        eps1 = line_in_proj_fiber("x2", jz)
+        off_center = strict_transform(eps1, 0, jhat)
         assert off_center.degree_on("x4").is_zero()
         with pytest.raises(ValueError):
-            StrictTransform(eps1, -1)
+            strict_transform(eps1, -1, jhat)
 
     def test_strict_transform_needs_blowup(self, setup):
         jz, _, ehat1, *_ = setup
-        eps1 = curve_from_atomic(jz, LineInProjFiber("x2"))
+        eps1 = line_in_proj_fiber("x2", jz)
         with pytest.raises(CurveSpaceError):
-            curve_from_atomic(jz, StrictTransform(eps1, 1))
+            strict_transform(eps1, 1, jz)
 
     def test_declared_section(self, setup):
         _, jhat, *_ = setup
-        c = curve_from_atomic(jhat, DeclaredSection((1, -1, -1, -1), "by pushforward"))
+        c = declared_section((1, -1, -1, -1), "by pushforward", jhat)
         assert c.vector == (aspoly(1), aspoly(-1), aspoly(-1), aspoly(-1))
         assert "by pushforward" in c.provenance
 
     def test_wrong_length_declared(self, setup):
         _, jhat, *_ = setup
         with pytest.raises(CurveSpaceError):
-            curve_from_atomic(jhat, DeclaredSection((1, 2), "short"))
+            declared_section((1, 2), "short", jhat)
 
 
 class TestPairing:
@@ -200,8 +199,8 @@ class TestPairing:
 
     def test_atomic_intersect_shortcut(self, setup):
         jz, *_ = setup
-        assert intersect(LineInProjFiber("x2"), jz.gen("x2")) == 1
-        assert intersect(LineInProjFiber("x2"), jz.gen("x1")) == 0
+        assert intersect(line_in_proj_fiber("x2", jz), jz.gen("x2")) == 1
+        assert intersect(line_in_proj_fiber("x2", jz), jz.gen("x1")) == 0
 
     @given(
         a=st.integers(min_value=-9, max_value=9),
@@ -228,7 +227,7 @@ class TestPairing:
     @settings(max_examples=40, deadline=None)
     def test_projection_formula(self, coords):
         jz, jhat, ehat1, *_ = _MODULE_SETUP
-        eps1 = curve_from_atomic(jz, LineInProjFiber("x2"))
+        eps1 = line_in_proj_fiber("x2", jz)
         d = jz.div(coords)
         lifted = lift_class(d, jhat)
         assert intersect(ehat1, lifted) == intersect(eps1, d)
@@ -410,7 +409,7 @@ class TestExtremalCertificate:
         assert cert.functional == (0, 0, 0, 0)
 
 
-def reference_certificate(cone, face, height_bound, start=3):
+def reference_certificate(cone, face, height_bound):
     """The per-candidate ParamPoly search: pair every candidate with every
     generator, then test the face and the signs."""
     face_idx = _face_indices(cone, face)
@@ -425,7 +424,7 @@ def reference_certificate(cone, face, height_bound, start=3):
             ]
             if not all(values[i].is_zero() for i in face_idx):
                 continue
-            if all(positive_on_integers_from(values[j], start) for j in others):
+            if all(positive_on_integers_from(values[j]) for j in others):
                 return ExtremalCertificate(
                     status="certified",
                     functional=cand,
@@ -433,7 +432,7 @@ def reference_certificate(cone, face, height_bound, start=3):
                     height=h,
                     note="exhaustive search, lexicographic first hit",
                 )
-    witness = _dependency_witness(cone, face_idx, others, start)
+    witness = _dependency_witness(cone, face_idx, others)
     note = "no supporting functional within height %d" % height_bound
     if witness is not None:
         note += "; a face generator is a nonnegative combination of the others"

@@ -13,7 +13,6 @@ from towercalc.exactnum import (
     N,
     NoSolutionError,
     ParamPoly,
-    PrimeFieldConfig,
     UnderdeterminedError,
     aspoly,
     interpolate_poly,
@@ -276,15 +275,6 @@ class TestInterpolation:
     def test_duplicate_points_rejected(self) -> None:
         with pytest.raises(ValueError):
             interpolate_poly([(3, Fraction(1)), (3, Fraction(2))])
-
-
-class TestPrimeField:
-    def test_config_requires_prime(self) -> None:
-        for composite in (9, 25, 49):
-            with pytest.raises(ValueError):
-                PrimeFieldConfig(modulus=composite)
-        for prime in (2, 97):
-            assert PrimeFieldConfig(modulus=prime).modulus == prime
 
 
 class TestGenericSolve:

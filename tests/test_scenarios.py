@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from towercalc import scenarios
+from towercalc import exactnum, scenarios
 from towercalc.cli import REPORT_DIR_ENV, main
-from towercalc.exactnum import ParamPoly
+from towercalc.exactnum import N, ParamPoly, positive_on_integers_from
 from towercalc.scenarios import (
     BadParameterError,
     FORMAT_TAG,
@@ -34,6 +34,7 @@ from towercalc.scenarios import (
     scenario_doc,
     serialize_value,
 )
+from towercalc.symplectic import normal_cone_quadric
 
 ALL_NAMES = [info["name"] for info in list_scenarios()]
 
@@ -117,6 +118,26 @@ def test_data_file_is_its_own_canonical_export(filename):
     assert export_scenario(doc["name"]) == text
 
 
+def test_every_kind_and_recipe_is_named_by_a_packaged_document():
+    docs = [json.loads((DATA / f).read_text(encoding="utf-8")) for f in DATA_FILES]
+
+    def named(section, key="kind"):
+        return {e[key] for doc in docs for e in doc.get(section, [])}
+
+    curves = [e["atomic"] for doc in docs for e in doc.get("curves", [])]
+    maps = [m for doc in docs for m in doc.get("maps", [])]
+    tables = {
+        "SPACE_KINDS": named("spaces"),
+        "BUNDLE_KINDS": named("bundles"),
+        "MAP_KINDS": named("maps"),
+        "CURVE_KINDS": {atomic["kind"] for atomic in curves},
+        "CHECK_KINDS": named("expect", "check"),
+        "RECIPES": {m["recipe"] for m in maps if m["kind"] == "recipe"},
+    }
+    for table, names in tables.items():
+        assert set(getattr(scenarios, table)) <= names, table
+
+
 # ---------------------------------------------------------------------------
 # reports
 
@@ -191,6 +212,24 @@ def test_rejects_small_and_malformed_parameters():
         run_scenario("jz-intersection-table", True)
     with pytest.raises(BadParameterError):
         run_scenario("jz-intersection-table", "sym")
+
+
+def test_the_domain_start_is_one_constant(monkeypatch, capsys):
+    assert not positive_on_integers_from(N - 3)
+    monkeypatch.setattr(exactnum, "N_MIN", 4)
+    assert positive_on_integers_from(N - 3)
+    for argv_n, message in (
+        ("3", "n must be >= 4 (got 3)"),
+        ("range:3..5", "n must be >= 4 (range starts at 3)"),
+    ):
+        code = main(["verify", "--scenario", "picard-matrices", "--n", argv_n])
+        assert code == 2
+        assert message in capsys.readouterr().err
+    with pytest.raises(BadParameterError, match=r"n must be >= 4 \(got 3\)"):
+        run_scenario("picard-matrices", 3)
+    with pytest.raises(ValueError, match="n must be an integer >= 4"):
+        normal_cone_quadric(3)
+    assert run_scenario("picard-matrices", 4).passed
 
 
 def test_unknown_scenario_names_the_known_ones():
