@@ -309,7 +309,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--n",
             default=SYMBOLIC,
-            help="integer >= 3, 'symbolic', or 'range:A..B' (default: symbolic)",
+            help="integer >= %d, 'symbolic', or 'range:A..B' (default: symbolic)"
+            % exactnum.N_MIN,
         )
 
     def add_format(p):

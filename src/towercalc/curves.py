@@ -425,7 +425,7 @@ def _dependency_witness(cone: Cone, face_idx, others) -> dict | None:
                 )
                 try:
                     sol = solve_linear_generic(mat, target)
-                except (NoSolutionError, UnderdeterminedError, ValueError):
+                except ValueError:
                     continue
                 if all(nonnegative_on_integers_from(s) for s in sol):
                     return {

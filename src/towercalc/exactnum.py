@@ -389,17 +389,8 @@ class ExactMatrix:
         """The entries as fresh row lists of exact rationals, integral ones
         as int."""
         if self._const is None:
-            raise ValueError("matrix has symbolic entries; evaluate first")
+            raise ValueError("matrix has symbolic entries")
         return [list(row) for row in self._const]
-
-    def eval_at(self, n) -> "ExactMatrix":
-        return ExactMatrix(
-            [[x.eval(n) for x in row] for row in self.entries], cols=self.cols
-        )
-
-
-def matrix_product_is_identity(a: ExactMatrix, b: ExactMatrix) -> bool:
-    return (a * b).is_identity()
 
 
 def _rref(rows: list[list]) -> tuple[list[list], list[int]]:
@@ -491,60 +482,23 @@ def inverse(a: ExactMatrix) -> ExactMatrix:
 
 
 def solve_linear_generic(a: ExactMatrix, b: Sequence) -> "tuple[ParamPoly, ...]":
-    """Solve A x = b where entries may depend on the parameter.
+    """Solve A x = b for a constant A and a right-hand side that may depend on
+    the parameter.
 
-    Constant systems go straight to the rational solver.  Symbolic systems are
-    solved at MAX_DEGREE+1 integer parameter values starting at N_MIN, each
-    coordinate is interpolated, and the result is re-substituted at two fresh
-    parameter values; a mismatch there means the solution is not polynomial
-    within the degree cap and is reported as a LinearSolveError.
+    Since A does not depend on n, one exact solve A x_e = b_e per power n^e
+    of b (b_e its coefficient vector) gives x = sum_e n^e x_e, which solves
+    A x = b as a polynomial identity; it is unique at every n because A has
+    full column rank, else the first solve raises UnderdeterminedError.  A
+    power with no solution raises NoSolutionError, and a matrix with an entry
+    that depends on n raises LinearSolveError.
     """
     bvec = [aspoly(x) for x in b]
     if len(bvec) != a.rows:
         raise ValueError("rhs length %d, expected %d" % (len(bvec), a.rows))
-    if a.is_constant() and all(x.is_constant() for x in bvec):
-        sol = solve_linear(a, [x.constant_value() for x in bvec])
-        return tuple(ParamPoly.const(c) for c in sol)
-    samples = list(range(N_MIN, N_MIN + MAX_DEGREE + 1))
-    per_point = [
-        solve_linear(a.eval_at(n), [x.eval(n) for x in bvec]) for n in samples
-    ]
-    coords = [
-        interpolate_poly([(n, per_point[i][j]) for i, n in enumerate(samples)])
-        for j in range(a.cols)
-    ]
-    last = samples[-1]
-    for n in (last + 1, last + 2):
-        check = solve_linear(a.eval_at(n), [x.eval(n) for x in bvec])
-        if tuple(c.eval(n) for c in coords) != check:
-            raise LinearSolveError(
-                "solution is not polynomial within the degree cap"
-            )
-    return tuple(coords)
-
-
-def interpolate_poly(points: Sequence[tuple[int, Fraction]]) -> ParamPoly:
-    """Lagrange interpolation through exact sample points.
-
-    Used for the generic-in-n policy: compute at degree+1 concrete values of n
-    and reassemble the polynomial.  Degree cap applies.
-    """
-    if not points:
-        raise ValueError("need at least one point")
-    xs = [p[0] for p in points]
-    if len(set(xs)) != len(xs):
-        raise ValueError("duplicate sample points")
-    total = ParamPoly()
-    for i, (xi, yi) in enumerate(points):
-        term = ParamPoly.const(_as_rat(yi))
-        for j, (xj, _) in enumerate(points):
-            if i == j:
-                continue
-            term = term * ParamPoly({0: Fraction(-xj, 1), 1: 1})
-            term = term * Fraction(1, xi - xj)
-        total = total + term
-    for x, y in points:
-        if total.eval(x) != _as_rat(y):
-            raise AssertionError("interpolation re-substitution failed")
-    return total
-
+    if not a.is_constant():
+        raise LinearSolveError("matrix depends on n; only constant matrices are solved")
+    powers = sorted({0}.union(*(x.coeffs for x in bvec)))
+    parts = [solve_linear(a, [x.coeff(e) for x in bvec]) for e in powers]
+    return tuple(
+        ParamPoly({e: part[j] for e, part in zip(powers, parts)}) for j in range(a.cols)
+    )

@@ -64,7 +64,6 @@ from .exactnum import (
     ParamPoly,
     aspoly,
     inverse,
-    matrix_product_is_identity,
     rat_str,
     solve_linear,
 )
@@ -96,6 +95,12 @@ PROVENANCE_TAGS = ("reference", "derived", "trivial")
 POLICY_ANY = "symbolic-or-numeric"
 POLICY_NUMERIC = "numeric-only"
 FORMAT_TAG = "towercalc-scenario/1"
+#: Deepest nesting of lists and objects in a document (the packaged ones
+#: reach 9), so that no reader of a document runs out of stack.
+MAX_NESTING = 32
+#: Most entries in one section of a document (the packaged ones list at
+#: most 13), which also bounds the depth of a tower.
+MAX_SECTION_ENTRIES = 128
 
 
 class ScenarioError(Exception):
@@ -373,14 +378,9 @@ _curves = _list_of(_curve)
 
 
 def _ig_dim_poly(k: int) -> ParamPoly:
-    """Dimension of the isotropic-plane family: k(2n - k) - k(k-1)/2."""
+    """Dimension of the family of isotropic k-planes in a 2n-dimensional
+    symplectic space: k(2n - k) - k(k-1)/2."""
     return ParamPoly({1: 2 * k, 0: Fraction(-k * k) - Fraction(k * (k - 1), 2)})
-
-
-def ig_dim(k: int, m: int) -> int:
-    """Dimension of the family of isotropic k-planes in a 2m-dimensional
-    symplectic space."""
-    return k * (2 * m - k) - k * (k - 1) // 2
 
 
 def _chi_tower():
@@ -931,8 +931,8 @@ CHECK_KINDS = {
     "map-matrix": (lambda m, n: m.matrix, {"map": _map}),
     "matrix-product-identity": (
         lambda left, right, n: {
-            "left_right": matrix_product_is_identity(left.matrix, right.matrix),
-            "right_left": matrix_product_is_identity(right.matrix, left.matrix),
+            "left_right": (left.matrix * right.matrix).is_identity(),
+            "right_left": (right.matrix * left.matrix).is_identity(),
         },
         {"left": _map, "right": _map},
     ),
@@ -1004,7 +1004,7 @@ CHECK_KINDS = {
         _check_conormal_rank_consistency,
         {"ambient_dim": _number, "total": _space, "base": _space, "bundle": _bundle},
     ),
-    "ig-dim": (lambda k, m, n: ig_dim(k, m), {"k": _integer, "m": _integer}),
+    "ig-dim": (lambda k, m, n: _ig_dim_poly(k).eval(m), {"k": _integer, "m": _integer}),
     "exc-restriction-routes": (lambda n: exc_restriction_routes(), {}),
     "curve-degree": (
         lambda curve, divisor, n: intersect(curve, curve.space.div(divisor)),
@@ -1096,17 +1096,19 @@ def _validate_n(n):
         raise BadParameterError("n must be >= %d (got %d)" % (exactnum.N_MIN, n))
 
 
-def _reject_floats(value, where: str):
+def _check_values(value, where: str, depth: int = 0):
+    """Reject floats and nesting deeper than MAX_NESTING anywhere in value."""
     if isinstance(value, float):
         raise ScenarioFileError(
             "%s: non-exact number %r (use strings of integers or p/q)" % (where, value)
         )
-    if isinstance(value, dict):
-        for k, v in value.items():
-            _reject_floats(v, where)
-    elif isinstance(value, (list, tuple)):
-        for v in value:
-            _reject_floats(v, where)
+    if isinstance(value, (dict, list, tuple)):
+        if depth == MAX_NESTING:
+            raise ScenarioFileError(
+                "%s: nested deeper than %d levels" % (where, MAX_NESTING)
+            )
+        for v in value.values() if isinstance(value, dict) else value:
+            _check_values(v, where, depth + 1)
 
 
 def validate_doc(doc) -> None:
@@ -1126,6 +1128,11 @@ def validate_doc(doc) -> None:
         part = doc.get(section, [])
         if not isinstance(part, list):
             raise ScenarioFileError("%s: section %r must be a list" % (where, section))
+        if len(part) > MAX_SECTION_ENTRIES:
+            raise ScenarioFileError(
+                "%s: section %r has %d entries, over the budget of %d"
+                % (where, section, len(part), MAX_SECTION_ENTRIES)
+            )
         seen = set()
         for entry in part:
             if not isinstance(entry, dict):
@@ -1142,7 +1149,7 @@ def validate_doc(doc) -> None:
                     "%s: duplicate %s name %r" % (where, section, ename)
                 )
             seen.add(ename)
-    _reject_floats(doc, where)
+    _check_values(doc, where)
     for entry in doc.get("expect", []):
         ename = entry["name"]
         ewhere = "%s check %r" % (where, ename)
@@ -1172,8 +1179,8 @@ def _evaluate_valid(doc, n) -> VerificationReport:
     ``n``."""
     if doc.get("n_policy", POLICY_ANY) == POLICY_NUMERIC and n == SYMBOLIC:
         raise PolicyError(
-            "scenario %r computes finite ranks; run it at a numeric n >= 3"
-            % doc["name"]
+            "scenario %r computes finite ranks; run it at a numeric n >= %d"
+            % (doc["name"], exactnum.N_MIN)
         )
     env = _make_env(doc)
     # Every check reads its fields before the first one runs, so that a bad
@@ -1213,16 +1220,21 @@ _BUILTIN = tuple(
 )
 
 
-def _parse_doc(text: str) -> dict:
+def _parse_doc(text: str, source: str) -> dict:
     """Parse the JSON text of a scenario document, check its format tag,
-    and validate it.  Parse errors carry the line and column; semantic
-    errors name the offending object."""
+    and validate it.  Parse errors name the ``source`` file and carry the
+    line and column; semantic errors name the offending object."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioFileError(
-            "parse error at line %d column %d: %s" % (exc.lineno, exc.colno, exc.msg)
+            "%s: parse error at line %d column %d: %s"
+            % (source, exc.lineno, exc.colno, exc.msg)
         ) from exc
+    except RecursionError:
+        raise ScenarioFileError(
+            "%s: parse error: nested deeper than the parser can follow" % source
+        ) from None
     if not isinstance(doc, dict):
         raise ScenarioFileError("scenario document must be a JSON object")
     fmt = doc.get("format")
@@ -1244,7 +1256,8 @@ def scenario_doc(name: str) -> dict:
         raise UnknownScenarioError(
             "unknown scenario %r; known scenarios: %s" % (name, ", ".join(_BUILTIN))
         )
-    return _parse_doc((_DATA / (name + ".json")).read_text(encoding="utf-8"))
+    source = name + ".json"
+    return _parse_doc((_DATA / source).read_text(encoding="utf-8"), source)
 
 
 def list_scenarios() -> list:
@@ -1279,4 +1292,4 @@ def export_scenario(name: str) -> str:
 def load_scenario_file(path) -> dict:
     """Parse and validate a scenario document from a JSON file."""
     with open(path, "r", encoding="utf-8") as fh:
-        return _parse_doc(fh.read())
+        return _parse_doc(fh.read(), str(path))

@@ -176,10 +176,6 @@ def is_isotropic(generators: Sequence[Sequence], space: SymplecticSpace) -> bool
     return True
 
 
-def _kernel_of_hom(phi: HomWE) -> tuple[tuple[Fraction, ...], ...]:
-    return nullspace(phi.matrix)
-
-
 def _perp_in_w(vectors: Sequence[Sequence[Fraction]], w_space: QuadSpaceW):
     """kappa-orthogonal complement in W of the span of the given vectors."""
     if not vectors:
@@ -209,7 +205,7 @@ def stabilizer_class_omega(
         return StabilizerClass.FULL_SO_W
     if r >= 2:
         return StabilizerClass.TRIVIAL
-    ker = _kernel_of_hom(phi)
+    ker = nullspace(phi.matrix)
     perp = _perp_in_w(ker, w_space)
     if len(perp) != 1:
         raise AssertionError("rank-1 hom must have a line as kernel-perp")

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from . import exactnum
 from .exactnum import (
     ExactMatrix,
     ParamPoly,
@@ -149,7 +150,7 @@ class DivClass:
 @dataclass(frozen=True)
 class FormalBundle:
     """A vector bundle remembered only through its rank and first Chern
-    class.  The rank must be at least 1 for every integer n >= 3."""
+    class.  The rank must be at least 1 for every integer n >= N_MIN."""
 
     space: Space
     rank: ParamPoly
@@ -161,7 +162,9 @@ class FormalBundle:
         if self.c1.space.pic_names() != self.space.pic_names():
             raise LatticeError("c1 lives on the wrong lattice")
         if not nonnegative_on_integers_from(self.rank - 1):
-            raise ValueError("rank %s is below 1 for some n >= 3" % self.rank)
+            raise ValueError(
+                "rank %s is below 1 for some n >= %d" % (self.rank, exactnum.N_MIN)
+            )
 
 
 class FormalBase(Space):
@@ -278,7 +281,10 @@ class CenterSpec:
     def __post_init__(self):
         object.__setattr__(self, "codim", aspoly(self.codim))
         if not nonnegative_on_integers_from(self.codim - 1):
-            raise ValueError("codimension %s is below 1 for some n >= 3" % self.codim)
+            raise ValueError(
+                "codimension %s is below 1 for some n >= %d"
+                % (self.codim, exactnum.N_MIN)
+            )
 
 
 class BlowUp(Space):

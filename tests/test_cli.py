@@ -5,16 +5,24 @@ import copy
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import towercalc
 from towercalc import cli, symplectic
 from towercalc.census import MAX_SAMPLES
 from towercalc.cli import MAX_RANGE_WIDTH, REPORT_DIR_ENV, main
-from towercalc.scenarios import list_scenarios, scenario_doc
+from towercalc.scenarios import (
+    MAX_NESTING,
+    MAX_SECTION_ENTRIES,
+    list_scenarios,
+    scenario_doc,
+)
 
 
 def run(capsys, argv):
@@ -375,6 +383,139 @@ def test_sym_power_of_a_large_rank_is_a_named_error(capsys, tmp_path):
     code, _, err = run(capsys, ["verify", "--scenario-file", str(path)])
     assert code == 2
     assert "big_power" in err and KNOWN_BUNDLE_KINDS in err
+
+
+N_MINUS_11 = {"0": "-11", "1": "1"}
+
+
+@pytest.mark.parametrize("n", ["symbolic", "4", "11"])
+def test_pushforward_on_a_table_that_depends_on_n_is_a_named_error(
+    capsys, tmp_path, n
+):
+    # The pairing table diag(n - 11, 1) is singular at n = 11 only, so no
+    # solve can stand for every n; the check must never read PASS.
+    doc = {
+        "format": "towercalc-scenario/1",
+        "name": "singular-at-eleven",
+        "description": "a pairing table that depends on n",
+        "n_policy": "symbolic-or-numeric",
+        "spaces": [{"name": "base", "kind": "formal-base", "pic": ["a", "b"]}],
+        "curves": [
+            {
+                "name": name,
+                "space": "base",
+                "atomic": {"kind": "declared", "vector": vector},
+            }
+            for name, vector in (("c1", [N_MINUS_11, "0"]), ("c2", ["0", "1"]))
+        ],
+        "expect": [
+            {
+                "name": "combination",
+                "check": "solve-pushforward",
+                "space": "base",
+                "curves": ["c1", "c2"],
+                "divisors": ["a", "b"],
+                "observed": [N_MINUS_11, "2"],
+                "value": ["1", "2"],
+                "provenance": "derived",
+                "anchor": "diag(n - 11, 1) y = (n - 11, 2)",
+            }
+        ],
+    }
+    path = tmp_path / "singular.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, ["verify", "--scenario-file", str(path), "--n", n])
+    assert code == 2
+    assert "'singular-at-eleven' check 'combination'" in err
+    assert "depends on n" in err
+    assert "PASS" not in out and "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# input bounds, checked in a fresh interpreter so that a RecursionError
+# would surface as it does for a user
+
+
+def run_cold(path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(towercalc.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "towercalc.cli", "verify", "--scenario-file", str(path)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=120,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def tower_doc(floors, value):
+    """A document on a tower of ``floors`` divisor-in spaces over one base,
+    with one vector-sum check whose expected value is ``value``."""
+    spaces = [{"name": "s0", "kind": "formal-base", "pic": ["g"], "dim": "500"}]
+    spaces += [
+        {"name": "s%d" % i, "kind": "divisor-in", "ambient": "s%d" % (i - 1),
+         "class": ["1"]}
+        for i in range(1, floors)
+    ]
+    return {
+        "format": "towercalc-scenario/1",
+        "name": "bounded",
+        "description": "input bounds",
+        "spaces": spaces,
+        "expect": [
+            {"name": "top-dim", "check": "dim", "space": spaces[-1]["name"],
+             "value": str(501 - floors), "provenance": "trivial", "anchor": "a"},
+            {"name": "sum", "check": "vector-sum", "terms": [["1"]],
+             "value": value, "provenance": "trivial", "anchor": "a"},
+        ],
+    }
+
+
+def nested(levels):
+    """An expected value that makes a document nest ``levels`` containers
+    deep: the document, its expect list and the entry are three of them."""
+    value = "1"
+    for _ in range(levels - 3):
+        value = [value]
+    return value
+
+
+@pytest.mark.parametrize(
+    "floors, levels, code",
+    [
+        (MAX_SECTION_ENTRIES, MAX_NESTING, 1),
+        (MAX_SECTION_ENTRIES + 1, MAX_NESTING, 2),
+        (MAX_SECTION_ENTRIES, MAX_NESTING + 1, 2),
+    ],
+    ids=["at-the-bounds", "one-space-too-many", "one-level-too-deep"],
+)
+def test_document_bounds_end_in_a_report_or_a_named_error(
+    tmp_path, floors, levels, code
+):
+    path = tmp_path / "bounded.json"
+    path.write_text(json.dumps(tower_doc(floors, nested(levels))), encoding="utf-8")
+    exit_code, out, err = run_cold(path)
+    assert exit_code == code
+    assert "Traceback" not in err
+    if code == 1:
+        assert "[PASS] top-dim" in out and "[FAIL] sum" in out
+    else:
+        assert "scenario 'bounded'" in err
+        assert ("has %d entries" % floors if floors > MAX_SECTION_ENTRIES
+                else "nested deeper than %d levels" % MAX_NESTING) in err
+
+
+def test_a_file_too_deep_to_parse_is_a_named_error(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text(
+        '{"format": "towercalc-scenario/1", "name": "deep", "expect": %s}'
+        % ("[" * 100000 + "]" * 100000),
+        encoding="utf-8",
+    )
+    code, _, err = run_cold(path)
+    assert code == 2
+    assert str(path) in err and "nested deeper than the parser" in err
+    assert "Traceback" not in err
 
 
 def _field_paths(node, prefix=()):

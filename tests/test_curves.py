@@ -187,7 +187,6 @@ class TestPairing:
         divisors = [jhat.gen(g) for g in jhat.pic_names()]
         table = pairing_table((ehat1, ehat2, sigma, gamma), divisors)
         assert table.is_constant()
-        assert table.eval_at(3) == table.eval_at(4) == table.eval_at(5)
 
     def test_empty_table(self):
         assert pairing_table((), ()).rows == 0

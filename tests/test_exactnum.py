@@ -3,7 +3,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from towercalc.exactnum import (
@@ -15,9 +15,7 @@ from towercalc.exactnum import (
     ParamPoly,
     UnderdeterminedError,
     aspoly,
-    interpolate_poly,
     inverse,
-    matrix_product_is_identity,
     nullspace,
     rank,
     rat_str,
@@ -29,7 +27,7 @@ from towercalc.exactnum import LinearSolveError
 rats = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 small_polys = st.builds(
     lambda cs: ParamPoly({e: c for e, c in enumerate(cs)}),
-    st.lists(rats, min_size=0, max_size=4),
+    st.lists(rats, min_size=0, max_size=MAX_DEGREE + 1),
 )
 # degree <= 2 so products stay under the degree cap
 half_polys = st.builds(
@@ -129,8 +127,8 @@ class TestSolveLinear:
 class TestMatrix:
     def test_product_identity(self) -> None:
         a = ExactMatrix([[1, 2], [3, 4]])
-        assert matrix_product_is_identity(a, inverse(a))
-        assert matrix_product_is_identity(inverse(a), a)
+        assert (a * inverse(a)).is_identity()
+        assert (inverse(a) * a).is_identity()
 
     def test_symbolic_product(self) -> None:
         a = ExactMatrix([[N, 1], [0, 1]])
@@ -204,9 +202,9 @@ class TestConstantStorage:
         ]
         assert type(ExactMatrix([[Fraction(4, 2)]]).const_entries()[0][0]) is int
 
-    @given(matrix_pair(const_cells), matrix_pair(mixed_cells), st.integers(3, 9))
+    @given(matrix_pair(const_cells), matrix_pair(mixed_cells))
     @settings(max_examples=40, deadline=None)
-    def test_matches_param_poly_arithmetic(self, const, mixed, n) -> None:
+    def test_matches_param_poly_arithmetic(self, const, mixed) -> None:
         for cells, other, vec in (const, mixed):
             ref = ref_entries(cells)
             plain, polys = ExactMatrix(cells), ExactMatrix(as_const_polys(cells))
@@ -224,12 +222,6 @@ class TestConstantStorage:
                 column = ref_entries([[v] for v in vec])
                 assert m.apply(vec) == tuple(
                     row[0] for row in ref_product(ref, column, m.cols)
-                )
-                assert m.eval_at(n).entries == ref_entries(
-                    [[x.eval(n) for x in row] for row in ref]
-                )
-                assert m.eval_at(n) == ExactMatrix(
-                    [[x.eval(n) for x in row] for row in ref]
                 )
                 assert [[x.coeffs for x in row] for row in m.entries] == [
                     [x.coeffs for x in row] for row in ref
@@ -266,15 +258,14 @@ class TestConstantStorage:
             rank(m)
 
 
-class TestInterpolation:
-    @given(small_polys)
-    def test_recovers_poly_from_samples(self, p: ParamPoly) -> None:
-        pts = [(k, p.eval(k)) for k in range(3, 3 + p.degree + 1)]
-        assert interpolate_poly(pts) == p
-
-    def test_duplicate_points_rejected(self) -> None:
-        with pytest.raises(ValueError):
-            interpolate_poly([(3, Fraction(1)), (3, Fraction(2))])
+@st.composite
+def invertible_systems(draw):
+    """(A, x): a constant invertible matrix of small ints and a solution of
+    degree <= MAX_DEGREE."""
+    k = draw(st.integers(1, 3))
+    a = ExactMatrix(draw(grids(st.integers(-4, 4), k, k)))
+    assume(rank(a) == k)
+    return a, draw(st.lists(small_polys, min_size=k, max_size=k))
 
 
 class TestGenericSolve:
@@ -285,21 +276,52 @@ class TestGenericSolve:
             ParamPoly.const(Fraction(1, 3)),
         )
 
-    def test_symbolic_diagonal(self) -> None:
-        # Hand oracle: diag(1, n) x = (n, n^2) has the solution (n, n).
-        a = ExactMatrix([[1, 0], [0, N]])
-        sol = solve_linear_generic(a, [N, N * N])
-        assert sol == (N, N)
+    @given(invertible_systems())
+    @settings(max_examples=60, deadline=None)
+    def test_round_trip_over_a_constant_matrix(self, system) -> None:
+        a, x = system
+        assert solve_linear_generic(a, a.apply(x)) == tuple(x)
 
-    def test_symbolic_offdiagonal(self) -> None:
-        # Hand oracle: [[1, n], [0, 1]] x = (2n, 1) gives x = (n, 1).
-        a = ExactMatrix([[1, N], [0, 1]])
-        assert solve_linear_generic(a, [2 * N, 1]) == (N, aspoly(1))
+    def test_never_evaluates_at_a_sample_n(self, monkeypatch) -> None:
+        def refuse(self, n):
+            raise AssertionError("evaluated at n = %s" % n)
+
+        monkeypatch.setattr(ParamPoly, "eval", refuse)
+        a = ExactMatrix([[1, 1], [0, 2]])
+        # Hand oracle: y = (n^2 - 1) / 2 from the second row, x = n - y.
+        assert solve_linear_generic(a, [N, N * N - 1]) == (
+            N - (N * N - 1) * Fraction(1, 2),
+            (N * N - 1) * Fraction(1, 2),
+        )
+
+    @given(grids(mixed_cells, 2, 2), st.lists(mixed_cells, min_size=2, max_size=2))
+    @settings(max_examples=40, deadline=None)
+    def test_matrix_that_depends_on_n_is_refused(self, cells, b) -> None:
+        a = ExactMatrix(cells)
+        assume(not a.is_constant())
+        with pytest.raises(LinearSolveError, match="depends on n"):
+            solve_linear_generic(a, b)
+
+    def test_diagonal_singular_at_eleven_is_refused(self) -> None:
+        # diag(n - 11, 1) x = (n - 11, 2) has the unique solution (1, 2) at
+        # every n except 11, where the system is underdetermined.
+        a = ExactMatrix([[N - 11, 0], [0, 1]])
+        with pytest.raises(LinearSolveError, match="depends on n"):
+            solve_linear_generic(a, [N - 11, 2])
 
     def test_non_polynomial_solution_rejected(self) -> None:
         a = ExactMatrix([[N]])
         with pytest.raises(LinearSolveError):
             solve_linear_generic(a, [1])
+
+    def test_rhs_that_is_no_polynomial_identity_has_no_solution(self) -> None:
+        # x = n and x = 3 agree at n = 3 only.
+        with pytest.raises(NoSolutionError):
+            solve_linear_generic(ExactMatrix([[1], [1]]), [N, 3])
+
+    def test_singular_constant_matrix_is_underdetermined(self) -> None:
+        with pytest.raises(UnderdeterminedError):
+            solve_linear_generic(ExactMatrix([[1, 1], [2, 2]]), [N, 2 * N])
 
     def test_rhs_length_checked(self) -> None:
         with pytest.raises(ValueError):

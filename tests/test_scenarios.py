@@ -35,6 +35,7 @@ from towercalc.scenarios import (
     serialize_value,
 )
 from towercalc.symplectic import normal_cone_quadric
+from towercalc.towers import CenterSpec, FormalBase, FormalBundle
 
 ALL_NAMES = [info["name"] for info in list_scenarios()]
 
@@ -214,10 +215,33 @@ def test_rejects_small_and_malformed_parameters():
         run_scenario("jz-intersection-table", "sym")
 
 
+def domain_texts(capsys):
+    """The four texts that name the domain start, whitespace normalised."""
+    base = FormalBase("base", ("g",), canonical=None, dim=N)
+    texts = []
+    for build in (
+        lambda: FormalBundle(base, N - 4, base.gen("g")),
+        lambda: CenterSpec(N - 4),
+        lambda: run_scenario("normal-cone-quadric", SYMBOLIC),
+    ):
+        with pytest.raises((ValueError, PolicyError)) as err:
+            build()
+        texts.append(str(err.value))
+    assert main(["verify", "--help"]) == 0
+    texts.append(" ".join(capsys.readouterr().out.split()))
+    return texts
+
+
 def test_the_domain_start_is_one_constant(monkeypatch, capsys):
     assert not positive_on_integers_from(N - 3)
+    texts = domain_texts(capsys)
+    assert texts[0] == "rank n - 4 is below 1 for some n >= 3"
+    assert texts[1] == "codimension n - 4 is below 1 for some n >= 3"
+    assert texts[2].endswith("run it at a numeric n >= 3")
+    assert "--n N integer >= 3, 'symbolic'" in texts[3]
     monkeypatch.setattr(exactnum, "N_MIN", 4)
     assert positive_on_integers_from(N - 3)
+    assert domain_texts(capsys) == [t.replace(">= 3", ">= 4") for t in texts]
     for argv_n, message in (
         ("3", "n must be >= 4 (got 3)"),
         ("range:3..5", "n must be >= 4 (range starts at 3)"),
