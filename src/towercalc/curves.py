@@ -6,7 +6,7 @@ divisor-generator basis of its home space.  Atomic constructors cover the
 recurring geometric sources: a line in a projective-bundle fiber, a line in
 an exceptional fiber of a blow-up (paired through the declared restriction
 class), the strict transform of an ambient curve, and explicitly declared
-section classes carrying a derivation note.
+section classes.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, lcm
 from operator import mul
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .exactnum import (
     ExactMatrix,
@@ -68,7 +68,6 @@ class CurveClass:
 
     space: Space
     vector: tuple[ParamPoly, ...]
-    provenance: str = ""
 
     def __post_init__(self):
         vec = tuple(aspoly(v) for v in self.vector)
@@ -91,7 +90,6 @@ class CurveClass:
         return CurveClass(
             self.space,
             tuple(a + b for a, b in zip(self.vector, other.vector)),
-            provenance="combination",
         )
 
     def __sub__(self, other: "CurveClass") -> "CurveClass":
@@ -99,14 +97,11 @@ class CurveClass:
         return CurveClass(
             self.space,
             tuple(a - b for a, b in zip(self.vector, other.vector)),
-            provenance="combination",
         )
 
     def __mul__(self, scalar) -> "CurveClass":
         s = aspoly(scalar)
-        return CurveClass(
-            self.space, tuple(v * s for v in self.vector), provenance="combination"
-        )
+        return CurveClass(self.space, tuple(v * s for v in self.vector))
 
     __rmul__ = __mul__
 
@@ -147,7 +142,7 @@ def line_in_proj_fiber(taut_name: str, space: Space) -> CurveClass:
         )
     vec = [ParamPoly()] * len(names)
     vec[names.index(taut_name)] = aspoly(1)
-    return CurveClass(space, tuple(vec), provenance="line in %s-fiber" % taut_name)
+    return CurveClass(space, tuple(vec))
 
 
 def line_in_exceptional_fiber(direction: str, space: Space) -> CurveClass:
@@ -170,9 +165,7 @@ def line_in_exceptional_fiber(direction: str, space: Space) -> CurveClass:
     up = hits[0]
     vec = [ParamPoly()] * len(names)
     vec[names.index(up.exc_name)] = up.center.exc_restriction.degree_on(direction)
-    return CurveClass(
-        space, tuple(vec), provenance="line in exceptional fiber along %s" % direction
-    )
+    return CurveClass(space, tuple(vec))
 
 
 def strict_transform(
@@ -190,16 +183,12 @@ def strict_transform(
             % (ambient_curve.space.name, space.ambient.name)
         )
     vec = list(ambient_curve.vector) + [aspoly(mult_at_center)]
-    return CurveClass(
-        space, tuple(vec), provenance="strict transform (mult %d)" % mult_at_center
-    )
+    return CurveClass(space, tuple(vec))
 
 
-def declared_section(vector: Sequence, note: str, space: Space) -> CurveClass:
-    """A curve class given directly by its vector, with a derivation note."""
-    return CurveClass(
-        space, tuple(aspoly(v) for v in vector), provenance="declared: %s" % note
-    )
+def declared_section(vector: Sequence, space: Space) -> CurveClass:
+    """A curve class given directly by its vector."""
+    return CurveClass(space, tuple(aspoly(v) for v in vector))
 
 
 # ---------------------------------------------------------------------------
@@ -245,30 +234,14 @@ def push_from_sublattice(restriction: ExactMatrix, degrees: Sequence) -> tuple[P
     return restriction.transpose().apply(degrees)
 
 
-@dataclass(frozen=True)
-class KNegEntry:
-    curve: CurveClass
-    pairing: ParamPoly
-    negative_for_all: bool
-
-
-@dataclass(frozen=True)
-class KNegReport:
-    entries: tuple[KNegEntry, ...]
-
-    @property
-    def all_negative(self) -> bool:
-        return all(e.negative_for_all for e in self.entries)
-
-
-def kneg_check(k_class: DivClass, curves: Sequence[CurveClass]) -> KNegReport:
-    """Pair the canonical-type class against each curve and decide strict
-    negativity for every integer parameter value >= N_MIN."""
-    entries = []
-    for c in curves:
-        p = intersect(c, k_class)
-        entries.append(KNegEntry(c, p, negative_on_integers_from(p)))
-    return KNegReport(tuple(entries))
+def kneg_check(k_class: DivClass, curves: Sequence[CurveClass]) -> dict:
+    """Pair the canonical-type class against each curve and decide whether
+    every pairing is strictly negative for every integer n >= N_MIN."""
+    pairings = [intersect(c, k_class) for c in curves]
+    return {
+        "pairings": pairings,
+        "all_negative": all(negative_on_integers_from(p) for p in pairings),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -293,16 +266,6 @@ class Cone:
                 raise ValueError("zero generator")
         if self.names and len(self.names) != len(gens):
             raise ValueError("names do not match the generators")
-
-
-@dataclass(frozen=True)
-class ExtremalCertificate:
-    status: str  # "certified" | "inconclusive"
-    functional: tuple[int, ...] | None = None
-    values: tuple[ParamPoly, ...] | None = None
-    height: int | None = None
-    witness: Mapping | None = None
-    note: str = ""
 
 
 def _shell_vectors(dim: int, h: int):
@@ -342,12 +305,13 @@ def extremal_certificate(
     cone: Cone,
     face: Sequence,
     height_bound: int = DEFAULT_HEIGHT_BOUND,
-) -> ExtremalCertificate:
+) -> dict:
     """Search for an integral supporting functional vanishing on the face
     generators and strictly positive on every other generator.
 
     Exhaustive over sup-height shells 0..height_bound, lexicographic inside a
-    shell, first hit returned.  Absence of a hit is reported as
+    shell, first hit returned as status "certified" with its functional,
+    height and values on every generator.  Absence of a hit is reported as
     "inconclusive", never as a refutation; when a face generator is found to
     be a nonnegative combination of the remaining generators, that dependency
     witness is attached.
@@ -383,18 +347,20 @@ def extremal_certificate(
                 positive_on_integers_from(_value(cand, rows[j]))
                 for j in others
             ):
-                return ExtremalCertificate(
-                    status="certified",
-                    functional=cand,
-                    values=tuple(_value(cand, r) for r in rows),
-                    height=h,
-                    note="exhaustive search, lexicographic first hit",
-                )
-    witness = _dependency_witness(cone, face_idx, others)
-    note = "no supporting functional within height %d" % height_bound
-    if witness is not None:
-        note += "; a face generator is a nonnegative combination of the others"
-    return ExtremalCertificate(status="inconclusive", witness=witness, note=note)
+                return {
+                    "status": "certified",
+                    "functional": cand,
+                    "height": h,
+                    "values": tuple(_value(cand, r) for r in rows),
+                    "witness": None,
+                }
+    return {
+        "status": "inconclusive",
+        "functional": None,
+        "height": None,
+        "values": None,
+        "witness": _dependency_witness(cone, face_idx, others),
+    }
 
 
 def _face_indices(cone: Cone, face: Sequence) -> list[int]:
@@ -454,7 +420,6 @@ class ContractionData:
     name: str
     pullbacks: ExactMatrix | None = None
     images: tuple[tuple[ParamPoly, ...], ...] | None = None
-    note: str = ""
 
     def __post_init__(self):
         if (self.pullbacks is None) == (self.images is None):
@@ -518,25 +483,22 @@ class ChainSpec:
         )
 
 
-@dataclass(frozen=True)
-class StepReport:
-    space_name: str
-    conditions: tuple[tuple[str, bool], ...]
-
-
 def _vec_key(vec: Sequence[ParamPoly]) -> tuple[str, ...]:
     return tuple(str(x) for x in vec)
 
 
-def mori_propagate(chain: ChainSpec) -> tuple[Cone, tuple[StepReport, ...]]:
+def mori_propagate(chain: ChainSpec) -> dict:
     """Propagate a known base cone up a chain of steps, verifying at each
     step: (a) the first morphism contracts exactly the marked generator;
     (b) the second morphism contracts exactly the remaining generators;
     (c) the non-contracted generators push to precisely the previous step's
     generator set.  A violation raises PropagationError naming the step and
-    the failed condition."""
+    the failed condition, so every condition a returned step lists holds.
+
+    Returns the top cone's generator names and vectors, and the conditions
+    verified at each step."""
     prev_gens = chain.base_generators
-    reports = []
+    steps = []
     for step in chain.steps:
         ci = step.generator_names.index(step.contracted)
         images_prime = [
@@ -586,24 +548,23 @@ def mori_propagate(chain: ChainSpec) -> tuple[Cone, tuple[StepReport, ...]]:
                 "pushed generators %r do not match the known cone %r"
                 % (pushed, expected),
             )
-        reports.append(
-            StepReport(
-                step.space_name,
-                (
-                    ("contracts exactly %s" % step.contracted, True),
-                    ("second morphism contracts exactly the rest", True),
-                    ("pushforwards recover the known cone", True),
-                ),
-            )
+        steps.append(
+            {
+                "space": step.space_name,
+                "conditions": {
+                    "contracts exactly %s" % step.contracted: True,
+                    "second morphism contracts exactly the rest": True,
+                    "pushforwards recover the known cone": True,
+                },
+            }
         )
         prev_gens = step.generators
     last = chain.steps[-1] if chain.steps else None
-    cone = Cone(
-        dim=len(prev_gens[0]),
-        generators=prev_gens,
-        names=last.generator_names if last else chain.base_generator_names,
-    )
-    return cone, tuple(reports)
+    return {
+        "generator_names": last.generator_names if last else chain.base_generator_names,
+        "generators": prev_gens,
+        "steps": steps,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -626,15 +587,7 @@ def _primitive(vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
     return tuple(Fraction(x) for x in ints)
 
 
-@dataclass(frozen=True)
-class RestrictionKernelReport:
-    kernel: tuple[tuple[Fraction, ...], ...]
-    perp: tuple[tuple[Fraction, ...], ...]
-
-
-def restriction_kernel(
-    restriction: ExactMatrix, curves: Sequence[CurveClass]
-) -> RestrictionKernelReport:
+def restriction_kernel(restriction: ExactMatrix, curves: Sequence[CurveClass]) -> dict:
     """Kernel of a restriction map on divisor classes, plus its annihilator
     inside the span of the given curves (coordinates in the curve basis).
 
@@ -646,7 +599,7 @@ def restriction_kernel(
             tuple(Fraction(1 if i == j else 0) for j in range(len(curves)))
             for i in range(len(curves))
         )
-        return RestrictionKernelReport(kernel=(), perp=perp_basis)
+        return {"kernel": (), "perp": perp_basis}
     rows = []
     for k in kernel:
         row = []
@@ -659,4 +612,4 @@ def restriction_kernel(
             row.append(val.constant_value())
         rows.append(row)
     perp = tuple(_primitive(v) for v in nullspace(ExactMatrix(rows, cols=len(curves))))
-    return RestrictionKernelReport(kernel=kernel, perp=perp)
+    return {"kernel": kernel, "perp": perp}

@@ -582,6 +582,7 @@ MAP_KINDS = {
 
 #: Atomic curve constructors, read from a curve entry's ``atomic`` object.
 #: A row's function takes the declared fields in order, then the entry's space.
+#: A ``note`` in a document documents the entry; no reader declares it.
 CURVE_KINDS = {
     "line-in-proj-fiber": (
         lambda taut, space: line_in_proj_fiber(taut, space),
@@ -596,14 +597,14 @@ CURVE_KINDS = {
         {"ambient_curve": _curve, "mult": (_integer, 1)},
     ),
     "declared": (
-        lambda vector, note, space: declared_section(vector, note, space),
-        {"vector": _vector, "note": (_name, "")},
+        lambda vector, space: declared_section(vector, space),
+        {"vector": _vector},
     ),
     "pushed": (
-        lambda matrix, degrees, note, space: declared_section(
-            push_from_sublattice(matrix.matrix, degrees), note, space
+        lambda matrix, degrees, space: declared_section(
+            push_from_sublattice(matrix.matrix, degrees), space
         ),
-        {"matrix": _map, "degrees": _vector, "note": (_name, "")},
+        {"matrix": _map, "degrees": _vector},
     ),
 }
 
@@ -662,19 +663,12 @@ def _make_env(doc) -> Env:
 # ---------------------------------------------------------------------------
 # check kinds
 #
-# A row's function takes the declared fields in order, then the parameter n.
+# A row's function takes the declared fields in order, then the parameter n,
+# and returns the value the report prints.
 
 
 def _pairings(space, curves, divisors):
     return pairing_table(curves, [space.gen(d) for d in divisors])
-
-
-def _check_kneg(space, k_class, curves, n):
-    report = kneg_check(space.div(k_class), curves)
-    return {
-        "pairings": [e.pairing for e in report.entries],
-        "all_negative": report.all_negative,
-    }
 
 
 def _check_restricted_canonical(divisor, normal, blowup, ambient_center_codim, n):
@@ -729,35 +723,14 @@ def _check_extremal_certificate(space, curves, face, height_bound, n):
         names=names,
     )
     cert = extremal_certificate(cone, face, height_bound=height_bound)
-    return {
-        "status": cert.status,
-        "functional": None if cert.functional is None else list(cert.functional),
-        "height": cert.height,
-        "values": None if cert.values is None else list(cert.values),
-        "witness": serialize_value(cert.witness, SYMBOLIC)
-        if cert.witness is not None
-        else None,
-    }
-
-
-def _check_transport(start, via, drop, n):
-    result = transport_class(start, via, drop)
-    return {"names": list(result.names), "coords": list(result.coords)}
+    return dict(cert, witness=serialize_value(cert["witness"], SYMBOLIC))
 
 
 def _check_mori_chain(chain, n):
     try:
-        cone, reports = mori_propagate(chain)
+        return mori_propagate(chain)
     except PropagationError as exc:
         return {"error": str(exc)}
-    return {
-        "generator_names": list(cone.names),
-        "generators": [list(g) for g in cone.generators],
-        "steps": [
-            {"space": r.space_name, "conditions": dict(r.conditions)}
-            for r in reports
-        ],
-    }
 
 
 def _combo_string(names, vector) -> str:
@@ -781,17 +754,9 @@ def _combo_string(names, vector) -> str:
     return " ".join(parts) if parts else "0"
 
 
-def _check_restriction_kernel(m, curves, n):
-    report = restriction_kernel(m.matrix, curves)
-    return {
-        "kernel": [list(v) for v in report.kernel],
-        "perp": [list(v) for v in report.perp],
-    }
-
-
 def _check_kernel_polynomials(m, curves, n):
-    report = restriction_kernel(m.matrix, curves)
-    return [_combo_string(m.source_names, v) for v in report.kernel]
+    kernel = restriction_kernel(m.matrix, curves)["kernel"]
+    return [_combo_string(m.source_names, v) for v in kernel]
 
 
 def _check_quadric_rank(n):
@@ -800,30 +765,17 @@ def _check_quadric_rank(n):
             "finite rank computation needs a numeric parameter; "
             "declare the numeric-only policy"
         )
-    model = normal_cone_quadric(n)
-    return {
-        "nvars": model.nvars,
-        "rank": model.rank,
-        "smooth": model.smooth_in_projective_space,
-        "ambient_dim": model.ambient_projective_dim,
-    }
+    return normal_cone_quadric(n)
 
 
-def _check_fixed_locus(dim, n):
-    report = fixed_locus_incidence(dim)
-    return {
-        "fixed_pairs": report.fixed_pairs,
-        "diagonal_pairs": report.diagonal_pairs,
-        "fixed_equals_diagonal": report.fixed_equals_diagonal,
-    }
+def _fixed_locus(*keys):
+    """A check row reporting the named counts of `fixed_locus_incidence`."""
 
+    def check(dim, n):
+        counts = fixed_locus_incidence(dim)
+        return {key: counts[key] for key in keys}
 
-def _check_fixed_locus_details(dim, n):
-    report = fixed_locus_incidence(dim)
-    return {
-        "projective_points": report.projective_points,
-        "incidence_pairs": report.incidence_pairs,
-    }
+    return check
 
 
 def _check_conormal_rank_consistency(ambient_dim, total, base, bundle, n):
@@ -843,19 +795,14 @@ def _generators(raw, env):
     return tuple(name for name, _ in pairs), tuple(vector for _, vector in pairs)
 
 
-def _contraction(name, pullbacks, images, note):
-    return ContractionData(
-        name, None if pullbacks is None else ExactMatrix(pullbacks), images, note
-    )
-
-
 _CONTRACTION = _object(
-    _contraction,
+    lambda name, pullbacks, images: ContractionData(
+        name, None if pullbacks is None else ExactMatrix(pullbacks), images
+    ),
     {
         "name": _name,
         "pullbacks": (_list_of(_vector), None),
         "images": (_list_of(_vector), None),
-        "note": (_name, ""),
     },
 )
 _CHAIN = _object(
@@ -905,7 +852,10 @@ CHECK_KINDS = {
             "ambient_center_codim": (_number, None),
         },
     ),
-    "kneg": (_check_kneg, {"space": _space, "k_class": _vector, "curves": _curves}),
+    "kneg": (
+        lambda space, k_class, curves, n: kneg_check(space.div(k_class), curves),
+        {"space": _space, "k_class": _vector, "curves": _curves},
+    ),
     "pairing-table": (
         lambda space, curves, divisors, n: _pairings(space, curves, divisors),
         _TABLE,
@@ -942,7 +892,7 @@ CHECK_KINDS = {
     ),
     "map-invertible": (_check_map_invertible, {"map": _map}),
     "transport": (
-        _check_transport,
+        lambda start, via, drop, n: transport_class(start, via, drop),
         {"start": _vector, "via": _list_of(_TRANSPORT_STEP), "drop": (_names, ())},
     ),
     "solve-pushforward": (
@@ -965,7 +915,10 @@ CHECK_KINDS = {
         },
     ),
     "mori-chain": (_check_mori_chain, {"chain": _CHAIN}),
-    "restriction-kernel": (_check_restriction_kernel, _KERNEL),
+    "restriction-kernel": (
+        lambda m, curves, n: restriction_kernel(m.matrix, curves),
+        _KERNEL,
+    ),
     "kernel-polynomials": (_check_kernel_polynomials, _KERNEL),
     "stabilizer-census": (lambda n: omega_census(), {}),
     "sigma-census": (lambda n: sigma_census(), {}),
@@ -980,8 +933,14 @@ CHECK_KINDS = {
         {"samples": _integer, "seed": _integer},
     ),
     "quadric-rank": (_check_quadric_rank, {}),
-    "fixed-locus": (_check_fixed_locus, {"dim": _integer}),
-    "fixed-locus-details": (_check_fixed_locus_details, {"dim": _integer}),
+    "fixed-locus": (
+        _fixed_locus("fixed_pairs", "diagonal_pairs", "fixed_equals_diagonal"),
+        {"dim": _integer},
+    ),
+    "fixed-locus-details": (
+        _fixed_locus("projective_points", "incidence_pairs"),
+        {"dim": _integer},
+    ),
     "cohomology-products": (
         lambda cases, n: [coh_dim_product_proj(*case) for case in cases],
         {"cases": _list_of(_list_of(_integer, length=3))},

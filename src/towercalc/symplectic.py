@@ -36,10 +36,6 @@ class SingularPairingError(ValueError):
     pass
 
 
-class DegenerateModelError(ValueError):
-    """The pairing feeding the normal cone quadric is rank deficient."""
-
-
 @dataclass(frozen=True)
 class SymplecticSpace:
     """Even-dimensional space with a nonsingular antisymmetric gram."""
@@ -324,20 +320,6 @@ def po2_act(element, pair: ExtPair) -> tuple[ExtPair, dict]:
 MAX_QUADRIC_N = 100
 
 
-@dataclass(frozen=True)
-class QuadricModel:
-    nvars: int
-    rank: int
-
-    @property
-    def smooth_in_projective_space(self) -> bool:
-        return self.rank == self.nvars
-
-    @property
-    def ambient_projective_dim(self) -> int:
-        return self.nvars - 1
-
-
 def pairing_quadric_gram(pairing: ExactMatrix) -> ExactMatrix:
     """Symmetric gram of q(e12, e21) = <e12, e21> on the doubled space."""
     k = pairing.rows
@@ -351,12 +333,14 @@ def pairing_quadric_gram(pairing: ExactMatrix) -> ExactMatrix:
     return ExactMatrix(rows)
 
 
-def normal_cone_quadric(n: int, pairing: ExactMatrix | None = None) -> QuadricModel:
-    """Quadric cut out by the ext pairing on the 4n-4 coordinates of an
-    off-diagonal ext pair.  Full rank 4n-4 means the projectivized cone is a
-    cone over a smooth quadric.  The gram has (4n-4)^2 entries and its row
-    reduction is cubic in n, so an n above MAX_QUADRIC_N raises ValueError
-    before any matrix is built.
+def normal_cone_quadric(n: int) -> dict:
+    """Quadric cut out by the standard ext pairing on the 4n-4 coordinates of
+    an off-diagonal ext pair: its number of variables, its rank, whether it
+    is smooth in projective space (full rank) and that space's dimension.
+    Full rank 4n-4 means the projectivized cone is a cone over a smooth
+    quadric.  The gram has (4n-4)^2 entries and its row reduction is cubic
+    in n, so an n above MAX_QUADRIC_N raises ValueError before any matrix is
+    built.
     """
     if not isinstance(n, int) or n < exactnum.N_MIN:
         raise ValueError("n must be an integer >= %d" % exactnum.N_MIN)
@@ -364,32 +348,13 @@ def normal_cone_quadric(n: int, pairing: ExactMatrix | None = None) -> QuadricMo
         raise ValueError(
             "n %d is above the quadric budget of %d" % (n, MAX_QUADRIC_N)
         )
-    k = 2 * n - 2
-    if pairing is None:
-        pairing = ExactMatrix.identity(k)
-    if pairing.rows != k or pairing.cols != k:
-        raise ValueError("pairing must be %dx%d" % (k, k))
-    if rank(pairing) < k:
-        raise DegenerateModelError("pairing is rank deficient")
-    gram = pairing_quadric_gram(pairing)
-    return QuadricModel(nvars=2 * k, rank=rank(gram))
+    nvars = 4 * n - 4
+    r = rank(pairing_quadric_gram(ExactMatrix.identity(2 * n - 2)))
+    return {"nvars": nvars, "rank": r, "smooth": r == nvars, "ambient_dim": nvars - 1}
 
 
 #: The prime field of `fixed_locus_incidence`.
 FIELD_PRIME = 3
-
-
-@dataclass(frozen=True)
-class IncidenceFixedLocusReport:
-    dim: int
-    projective_points: int
-    incidence_pairs: int
-    fixed_pairs: int
-    diagonal_pairs: int
-
-    @property
-    def fixed_equals_diagonal(self) -> bool:
-        return self.fixed_pairs == self.diagonal_pairs
 
 
 def _projective_points(dim: int, p: int) -> list[tuple[int, ...]]:
@@ -402,10 +367,11 @@ def _projective_points(dim: int, p: int) -> list[tuple[int, ...]]:
     return pts
 
 
-def fixed_locus_incidence(dim: int) -> IncidenceFixedLocusReport:
+def fixed_locus_incidence(dim: int) -> dict:
     """Enumerate the incidence locus {([v],[w]) : omega(v, w) = 0} over F_p,
     p = FIELD_PRIME, and intersect it with the fixed locus of the swap
-    ([v],[w]) -> ([w],[v]).
+    ([v],[w]) -> ([w],[v]).  Returns the counts of projective points,
+    incidence pairs, fixed pairs and diagonal pairs.
 
     The expected outcome, checked by the caller, is that the fixed pairs are
     exactly the diagonal ones; the diagonal always lies in the incidence
@@ -434,11 +400,12 @@ def fixed_locus_incidence(dim: int) -> IncidenceFixedLocusReport:
         diagonal += 1
         if omega(v, v) != 0:
             raise AssertionError("diagonal point outside incidence locus")
-    return IncidenceFixedLocusReport(
-        dim=dim,
-        projective_points=len(pts),
-        incidence_pairs=incidence,
-        fixed_pairs=fixed,
-        diagonal_pairs=diagonal,
-    )
+    return {
+        "dim": dim,
+        "projective_points": len(pts),
+        "incidence_pairs": incidence,
+        "fixed_pairs": fixed,
+        "diagonal_pairs": diagonal,
+        "fixed_equals_diagonal": fixed == diagonal,
+    }
 

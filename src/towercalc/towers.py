@@ -313,7 +313,12 @@ class BlowUp(Space):
 
 class FiberProduct(Space):
     """Fiber product of two towers over a common ancestor; its lattice is the
-    base lattice plus both sides' extra generators."""
+    base lattice plus both sides' extra generators.
+
+    The dimension is computed once, here, and the canonical class once, on
+    first use: each reads all three factors, so recomputing them would cost
+    3^depth on a chain of fiber products.
+    """
 
     def __init__(self, name: str, left: Space, right: Space, over: Space):
         for side in (left, right):
@@ -332,6 +337,8 @@ class FiberProduct(Space):
         if clash:
             raise LatticeError("generator names shared by both factors: %r" % clash)
         self._pic = tuple(base_names) + tuple(left_extra) + tuple(right_extra)
+        self._dim = left.dim() + right.dim() - over.dim()
+        self._canonical = None
 
     def parents(self):
         return (self.left, self.right, self.over)
@@ -340,13 +347,15 @@ class FiberProduct(Space):
         return self._pic
 
     def dim(self):
-        return self.left.dim() + self.right.dim() - self.over.dim()
+        return self._dim
 
     def canonical_coords(self):
-        kl = lift_coords(self.left, self, self.left.canonical_coords())
-        kr = lift_coords(self.right, self, self.right.canonical_coords())
-        ko = lift_coords(self.over, self, self.over.canonical_coords())
-        return tuple(a + b - c for a, b, c in zip(kl, kr, ko))
+        if self._canonical is None:
+            kl = lift_coords(self.left, self, self.left.canonical_coords())
+            kr = lift_coords(self.right, self, self.right.canonical_coords())
+            ko = lift_coords(self.over, self, self.over.canonical_coords())
+            self._canonical = tuple(a + b - c for a, b, c in zip(kl, kr, ko))
+        return self._canonical
 
 
 class DivisorIn(Space):
@@ -460,17 +469,12 @@ class PullbackMap:
         )
 
 
-@dataclass(frozen=True)
-class TransportResult:
-    names: tuple[str, ...]
-    coords: tuple[ParamPoly, ...]
-
-
 def transport_class(
     coords: Sequence, via: Sequence[PullbackMap], drop: Sequence[str] = ()
-) -> TransportResult:
+) -> dict:
     """Push a coordinate vector through a chain of lattice maps, then forget
-    the named coordinates (quotient by the ignored generators)."""
+    the named coordinates (quotient by the ignored generators).  Returns the
+    kept generator names and their coordinates."""
     current = tuple(aspoly(c) for c in coords)
     names: tuple[str, ...] | None = None
     for step in via:
@@ -484,7 +488,7 @@ def transport_class(
     unknown = set(drop) - set(names)
     if unknown:
         raise LatticeError("cannot drop unknown generators %r" % unknown)
-    return TransportResult(
-        names=tuple(names[i] for i in keep),
-        coords=tuple(current[i] for i in keep),
-    )
+    return {
+        "names": tuple(names[i] for i in keep),
+        "coords": tuple(current[i] for i in keep),
+    }

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -16,10 +17,12 @@ from hypothesis import strategies as st
 import towercalc
 from towercalc import cli, symplectic
 from towercalc.census import MAX_SAMPLES
-from towercalc.cli import MAX_RANGE_WIDTH, REPORT_DIR_ENV, main
+from towercalc.cli import MAX_RANGE_WIDTH, main
 from towercalc.scenarios import (
     MAX_NESTING,
     MAX_SECTION_ENTRIES,
+    SYMBOLIC,
+    evaluate_doc,
     list_scenarios,
     scenario_doc,
 )
@@ -505,6 +508,38 @@ def test_document_bounds_end_in_a_report_or_a_named_error(
                 else "nested deeper than %d levels" % MAX_NESTING) in err
 
 
+def test_a_chain_of_fiber_products_is_checked_in_linear_work():
+    # Every level is the fiber product of the level below with itself, over
+    # itself: reading the dimension or canonical class afresh from all three
+    # factors at every level would cost 3^14 reads at the top.
+    depth = 14
+    spaces = [{"name": "f0", "kind": "formal-base", "pic": ["h"],
+               "canonical": ["-3"], "dim": "2"}]
+    spaces += [
+        {"name": "f%d" % i, "kind": "fiber-product", "left": "f%d" % (i - 1),
+         "right": "f%d" % (i - 1), "over": "f%d" % (i - 1)}
+        for i in range(1, depth + 1)
+    ]
+    top = spaces[-1]["name"]
+    doc = {
+        "format": "towercalc-scenario/1",
+        "name": "fiber-chain",
+        "description": "a deep chain of fiber products",
+        "spaces": spaces,
+        "expect": [
+            {"name": "top-dim", "check": "dim", "space": top, "value": "2",
+             "provenance": "trivial", "anchor": "a"},
+            {"name": "top-canonical", "check": "canonical", "space": top,
+             "value": ["-3"], "provenance": "trivial", "anchor": "a"},
+        ],
+    }
+    start = time.perf_counter()
+    report = evaluate_doc(doc, SYMBOLIC)
+    elapsed = time.perf_counter() - start
+    assert report.passed
+    assert elapsed < 1.0
+
+
 def test_a_file_too_deep_to_parse_is_a_named_error(tmp_path):
     path = tmp_path / "deep.json"
     path.write_text(
@@ -660,17 +695,3 @@ def test_output_flag_writes_the_file_and_stays_quiet(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert json.loads(path.read_text())["scenario"] == "euler-convention"
-
-
-def test_report_dir_env_var(capsys, tmp_path, monkeypatch):
-    rdir = tmp_path / "reports"
-    monkeypatch.setenv(REPORT_DIR_ENV, str(rdir))
-    code, out, _ = run(
-        capsys,
-        ["verify", "--scenario", "euler-convention", "--n", "4", "--format", "json"],
-    )
-    assert code == 0
-    assert out  # still printed to stdout
-    files = sorted(p.name for p in rdir.iterdir())
-    assert files == ["euler-convention.n4.json"]
-    assert json.loads((rdir / files[0]).read_text())["n"] == 4

@@ -1,15 +1,17 @@
 """Scenario suite: green runs, coherence, round-trips, and error paths."""
 
+import hashlib
 import json
 from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from towercalc import exactnum, scenarios
-from towercalc.cli import REPORT_DIR_ENV, main
+from towercalc.cli import main
 from towercalc.exactnum import N, ParamPoly, positive_on_integers_from
 from towercalc.scenarios import (
     BadParameterError,
@@ -172,6 +174,30 @@ def test_reports_are_deterministic():
         )
 
 
+def test_reports_and_list_match_the_digests_the_benchmark_pins(capsys):
+    pinned = json.loads(
+        (Path(__file__).resolve().parents[1] / "perfbench" / "digests.json").read_text(
+            encoding="utf-8"
+        )
+    )
+    sha256 = lambda text: hashlib.sha256(text.encode("utf-8")).hexdigest()
+    keys = []
+    for name in ALL_NAMES:
+        numeric_only = scenario_doc(name)["n_policy"] == POLICY_NUMERIC
+        ns = ([] if numeric_only else [SYMBOLIC]) + list(range(3, 13))
+        keys += [(name, n) for n in ns]
+    assert sorted("%s@%s" % key for key in keys) == sorted(pinned["reports"])
+    drifted = [
+        "%s@%s" % (name, n)
+        for name, n in keys
+        if sha256(run_scenario(name, n).to_json_text())
+        != pinned["reports"]["%s@%s" % (name, n)]
+    ]
+    assert drifted == []
+    assert main(["list"]) == 0
+    assert sha256(capsys.readouterr().out) == pinned["list"]
+
+
 def test_reports_contain_no_timestamps():
     text = run_scenario("jz-intersection-table", 3).to_json_text()
     for needle in ("time", "date", "20260", "utc"):
@@ -291,7 +317,6 @@ def test_export_then_load_reproduces_the_report(tmp_path):
 
 
 def test_a_document_is_validated_once_per_request(monkeypatch, capsys):
-    monkeypatch.delenv(REPORT_DIR_ENV, raising=False)
     calls = []
     real = scenarios.validate_doc
     monkeypatch.setattr(

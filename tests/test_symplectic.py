@@ -11,7 +11,6 @@ from towercalc import symplectic
 from towercalc.exactnum import ExactMatrix
 from towercalc.symplectic import (
     MAX_QUADRIC_N,
-    DegenerateModelError,
     ExtPair,
     HomWE,
     NotInHomOmegaError,
@@ -288,17 +287,12 @@ class TestPO2Action:
 
 class TestNormalConeQuadric:
     def test_rank_values(self) -> None:
-        assert normal_cone_quadric(3).rank == 8
-        assert normal_cone_quadric(4).rank == 12
-        assert normal_cone_quadric(3).smooth_in_projective_space
+        assert normal_cone_quadric(3)["rank"] == 8
+        assert normal_cone_quadric(4)["rank"] == 12
+        assert normal_cone_quadric(3)["smooth"]
 
     def test_ambient_dim(self) -> None:
-        assert normal_cone_quadric(3).ambient_projective_dim == 7
-
-    def test_degenerate_pairing_rejected(self) -> None:
-        bad = ExactMatrix([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0]])
-        with pytest.raises(DegenerateModelError):
-            normal_cone_quadric(3, pairing=bad)
+        assert normal_cone_quadric(3)["ambient_dim"] == 7
 
     def test_small_n_rejected(self) -> None:
         with pytest.raises(ValueError):
@@ -321,16 +315,16 @@ class TestNormalConeQuadric:
 class TestFixedLocus:
     def test_dim_two_count(self) -> None:
         rep = fixed_locus_incidence(2)
-        assert rep.projective_points == 4
-        assert rep.fixed_pairs == 4
-        assert rep.fixed_equals_diagonal
+        assert rep["projective_points"] == 4
+        assert rep["fixed_pairs"] == 4
+        assert rep["fixed_equals_diagonal"]
 
     def test_dim_four_count(self) -> None:
         rep = fixed_locus_incidence(4)
-        assert rep.projective_points == 40
-        assert rep.fixed_pairs == 40
-        assert rep.diagonal_pairs == 40
-        assert rep.fixed_equals_diagonal
+        assert rep["projective_points"] == 40
+        assert rep["fixed_pairs"] == 40
+        assert rep["diagonal_pairs"] == 40
+        assert rep["fixed_equals_diagonal"]
 
     def test_odd_dim_rejected(self) -> None:
         with pytest.raises(ValueError):
