@@ -181,17 +181,14 @@ def build_stabilizer_family() -> list[dict]:
     return family
 
 
-@lru_cache(maxsize=None)
-def omega_census() -> dict:
-    """Classify every family member and tally against the predictions."""
-    w_space = QuadSpaceW()
-    e_space = SymplecticSpace.standard(3)
+def _tally(family: list[dict], key: str, classify) -> dict:
+    """Classify each member's ``key`` entry and tally the classes, the strata
+    and the mismatches against the members' predictions."""
     counts: dict[str, int] = {}
     strata: dict[str, int] = {}
     mismatches = 0
-    family = build_stabilizer_family()
     for member in family:
-        got = stabilizer_class_omega(member["hom"], w_space, e_space)
+        got = classify(member[key])
         counts[got.value] = counts.get(got.value, 0) + 1
         strata[member["stratum"]] = strata.get(member["stratum"], 0) + 1
         if got is not member["predicted"]:
@@ -203,6 +200,18 @@ def omega_census() -> dict:
         "mismatches": mismatches,
         "all_match": mismatches == 0,
     }
+
+
+@lru_cache(maxsize=None)
+def omega_census() -> dict:
+    """Classify every family member and tally against the predictions."""
+    w_space = QuadSpaceW()
+    e_space = SymplecticSpace.standard(3)
+    return _tally(
+        build_stabilizer_family(),
+        "hom",
+        lambda hom: stabilizer_class_omega(hom, w_space, e_space),
+    )
 
 
 def build_ext_pair_family() -> list[dict]:
@@ -256,28 +265,12 @@ def build_ext_pair_family() -> list[dict]:
 
 
 def sigma_census() -> dict:
-    counts: dict[str, int] = {}
-    strata: dict[str, int] = {}
-    zero_locus = 0
-    mismatches = 0
     family = build_ext_pair_family()
-    for member in family:
-        got = stabilizer_class_sigma(member["pair"])
-        counts[got.value] = counts.get(got.value, 0) + 1
-        strata[member["stratum"]] = strata.get(member["stratum"], 0) + 1
-        if got is not member["predicted"]:
-            mismatches += 1
-        if all(x == 0 for x in yoneda_sigma(member["pair"])):
-            zero_locus += 1
     # beta == 0 on the zero pair and on the six beta-zero pairs.
-    return {
-        "total": len(family),
-        "counts": dict(sorted(counts.items())),
-        "strata": dict(sorted(strata.items())),
-        "zero_locus": zero_locus,
-        "mismatches": mismatches,
-        "all_match": mismatches == 0,
-    }
+    zero_locus = sum(
+        all(x == 0 for x in yoneda_sigma(member["pair"])) for member in family
+    )
+    return dict(_tally(family, "pair", stabilizer_class_sigma), zero_locus=zero_locus)
 
 
 def order_two_relations() -> dict:

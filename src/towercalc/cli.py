@@ -26,12 +26,8 @@ import sys
 from . import exactnum
 from .exactnum import ParamPoly
 from .scenarios import (
-    BadParameterError,
-    PolicyError,
     SYMBOLIC,
     ScenarioError,
-    ScenarioFileError,
-    UnknownScenarioError,
     _evaluate_valid,
     canonical_json,
     export_scenario,
@@ -342,17 +338,7 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return _DISPATCH[args.command](args)
-    except (
-        UsageError,
-        UnknownScenarioError,
-        BadParameterError,
-        PolicyError,
-        ScenarioFileError,
-        ScenarioError,
-    ) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (UsageError, ScenarioError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

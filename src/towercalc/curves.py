@@ -30,7 +30,7 @@ from .exactnum import (
     positive_on_integers_from,
     solve_linear_generic,
 )
-from .towers import BlowUp, DivClass, ProjBundle, Space
+from .towers import BlowUp, DivClass, LatticeVector, ProjBundle, Space
 
 DEFAULT_HEIGHT_BOUND = 8
 
@@ -63,64 +63,17 @@ class PropagationError(ValueError):
 
 
 @dataclass(frozen=True, eq=False)
-class CurveClass:
+class CurveClass(LatticeVector):
     """Numerical curve class: pairings against the home space's generators."""
 
-    space: Space
-    vector: tuple[ParamPoly, ...]
-
     def __post_init__(self):
-        vec = tuple(aspoly(v) for v in self.vector)
-        object.__setattr__(self, "vector", vec)
-        if len(vec) != self.space.pic_rank:
+        coords = tuple(aspoly(v) for v in self.coords)
+        object.__setattr__(self, "coords", coords)
+        if len(coords) != self.space.pic_rank:
             raise CurveSpaceError(
                 "vector length %d does not match the %d generators of %s"
-                % (len(vec), self.space.pic_rank, self.space.name)
+                % (len(coords), self.space.pic_rank, self.space.name)
             )
-
-    def _compat(self, other: "CurveClass") -> None:
-        if self.space.pic_names() != other.space.pic_names():
-            raise CurveSpaceError(
-                "curves on different lattices: %s vs %s"
-                % (self.space.name, other.space.name)
-            )
-
-    def __add__(self, other: "CurveClass") -> "CurveClass":
-        self._compat(other)
-        return CurveClass(
-            self.space,
-            tuple(a + b for a, b in zip(self.vector, other.vector)),
-        )
-
-    def __sub__(self, other: "CurveClass") -> "CurveClass":
-        self._compat(other)
-        return CurveClass(
-            self.space,
-            tuple(a - b for a, b in zip(self.vector, other.vector)),
-        )
-
-    def __mul__(self, scalar) -> "CurveClass":
-        s = aspoly(scalar)
-        return CurveClass(self.space, tuple(v * s for v in self.vector))
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CurveClass):
-            return NotImplemented
-        return (
-            self.space.pic_names() == other.space.pic_names()
-            and self.vector == other.vector
-        )
-
-    def __hash__(self):
-        return hash((self.space.pic_names(), self.vector))
-
-    def degree_on(self, name: str) -> ParamPoly:
-        names = self.space.pic_names()
-        if name not in names:
-            raise CurveSpaceError("no generator %r" % name)
-        return self.vector[names.index(name)]
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +135,7 @@ def strict_transform(
             "ambient curve lives on %s, not on the blow-up's ambient %s"
             % (ambient_curve.space.name, space.ambient.name)
         )
-    vec = list(ambient_curve.vector) + [aspoly(mult_at_center)]
+    vec = list(ambient_curve.coords) + [aspoly(mult_at_center)]
     return CurveClass(space, tuple(vec))
 
 
@@ -201,7 +154,7 @@ def intersect(c: CurveClass, d: DivClass) -> ParamPoly:
             "curve on %s paired with class on %s" % (c.space.name, d.space.name)
         )
     acc = ParamPoly()
-    for deg, coeff in zip(c.vector, d.coords):
+    for deg, coeff in zip(c.coords, d.coords):
         acc = acc + deg * coeff
     return acc
 
@@ -363,18 +316,12 @@ def extremal_certificate(
     }
 
 
-def _face_indices(cone: Cone, face: Sequence) -> list[int]:
+def _face_indices(cone: Cone, face: Sequence[str]) -> list[int]:
     idx = []
     for f in face:
-        if isinstance(f, str):
-            if f not in cone.names:
-                raise ValueError("unknown generator name %r" % f)
-            idx.append(cone.names.index(f))
-        else:
-            i = int(f)
-            if not 0 <= i < len(cone.generators):
-                raise ValueError("generator index %d out of range" % i)
-            idx.append(i)
+        if f not in cone.names:
+            raise ValueError("unknown generator name %r" % (f,))
+        idx.append(cone.names.index(f))
     return sorted(set(idx))
 
 
@@ -592,7 +539,13 @@ def restriction_kernel(restriction: ExactMatrix, curves: Sequence[CurveClass]) -
     inside the span of the given curves (coordinates in the curve basis).
 
     Kernel vectors are normalized primitive-integral with positive leading
-    entry."""
+    entry.  Every curve must live on a lattice of the map's source size."""
+    for c in curves:
+        if c.space.pic_rank != restriction.cols:
+            raise CurveSpaceError(
+                "curve on %s has %d generators, the restriction's source %d"
+                % (c.space.name, c.space.pic_rank, restriction.cols)
+            )
     kernel = tuple(_primitive(v) for v in nullspace(restriction))
     if not kernel:
         perp_basis = tuple(
@@ -604,9 +557,7 @@ def restriction_kernel(restriction: ExactMatrix, curves: Sequence[CurveClass]) -
     for k in kernel:
         row = []
         for c in curves:
-            val = ParamPoly()
-            for deg, coeff in zip(c.vector, k):
-                val = val + deg * coeff
+            val = intersect(c, c.space.div(k))
             if not val.is_constant():
                 raise ValueError("curve pairings must be constant for this analysis")
             row.append(val.constant_value())

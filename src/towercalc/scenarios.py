@@ -717,9 +717,14 @@ def _check_map_invertible(m, n):
 
 def _check_extremal_certificate(space, curves, face, height_bound, n):
     names, classes = curves
+    for name, c in zip(names, classes):
+        if c.space.pic_names() != space.pic_names():
+            raise ScenarioFileError(
+                "curve %r lives on %s, not on %s" % (name, c.space.name, space.name)
+            )
     cone = Cone(
         dim=len(space.pic_names()),
-        generators=tuple(c.vector for c in classes),
+        generators=tuple(c.coords for c in classes),
         names=names,
     )
     cert = extremal_certificate(cone, face, height_bound=height_bound)
@@ -866,7 +871,7 @@ CHECK_KINDS = {
         ).is_constant(),
         _TABLE,
     ),
-    "curve-vector": (lambda curve, n: list(curve.vector), {"curve": _curve}),
+    "curve-vector": (lambda curve, n: list(curve.coords), {"curve": _curve}),
     "combination-pairings": (
         _check_combination_pairings,
         dict(_TABLE, curves=_list_of(_curve, nonempty=True), coefficients=_vector),

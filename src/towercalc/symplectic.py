@@ -17,7 +17,7 @@ from itertools import product
 from typing import Sequence
 
 from . import exactnum
-from .exactnum import ExactMatrix, nullspace, rank
+from .exactnum import ExactMatrix, _const_value, nullspace, rank
 
 
 class StabilizerClass(enum.Enum):
@@ -76,20 +76,11 @@ def _nonzero_terms(gram: ExactMatrix) -> tuple[tuple[int, int, int | Fraction], 
     """The (i, j, g_ij) with g_ij != 0 of a constant gram; integral entries
     are stored as int."""
     return tuple(
-        (i, j, _exact(x))
+        (i, j, x)
         for i, row in enumerate(gram.const_entries())
         for j, x in enumerate(row)
         if x
     )
-
-
-def _exact(x) -> int | Fraction:
-    """An exact rational, as int when it is integral."""
-    if isinstance(x, int):
-        return x
-    if not isinstance(x, Fraction):
-        x = Fraction(x)
-    return x.numerator if x.denominator == 1 else x
 
 
 def _raw_bilinear(terms, v: Sequence, w: Sequence) -> int | Fraction:
@@ -129,8 +120,8 @@ class QuadSpaceW:
     def kappa(self, v: Sequence, w: Sequence) -> Fraction:
         """kappa(v, w) for any rational input; integral inputs stay int until
         the one Fraction of the result."""
-        v = [_exact(x) for x in v]
-        w = [_exact(x) for x in w]
+        v = [_const_value(x) for x in v]
+        w = [_const_value(x) for x in w]
         return Fraction(_raw_bilinear(self._terms, v, w))
 
 
@@ -160,7 +151,7 @@ def is_isotropic(generators: Sequence[Sequence], space: SymplecticSpace) -> bool
 
     The empty list spans the zero subspace, which is isotropic.
     """
-    gens = [[_exact(x) for x in g] for g in generators]
+    gens = [[_const_value(x) for x in g] for g in generators]
     for g in gens:
         if len(g) != space.dim:
             raise ValueError("generator length %d, expected %d" % (len(g), space.dim))

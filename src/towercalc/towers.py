@@ -88,42 +88,47 @@ class Space:
 
 
 @dataclass(frozen=True, eq=False)
-class DivClass:
-    """Divisor class: coordinates over the space's generator names."""
+class LatticeVector:
+    """A vector of coordinates over the space's generator names; divisor and
+    curve classes share this arithmetic.  Results keep the operand's type,
+    and classes of different types are never equal."""
 
     space: Space
     coords: tuple[ParamPoly, ...]
 
-    def _compat(self, other: "DivClass") -> None:
-        if self.space.pic_names() != other.space.pic_names():
+    def _compat(self, other: "LatticeVector") -> None:
+        # Curve classes live on the dual of the divisor lattice.
+        if type(other) is not type(self) or (
+            self.space.pic_names() != other.space.pic_names()
+        ):
             raise LatticeError(
                 "classes on different lattices: %s vs %s"
                 % (self.space.name, other.space.name)
             )
 
-    def __add__(self, other: "DivClass") -> "DivClass":
+    def __add__(self, other):
         self._compat(other)
-        return DivClass(
+        return type(self)(
             self.space, tuple(a + b for a, b in zip(self.coords, other.coords))
         )
 
-    def __sub__(self, other: "DivClass") -> "DivClass":
+    def __sub__(self, other):
         self._compat(other)
-        return DivClass(
+        return type(self)(
             self.space, tuple(a - b for a, b in zip(self.coords, other.coords))
         )
 
-    def __neg__(self) -> "DivClass":
-        return DivClass(self.space, tuple(-a for a in self.coords))
+    def __neg__(self):
+        return type(self)(self.space, tuple(-a for a in self.coords))
 
-    def __mul__(self, scalar) -> "DivClass":
+    def __mul__(self, scalar):
         s = aspoly(scalar)
-        return DivClass(self.space, tuple(a * s for a in self.coords))
+        return type(self)(self.space, tuple(a * s for a in self.coords))
 
     __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, DivClass):
+        if type(other) is not type(self):
             return NotImplemented
         return (
             self.space.pic_names() == other.space.pic_names()
@@ -133,18 +138,9 @@ class DivClass:
     def __hash__(self):
         return hash((self.space.pic_names(), self.coords))
 
-    def coeff(self, name: str) -> ParamPoly:
-        names = self.space.pic_names()
-        if name not in names:
-            raise LatticeError("no generator %r" % name)
-        return self.coords[names.index(name)]
 
-    def __str__(self):
-        names = self.space.pic_names()
-        parts = [
-            "(%s)*%s" % (c, g) for c, g in zip(self.coords, names) if not c.is_zero()
-        ]
-        return " + ".join(parts) if parts else "0"
+class DivClass(LatticeVector):
+    """Divisor class: coordinates over the space's generator names."""
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import os
@@ -9,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -303,6 +305,22 @@ KNOWN_BUNDLE_KINDS = (
             "expected 3 coordinates",
         ),
         (
+            "ez-kernel-x2-x3",
+            "expect",
+            "kernel",
+            "curves",
+            ["eps_one", "eps_two", "ehat_one"],
+            "restriction's source 4",
+        ),
+        (
+            "ez-kernel-x2-x3",
+            "expect",
+            "kernel-combination",
+            "curves",
+            ["eps_one", "ehat_one"],
+            "restriction's source 4",
+        ),
+        (
             "euler-convention",
             "bundles",
             "curve_cotangent",
@@ -345,6 +363,8 @@ KNOWN_BUNDLE_KINDS = (
         "string-as-directions",
         "ragged-terms",
         "long-normal",
+        "kernel-curve-off-the-source",
+        "kernel-polynomials-curve-off-the-source",
         "sym-power-bundle",
         "pull-to-bundle",
     ],
@@ -364,6 +384,31 @@ def test_bad_document_is_a_named_error(
     assert code == 2
     assert entry in err and needle in err
     assert "Traceback" not in err
+
+
+def test_certificate_curve_on_another_lattice_of_the_same_size_is_a_named_error(
+    capsys, tmp_path
+):
+    doc = scenario_doc("extremal-sigma-ray")
+    doc["spaces"].append(
+        {"name": "other", "kind": "formal-base", "pic": ["y1", "y2", "y3", "y4"]}
+    )
+    doc["curves"].append(
+        {
+            "name": "stray",
+            "space": "other",
+            "atomic": {"kind": "declared", "vector": ["1", "0", "0", "0"]},
+        }
+    )
+    certificate = next(e for e in doc["expect"] if e["name"] == "certificate")
+    certificate["curves"] = ["ehat_one", "ehat_two", "sigma_push", "stray"]
+    path = tmp_path / "stray.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, ["verify", "--scenario-file", str(path), "--n", "3"])
+    assert code == 2
+    assert "check 'certificate'" in err
+    assert "curve 'stray' lives on other, not on resolved_incidence" in err
+    assert out == "" and "Traceback" not in err
 
 
 def test_sym_power_of_a_large_rank_is_a_named_error(capsys, tmp_path):
@@ -695,3 +740,44 @@ def test_output_flag_writes_the_file_and_stays_quiet(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert json.loads(path.read_text())["scenario"] == "euler-convention"
+
+
+# ---------------------------------------------------------------------------
+# pinned output bytes
+
+CLI_DIGESTS = Path(__file__).with_name("cli_digests.json")
+
+
+def cli_digests() -> dict:
+    """sha256 of the stdout of `export` for every built-in scenario, and of
+    `table` and `cone` at symbolic and n = 3 in both formats, for every
+    scenario where the command succeeds."""
+    digests = {}
+    for info in list_scenarios():
+        name = info["name"]
+        argvs = [["export", "--scenario", name]] + [
+            [cmd, "--scenario", name, "--n", n, "--format", fmt]
+            for cmd in ("table", "cone")
+            for n in (SYMBOLIC, "3")
+            for fmt in ("text", "json")
+        ]
+        for argv in argvs:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv)
+            if code == 0:
+                digests[" ".join(argv)] = hashlib.sha256(
+                    out.getvalue().encode("utf-8")
+                ).hexdigest()
+    return digests
+
+
+def test_export_table_and_cone_outputs_match_their_digests():
+    pinned = json.loads(CLI_DIGESTS.read_text(encoding="utf-8"))
+    assert cli_digests() == pinned
+
+
+if __name__ == "__main__":
+    # Re-pin after an intended output change:
+    #   PYTHONPATH=src python tests/test_cli.py > tests/cli_digests.json
+    print(json.dumps(cli_digests(), indent=1, sort_keys=True))

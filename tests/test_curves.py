@@ -19,10 +19,12 @@ from towercalc.exactnum import (
 from towercalc.towers import (
     BlowUp,
     CenterSpec,
+    DivClass,
     DivisorIn,
     FiberProduct,
     FormalBase,
     FormalBundle,
+    LatticeError,
     ProjBundle,
     RestrictionClassSpec,
     canonical_class,
@@ -103,7 +105,7 @@ class TestAtomics:
     def test_proj_fiber_line(self, setup):
         jz, *_ = setup
         eps1 = line_in_proj_fiber("x2", jz)
-        assert eps1.vector == (aspoly(0), aspoly(1), aspoly(0))
+        assert eps1.coords == (aspoly(0), aspoly(1), aspoly(0))
 
     def test_unknown_taut_generator(self, setup):
         jz, *_ = setup
@@ -118,9 +120,9 @@ class TestAtomics:
     def test_exceptional_line_uses_declared_degree(self, setup):
         _, jhat, *_ = setup
         gamma = line_in_exceptional_fiber("w", jhat)
-        assert gamma.vector == (aspoly(0), aspoly(0), aspoly(0), aspoly(-1))
+        assert gamma.coords == (aspoly(0), aspoly(0), aspoly(0), aspoly(-1))
         theta = line_in_exceptional_fiber("theta", jhat)
-        assert theta.degree_on("x4") == -1
+        assert theta.coords[3] == -1
 
     def test_unknown_ruling(self, setup):
         _, jhat, *_ = setup
@@ -135,14 +137,14 @@ class TestAtomics:
             "P3up", base, CenterSpec(3, RestrictionClassSpec(("f",), (-1,))), "e"
         )
         line = line_in_exceptional_fiber("f", up)
-        assert line.degree_on("e") == -1
+        assert line.coords[1] == -1
 
     def test_strict_transform_extends(self, setup):
         jz, jhat, ehat1, *_ = setup
-        assert ehat1.vector == (aspoly(0), aspoly(1), aspoly(0), aspoly(1))
+        assert ehat1.coords == (aspoly(0), aspoly(1), aspoly(0), aspoly(1))
         eps1 = line_in_proj_fiber("x2", jz)
         off_center = strict_transform(eps1, 0, jhat)
-        assert off_center.degree_on("x4").is_zero()
+        assert off_center.coords[3].is_zero()
         with pytest.raises(ValueError):
             strict_transform(eps1, -1, jhat)
 
@@ -155,7 +157,7 @@ class TestAtomics:
     def test_declared_section(self, setup):
         _, jhat, *_ = setup
         c = declared_section((1, -1, -1, -1), jhat)
-        assert c.vector == (aspoly(1), aspoly(-1), aspoly(-1), aspoly(-1))
+        assert c.coords == (aspoly(1), aspoly(-1), aspoly(-1), aspoly(-1))
 
     def test_wrong_length_declared(self, setup):
         _, jhat, *_ = setup
@@ -190,6 +192,16 @@ class TestPairing:
         jz, jhat, ehat1, *_ = setup
         with pytest.raises(CurveSpaceError):
             intersect(ehat1, jz.gen("x1"))
+
+    def test_curve_and_divisor_classes_do_not_mix(self, setup):
+        _, jhat, ehat1, *_ = setup
+        divisor = jhat.div(ehat1.coords)
+        assert ehat1 != divisor and divisor != ehat1
+        assert type(ehat1 + ehat1) is CurveClass
+        assert type(2 * ehat1 - ehat1) is CurveClass
+        assert type(-divisor) is DivClass
+        with pytest.raises(LatticeError):
+            ehat1 + divisor
 
     def test_atomic_intersect_shortcut(self, setup):
         jz, *_ = setup
@@ -253,8 +265,8 @@ class TestSolvePushforward:
 
     def test_tau_classes_as_combinations(self, setup):
         _, jhat, ehat1, ehat2, sigma, gamma = setup
-        assert (ehat1 + gamma).vector == (aspoly(0), aspoly(1), aspoly(0), aspoly(0))
-        assert (ehat2 + gamma).vector == (aspoly(0), aspoly(0), aspoly(1), aspoly(0))
+        assert (ehat1 + gamma).coords == (aspoly(0), aspoly(1), aspoly(0), aspoly(0))
+        assert (ehat2 + gamma).coords == (aspoly(0), aspoly(0), aspoly(1), aspoly(0))
 
     def test_zero_observed(self, setup):
         table = self._table(setup)
@@ -324,7 +336,7 @@ class TestExtremalCertificate:
         _, jhat, ehat1, ehat2, sigma, gamma = setup
         return Cone(
             dim=4,
-            generators=(ehat1.vector, ehat2.vector, sigma.vector, gamma.vector),
+            generators=(ehat1.coords, ehat2.coords, sigma.coords, gamma.coords),
             names=("ehat1", "ehat2", "sigma", "gamma"),
         )
 
@@ -350,6 +362,20 @@ class TestExtremalCertificate:
         assert cert["functional"] is cert["height"] is cert["values"] is None
         combo = cert["witness"]["combination"]
         assert combo == {0: aspoly(1), 1: aspoly(1)}
+
+    def test_witness_coefficient_may_vanish_at_the_first_n(self):
+        # m = (n - 3) a + b: only the zero functional vanishes on m for every
+        # n, so the search is inconclusive, and the witness coefficient n - 3
+        # is nonnegative but zero at n = 3.
+        cone = Cone(
+            dim=2, generators=((1, 0), (0, 1), (N - 3, 1)), names=("a", "b", "m")
+        )
+        cert = extremal_certificate(cone, face=("m",), height_bound=2)
+        assert cert["status"] == "inconclusive"
+        assert cert["witness"] == {
+            "face_generator": 2,
+            "combination": {0: N - 3, 1: aspoly(1)},
+        }
 
     def test_face_of_two_generators(self):
         # The functional must vanish on both face generators, not just one.
@@ -380,12 +406,16 @@ class TestExtremalCertificate:
             Cone(dim=2, generators=((0, 0),))
 
     def test_negative_height_bound_rejected(self):
-        cone = Cone(dim=2, generators=((1, 0), (0, 1)))
+        cone = Cone(dim=2, generators=((1, 0), (0, 1)), names=("a", "b"))
         with pytest.raises(ValueError, match="negative"):
-            extremal_certificate(cone, face=(0,), height_bound=-1)
+            extremal_certificate(cone, face=("a",), height_bound=-1)
 
     def test_height_bound_over_budget_rejected_before_the_search(self, monkeypatch):
-        cone = Cone(dim=4, generators=((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 1)))
+        cone = Cone(
+            dim=4,
+            generators=((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 1)),
+            names=("a", "b", "c"),
+        )
         assert 33**4 > curves.MAX_SEARCH_SIZE >= 31**4
 
         def unreachable(dim, h):
@@ -393,13 +423,17 @@ class TestExtremalCertificate:
 
         monkeypatch.setattr(curves, "_shell_vectors", unreachable)
         with pytest.raises(ValueError, match="budget"):
-            extremal_certificate(cone, face=(0,), height_bound=16)
+            extremal_certificate(cone, face=("a",), height_bound=16)
 
     def test_height_bound_at_budget_accepted(self):
         # 31^4 candidates fit the budget; the whole-cone face is certified
         # by the zero functional in shell 0, so nothing large runs.
-        cone = Cone(dim=4, generators=((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 1)))
-        cert = extremal_certificate(cone, face=(0, 1, 2), height_bound=15)
+        cone = Cone(
+            dim=4,
+            generators=((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 1)),
+            names=("a", "b", "c"),
+        )
+        cert = extremal_certificate(cone, face=("a", "b", "c"), height_bound=15)
         assert cert["functional"] == (0, 0, 0, 0)
 
 
@@ -440,24 +474,31 @@ HALF, FIVE_THIRDS = Fraction(1, 2), Fraction(5, 3)
 # (generators, face, height_bound, status of the reference search)
 DESIGNED_CONES = [
     # Face generator linear in n: two coefficient rows must vanish.
-    (((N - 2, 1, 0), (0, HALF, FIVE_THIRDS), (1, 0, 1)), (0,), 3, "certified"),
+    (((N - 2, 1, 0), (0, HALF, FIVE_THIRDS), (1, 0, 1)), ("g0",), 3, "certified"),
     # Fractional two-generator face whose supporting functional (6, -3, 5)
     # lies beyond height 3.
     (
         ((HALF, 1, 0), (0, FIVE_THIRDS, 1), (1, 0, 1), (0, 0, 1)),
-        (0, 1),
+        ("g0", "g1"),
         3,
         "inconclusive",
     ),
-    (((1, 0), (0, 1), (1, 1)), (2,), 3, "inconclusive"),
+    (((1, 0), (0, 1), (1, 1)), ("g2",), 3, "inconclusive"),
     (
         ((1, N, 0, 0), (0, HALF, 1, 0), (0, 0, FIVE_THIRDS, 1), (1, 1, 1, 1)),
-        (0, 1),
+        ("g0", "g1"),
         2,
         "certified",
     ),
-    (((N, 1), (1, 0), (0, 1)), (0,), 3, "inconclusive"),
+    (((N, 1), (1, 0), (0, 1)), ("g0",), 3, "inconclusive"),
 ]
+
+
+def named_cone(gens):
+    """A cone whose generators are named g0, g1, ..."""
+    names = tuple("g%d" % i for i in range(len(gens)))
+    return Cone(dim=len(gens[0]), generators=tuple(gens), names=names)
+
 
 CONE_ENTRIES = (0, 0, 0, 1, 1, -1, 2, HALF, FIVE_THIRDS, -HALF, N - 2, 2 * N - 3, 3 - N)
 
@@ -476,9 +517,9 @@ def seeded_cone(seed):
             gens[0] = tuple(a + b for a, b in zip(gens[1], gens[2 % count]))
         if all(any(x != 0 for x in g) for g in gens):
             break
-    face = (0,) if rng.random() < 0.6 else (0, 1)
+    face = ("g0",) if rng.random() < 0.6 else ("g0", "g1")
     height_bound = rng.randint(1, 3) if dim < 4 else rng.randint(1, 2)
-    return Cone(dim=dim, generators=tuple(gens)), face, height_bound
+    return named_cone(gens), face, height_bound
 
 
 class TestIntegerFaceRows:
@@ -486,7 +527,7 @@ class TestIntegerFaceRows:
     def test_designed_cone_matches_the_reference(
         self, gens, face, height_bound, status
     ):
-        cone = Cone(dim=len(gens[0]), generators=gens)
+        cone = named_cone(gens)
         cert = extremal_certificate(cone, face, height_bound=height_bound)
         assert cert == reference_certificate(cone, face, height_bound)
         assert cert["status"] == status
@@ -522,13 +563,24 @@ class TestRestrictionKernel:
         report = restriction_kernel(zero, (ehat1, ehat2, sigma, gamma))
         assert len(report["kernel"]) == 4
 
+    @pytest.mark.parametrize(
+        "restriction",
+        [BOUNDARY_RESTRICTION, ExactMatrix.identity(4)],
+        ids=["nonzero-kernel", "zero-kernel"],
+    )
+    def test_curve_off_the_source_lattice_is_rejected(self, setup, restriction):
+        jz, jhat, ehat1, *_ = setup
+        eps1 = line_in_proj_fiber("x2", jz)
+        with pytest.raises(CurveSpaceError, match="restriction's source 4"):
+            restriction_kernel(restriction, (ehat1, eps1))
+
     def test_pushforward_consistency(self, setup):
         # Declared boundary classes push to the expected combinations.
         _, jhat, ehat1, ehat2, sigma, gamma = setup
         push = lambda deg: push_from_sublattice(BOUNDARY_RESTRICTION, deg)
-        assert push((1, 0, -2)) == (ehat1 + ehat2).vector
-        assert push((0, 1, 0)) == sigma.vector
-        assert push((0, 0, 1)) == gamma.vector
+        assert push((1, 0, -2)) == (ehat1 + ehat2).coords
+        assert push((0, 1, 0)) == sigma.coords
+        assert push((0, 0, 1)) == gamma.coords
 
 
 def _two_step_chain(break_condition=None):

@@ -58,9 +58,9 @@ def dense_form(gram: ExactMatrix, v, w) -> Fraction:
 
 def omega(space: SymplecticSpace, v, w):
     """omega(v, w) the way `is_isotropic` pairs: each coordinate converted
-    once with `_exact`, then summed over the nonzero terms of the gram."""
-    v = [symplectic._exact(x) for x in v]
-    w = [symplectic._exact(x) for x in w]
+    once with `_const_value`, then summed over the nonzero terms of the gram."""
+    v = [symplectic._const_value(x) for x in v]
+    w = [symplectic._const_value(x) for x in w]
     return symplectic._raw_bilinear(space._terms, v, w)
 
 
@@ -155,13 +155,13 @@ class TestIsotropy:
         space = SymplecticSpace.standard(3)
         assert space._terms
         calls = []
-        real = symplectic._exact
+        real = symplectic._const_value
 
         def counting(x):
             calls.append(x)
             return real(x)
 
-        monkeypatch.setattr(symplectic, "_exact", counting)
+        monkeypatch.setattr(symplectic, "_const_value", counting)
         gens = [X1, [Fraction(1, 2), "2/3", 0, 0, 0, 0], X3]
         assert is_isotropic(gens, space)
         assert len(calls) == 18
