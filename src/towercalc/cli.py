@@ -172,12 +172,18 @@ def _tabular_blocks(doc, report):
     return tables, kernels
 
 
-def _cmd_table(args) -> int:
+def _single_report(args):
+    """The document of ``--scenario`` and its report at the one value of
+    ``--n`` that ``table`` and ``cone`` accept."""
     ns = _parse_n_spec(args.n)
     if len(ns) != 1:
-        raise UsageError("table prints a single parameter value at a time")
+        raise UsageError("%s prints a single parameter value at a time" % args.command)
     doc = scenario_doc(args.scenario)
-    report = _evaluate_valid(doc, ns[0])
+    return doc, _evaluate_valid(doc, ns[0])
+
+
+def _cmd_table(args) -> int:
+    doc, report = _single_report(args)
     tables, kernels = _tabular_blocks(doc, report)
     if not tables and not kernels:
         raise UsageError("scenario %r has no tabular checks" % doc["name"])
@@ -199,11 +205,7 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_cone(args) -> int:
-    ns = _parse_n_spec(args.n)
-    if len(ns) != 1:
-        raise UsageError("cone prints a single parameter value at a time")
-    doc = scenario_doc(args.scenario)
-    report = _evaluate_valid(doc, ns[0])
+    doc, report = _single_report(args)
     computed = {c.name: c.computed for c in report.checks}
     cones = []
     certificates = []

@@ -30,7 +30,7 @@ from .exactnum import (
     positive_on_integers_from,
     solve_linear_generic,
 )
-from .towers import BlowUp, DivClass, LatticeVector, ProjBundle, Space
+from .towers import BlowUp, DivClass, LatticeVector, ProjBundle, PullbackMap, Space
 
 DEFAULT_HEIGHT_BOUND = 8
 
@@ -534,19 +534,19 @@ def _primitive(vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
     return tuple(Fraction(x) for x in ints)
 
 
-def restriction_kernel(restriction: ExactMatrix, curves: Sequence[CurveClass]) -> dict:
+def restriction_kernel(restriction: PullbackMap, curves: Sequence[CurveClass]) -> dict:
     """Kernel of a restriction map on divisor classes, plus its annihilator
     inside the span of the given curves (coordinates in the curve basis).
 
     Kernel vectors are normalized primitive-integral with positive leading
-    entry.  Every curve must live on a lattice of the map's source size."""
+    entry.  Every curve must live on the lattice of the map's source."""
     for c in curves:
-        if c.space.pic_rank != restriction.cols:
+        if c.space.pic_names() != restriction.source_names:
             raise CurveSpaceError(
-                "curve on %s has %d generators, the restriction's source %d"
-                % (c.space.name, c.space.pic_rank, restriction.cols)
+                "curve on %s is not on the source lattice of %s"
+                % (c.space.name, restriction.name)
             )
-    kernel = tuple(_primitive(v) for v in nullspace(restriction))
+    kernel = tuple(_primitive(v) for v in nullspace(restriction.matrix))
     if not kernel:
         perp_basis = tuple(
             tuple(Fraction(1 if i == j else 0) for j in range(len(curves)))

@@ -663,15 +663,15 @@ def _make_env(doc) -> Env:
 # ---------------------------------------------------------------------------
 # check kinds
 #
-# A row's function takes the declared fields in order, then the parameter n,
-# and returns the value the report prints.
+# A row's function takes the declared fields in order and returns the value
+# the report prints.
 
 
 def _pairings(space, curves, divisors):
     return pairing_table(curves, [space.gen(d) for d in divisors])
 
 
-def _check_restricted_canonical(divisor, normal, blowup, ambient_center_codim, n):
+def _check_restricted_canonical(divisor, normal, blowup, ambient_center_codim):
     restricted = canonical_class(divisor) - divisor.div(normal)
     if blowup is None:
         return list(restricted.coords)
@@ -682,7 +682,7 @@ def _check_restricted_canonical(divisor, normal, blowup, ambient_center_codim, n
     return list(result.coords)
 
 
-def _check_combination_pairings(space, curves, divisors, coefficients, n):
+def _check_combination_pairings(space, curves, divisors, coefficients):
     if len(coefficients) != len(curves):
         raise ScenarioFileError("one coefficient per curve")
     combo = curves[0] * coefficients[0]
@@ -691,7 +691,7 @@ def _check_combination_pairings(space, curves, divisors, coefficients, n):
     return [intersect(combo, space.gen(d)) for d in divisors]
 
 
-def _check_vector_sum(terms, n):
+def _check_vector_sum(terms):
     if len({len(t) for t in terms}) != 1:
         raise ScenarioFileError("terms of different lengths")
     acc = list(terms[0])
@@ -700,14 +700,14 @@ def _check_vector_sum(terms, n):
     return acc
 
 
-def _check_map_inverse_equals(of, expected_map, n):
+def _check_map_inverse_equals(of, expected_map):
     try:
         return inverse(of.matrix) == expected_map.matrix
     except LinearSolveError:
         return False
 
 
-def _check_map_invertible(m, n):
+def _check_map_invertible(m):
     try:
         inverse(m.matrix)
         return True
@@ -715,7 +715,7 @@ def _check_map_invertible(m, n):
         return False
 
 
-def _check_extremal_certificate(space, curves, face, height_bound, n):
+def _check_extremal_certificate(space, curves, face, height_bound):
     names, classes = curves
     for name, c in zip(names, classes):
         if c.space.pic_names() != space.pic_names():
@@ -731,7 +731,7 @@ def _check_extremal_certificate(space, curves, face, height_bound, n):
     return dict(cert, witness=serialize_value(cert["witness"], SYMBOLIC))
 
 
-def _check_mori_chain(chain, n):
+def _check_mori_chain(chain):
     try:
         return mori_propagate(chain)
     except PropagationError as exc:
@@ -759,31 +759,22 @@ def _combo_string(names, vector) -> str:
     return " ".join(parts) if parts else "0"
 
 
-def _check_kernel_polynomials(m, curves, n):
-    kernel = restriction_kernel(m.matrix, curves)["kernel"]
+def _check_kernel_polynomials(m, curves):
+    kernel = restriction_kernel(m, curves)["kernel"]
     return [_combo_string(m.source_names, v) for v in kernel]
-
-
-def _check_quadric_rank(n):
-    if n == SYMBOLIC:
-        raise PolicyError(
-            "finite rank computation needs a numeric parameter; "
-            "declare the numeric-only policy"
-        )
-    return normal_cone_quadric(n)
 
 
 def _fixed_locus(*keys):
     """A check row reporting the named counts of `fixed_locus_incidence`."""
 
-    def check(dim, n):
+    def check(dim):
         counts = fixed_locus_incidence(dim)
         return {key: counts[key] for key in keys}
 
     return check
 
 
-def _check_conormal_rank_consistency(ambient_dim, total, base, bundle, n):
+def _check_conormal_rank_consistency(ambient_dim, total, base, bundle):
     expected_rank = ambient_dim - (total.dim() - base.dim())
     return {
         "expected_rank": expected_rank,
@@ -841,11 +832,11 @@ _TABLE = {"space": _space, "curves": _curves, "divisors": _names}
 _KERNEL = {"matrix": _map, "curves": _curves}
 
 CHECK_KINDS = {
-    "dim": (lambda space, n: space.dim(), {"space": _space}),
-    "codim": (lambda space, n: space.center.codim, {"space": _blow_up}),
-    "codim-in-ambient": (lambda space, n: space.center.codim + 1, {"space": _blow_up}),
+    "dim": (lambda space: space.dim(), {"space": _space}),
+    "codim": (lambda space: space.center.codim, {"space": _blow_up}),
+    "codim-in-ambient": (lambda space: space.center.codim + 1, {"space": _blow_up}),
     "canonical": (
-        lambda space, n: list(canonical_class(space).coords),
+        lambda space: list(canonical_class(space).coords),
         {"space": _space},
     ),
     "restricted-canonical": (
@@ -858,34 +849,34 @@ CHECK_KINDS = {
         },
     ),
     "kneg": (
-        lambda space, k_class, curves, n: kneg_check(space.div(k_class), curves),
+        lambda space, k_class, curves: kneg_check(space.div(k_class), curves),
         {"space": _space, "k_class": _vector, "curves": _curves},
     ),
     "pairing-table": (
-        lambda space, curves, divisors, n: _pairings(space, curves, divisors),
+        lambda space, curves, divisors: _pairings(space, curves, divisors),
         _TABLE,
     ),
     "pairing-table-constant": (
-        lambda space, curves, divisors, n: _pairings(
+        lambda space, curves, divisors: _pairings(
             space, curves, divisors
         ).is_constant(),
         _TABLE,
     ),
-    "curve-vector": (lambda curve, n: list(curve.coords), {"curve": _curve}),
+    "curve-vector": (lambda curve: list(curve.coords), {"curve": _curve}),
     "combination-pairings": (
         _check_combination_pairings,
         dict(_TABLE, curves=_list_of(_curve, nonempty=True), coefficients=_vector),
     ),
     "functional-values": (
-        lambda space, functional, curves, n: [
+        lambda space, functional, curves: [
             intersect(c, space.div(functional)) for c in curves
         ],
         {"space": _space, "functional": _vector, "curves": _curves},
     ),
     "vector-sum": (_check_vector_sum, {"terms": _list_of(_vector, nonempty=True)}),
-    "map-matrix": (lambda m, n: m.matrix, {"map": _map}),
+    "map-matrix": (lambda m: m.matrix, {"map": _map}),
     "matrix-product-identity": (
-        lambda left, right, n: {
+        lambda left, right: {
             "left_right": (left.matrix * right.matrix).is_identity(),
             "right_left": (right.matrix * left.matrix).is_identity(),
         },
@@ -897,17 +888,17 @@ CHECK_KINDS = {
     ),
     "map-invertible": (_check_map_invertible, {"map": _map}),
     "transport": (
-        lambda start, via, drop, n: transport_class(start, via, drop),
+        lambda start, via, drop: transport_class(start, via, drop),
         {"start": _vector, "via": _list_of(_TRANSPORT_STEP), "drop": (_names, ())},
     ),
     "solve-pushforward": (
-        lambda space, curves, divisors, observed, n: list(
+        lambda space, curves, divisors, observed: list(
             solve_pushforward(observed, _pairings(space, curves, divisors))
         ),
         dict(_TABLE, observed=_vector),
     ),
     "push-from-sublattice": (
-        lambda m, degrees, n: list(push_from_sublattice(m.matrix, degrees)),
+        lambda m, degrees: list(push_from_sublattice(m.matrix, degrees)),
         {"matrix": _map, "degrees": _vector},
     ),
     "extremal-certificate": (
@@ -921,23 +912,23 @@ CHECK_KINDS = {
     ),
     "mori-chain": (_check_mori_chain, {"chain": _CHAIN}),
     "restriction-kernel": (
-        lambda m, curves, n: restriction_kernel(m.matrix, curves),
+        lambda m, curves: restriction_kernel(m, curves),
         _KERNEL,
     ),
     "kernel-polynomials": (_check_kernel_polynomials, _KERNEL),
-    "stabilizer-census": (lambda n: omega_census(), {}),
-    "sigma-census": (lambda n: sigma_census(), {}),
-    "order-two-relations": (lambda n: order_two_relations(), {}),
+    "stabilizer-census": (lambda: omega_census(), {}),
+    "sigma-census": (lambda: sigma_census(), {}),
+    "order-two-relations": (lambda: order_two_relations(), {}),
     "census-size-floor": (
-        lambda minimum, n: omega_census()["total"] >= minimum,
+        lambda minimum: omega_census()["total"] >= minimum,
         {"minimum": _integer},
     ),
-    "isotropy-equivalence": (lambda n: isotropy_equivalence_f3(), {}),
+    "isotropy-equivalence": (lambda: isotropy_equivalence_f3(), {}),
     "rational-isotropy-samples": (
-        lambda samples, seed, n: rational_isotropy_samples(samples, seed),
+        lambda samples, seed: rational_isotropy_samples(samples, seed),
         {"samples": _integer, "seed": _integer},
     ),
-    "quadric-rank": (_check_quadric_rank, {}),
+    "quadric-rank": (lambda: normal_cone_quadric(), {}),
     "fixed-locus": (
         _fixed_locus("fixed_pairs", "diagonal_pairs", "fixed_equals_diagonal"),
         {"dim": _integer},
@@ -947,31 +938,31 @@ CHECK_KINDS = {
         {"dim": _integer},
     ),
     "cohomology-products": (
-        lambda cases, n: [coh_dim_product_proj(*case) for case in cases],
+        lambda cases: [coh_dim_product_proj(*case) for case in cases],
         {"cases": _list_of(_list_of(_integer, length=3))},
     ),
     "graded-ranks-consistency": (
-        lambda ks, n: all(
+        lambda ks: all(
             coh_dim_product_proj(k, k, 0) == sym_rank(3, k) ** 2 for k in ks
         ),
         {"ks": _list_of(_integer)},
     ),
     "bundle-invariants": (
-        lambda f, n: {"rank": f.rank, "c1": list(f.c1.coords)},
+        lambda f: {"rank": f.rank, "c1": list(f.c1.coords)},
         {"bundle": _bundle},
     ),
     "fiber-dim": (
-        lambda total, base, n: total.dim() - base.dim(),
+        lambda total, base: total.dim() - base.dim(),
         {"total": _space, "base": _space},
     ),
     "conormal-rank-consistency": (
         _check_conormal_rank_consistency,
         {"ambient_dim": _number, "total": _space, "base": _space, "bundle": _bundle},
     ),
-    "ig-dim": (lambda k, m, n: _ig_dim_poly(k).eval(m), {"k": _integer, "m": _integer}),
-    "exc-restriction-routes": (lambda n: exc_restriction_routes(), {}),
+    "ig-dim": (lambda k, m: _ig_dim_poly(k).eval(m), {"k": _integer, "m": _integer}),
+    "exc-restriction-routes": (lambda: exc_restriction_routes(), {}),
     "curve-degree": (
-        lambda curve, divisor, n: intersect(curve, curve.space.div(divisor)),
+        lambda curve, divisor: intersect(curve, curve.space.div(divisor)),
         {"curve": _curve, "divisor": _vector},
     ),
 }
@@ -1157,7 +1148,7 @@ def _evaluate_valid(doc, n) -> VerificationReport:
     results = []
     for entry, what, check in checks:
         try:
-            computed = serialize_value(check(n), n)
+            computed = serialize_value(check(), n)
             expected = serialize_value(parse_value(entry["value"]), n)
         except (ValueError, ScenarioFileError) as exc:
             raise ScenarioFileError("%s: %s" % (what, exc)) from exc

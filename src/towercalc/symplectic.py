@@ -305,42 +305,21 @@ def po2_act(element, pair: ExtPair) -> tuple[ExtPair, dict]:
     return out, report
 
 
-#: Largest n for which `normal_cone_quadric` builds its explicit gram.  At
-#: n = 100 that is a 396 x 396 matrix, whose model took 0.9 s with Python
-#: 3.11 on one core of a 2-CPU Xeon host; the work grows like n^3.
-MAX_QUADRIC_N = 100
+def normal_cone_quadric() -> dict:
+    """Quadric cut out by the standard ext pairing q(e12, e21) = <e12, e21>
+    on the 4n-4 coordinates of an off-diagonal ext pair, for every n: its
+    number of variables, its rank, whether it is smooth in projective space
+    (full rank) and that space's dimension, as polynomials in n.
 
-
-def pairing_quadric_gram(pairing: ExactMatrix) -> ExactMatrix:
-    """Symmetric gram of q(e12, e21) = <e12, e21> on the doubled space."""
-    k = pairing.rows
-    g = pairing.const_entries()
-    size = 2 * k
-    rows = [[Fraction(0)] * size for _ in range(size)]
-    for i in range(k):
-        for j in range(k):
-            rows[i][k + j] = Fraction(g[i][j], 2)
-            rows[k + j][i] = Fraction(g[i][j], 2)
-    return ExactMatrix(rows)
-
-
-def normal_cone_quadric(n: int) -> dict:
-    """Quadric cut out by the standard ext pairing on the 4n-4 coordinates of
-    an off-diagonal ext pair: its number of variables, its rank, whether it
-    is smooth in projective space (full rank) and that space's dimension.
-    Full rank 4n-4 means the projectivized cone is a cone over a smooth
-    quadric.  The gram has (4n-4)^2 entries and its row reduction is cubic
-    in n, so an n above MAX_QUADRIC_N raises ValueError before any matrix is
-    built.
+    q is the orthogonal sum of 2n-2 hyperbolic planes, one per coordinate
+    pair (e12_i, e21_i), so its rank is 2n-2 times the rank of one plane's
+    gram [[0, 1/2], [1/2, 0]].  Full rank 4n-4 means the projectivized cone
+    is a cone over a smooth quadric.
     """
-    if not isinstance(n, int) or n < exactnum.N_MIN:
-        raise ValueError("n must be an integer >= %d" % exactnum.N_MIN)
-    if n > MAX_QUADRIC_N:
-        raise ValueError(
-            "n %d is above the quadric budget of %d" % (n, MAX_QUADRIC_N)
-        )
-    nvars = 4 * n - 4
-    r = rank(pairing_quadric_gram(ExactMatrix.identity(2 * n - 2)))
+    half = Fraction(1, 2)
+    planes = 2 * exactnum.N - 2
+    nvars = 2 * planes
+    r = planes * rank(ExactMatrix([[0, half], [half, 0]]))
     return {"nvars": nvars, "rank": r, "smooth": r == nvars, "ambient_dim": nvars - 1}
 
 

@@ -26,6 +26,7 @@ from towercalc.towers import (
     FormalBundle,
     LatticeError,
     ProjBundle,
+    PullbackMap,
     RestrictionClassSpec,
     canonical_class,
     lift_class,
@@ -544,11 +545,17 @@ class TestIntegerFaceRows:
         assert rows == [(0, 3, (-3, 5, 0)), (1, 2, (1, 0, 0))]
 
 
+def from_jhat(jhat, matrix):
+    """``matrix`` as a lattice map out of jhat's divisor lattice."""
+    targets = tuple("t%d" % i for i in range(matrix.rows))
+    return PullbackMap("r", jhat.pic_names(), targets, matrix)
+
+
 class TestRestrictionKernel:
     def test_kernel_and_perp(self, setup):
         _, jhat, ehat1, ehat2, sigma, gamma = setup
         report = restriction_kernel(
-            BOUNDARY_RESTRICTION, (ehat1, ehat2, sigma, gamma)
+            from_jhat(jhat, BOUNDARY_RESTRICTION), (ehat1, ehat2, sigma, gamma)
         )
         assert report["kernel"] == ((0, 1, -1, 0),)
         assert report["perp"] == (
@@ -560,7 +567,9 @@ class TestRestrictionKernel:
     def test_zero_map_kernel_everything(self, setup):
         _, jhat, ehat1, ehat2, sigma, gamma = setup
         zero = ExactMatrix([[0, 0, 0, 0]])
-        report = restriction_kernel(zero, (ehat1, ehat2, sigma, gamma))
+        report = restriction_kernel(
+            from_jhat(jhat, zero), (ehat1, ehat2, sigma, gamma)
+        )
         assert len(report["kernel"]) == 4
 
     @pytest.mark.parametrize(
@@ -571,8 +580,8 @@ class TestRestrictionKernel:
     def test_curve_off_the_source_lattice_is_rejected(self, setup, restriction):
         jz, jhat, ehat1, *_ = setup
         eps1 = line_in_proj_fiber("x2", jz)
-        with pytest.raises(CurveSpaceError, match="restriction's source 4"):
-            restriction_kernel(restriction, (ehat1, eps1))
+        with pytest.raises(CurveSpaceError, match="not on the source lattice of r"):
+            restriction_kernel(from_jhat(jhat, restriction), (ehat1, eps1))
 
     def test_pushforward_consistency(self, setup):
         # Declared boundary classes push to the expected combinations.

@@ -36,7 +36,6 @@ from towercalc.scenarios import (
     scenario_doc,
     serialize_value,
 )
-from towercalc.symplectic import normal_cone_quadric
 from towercalc.towers import CenterSpec, FormalBase, FormalBundle
 
 ALL_NAMES = [info["name"] for info in list_scenarios()]
@@ -277,8 +276,6 @@ def test_the_domain_start_is_one_constant(monkeypatch, capsys):
         assert message in capsys.readouterr().err
     with pytest.raises(BadParameterError, match=r"n must be >= 4 \(got 3\)"):
         run_scenario("picard-matrices", 3)
-    with pytest.raises(ValueError, match="n must be an integer >= 4"):
-        normal_cone_quadric(3)
     assert run_scenario("picard-matrices", 4).passed
 
 
@@ -296,11 +293,15 @@ def test_numeric_only_policy_is_enforced():
     assert run_scenario("normal-cone-quadric", 3).passed
 
 
-def test_numeric_check_in_a_symbolic_doc_is_rejected():
+def test_quadric_passes_at_symbolic_once_its_document_allows_it():
     doc = scenario_doc("normal-cone-quadric")
     doc["n_policy"] = POLICY_ANY
-    with pytest.raises(PolicyError):
-        evaluate_doc(doc, SYMBOLIC)
+    report = evaluate_doc(doc, SYMBOLIC)
+    assert report.passed
+    quadric = report.checks[0].computed
+    assert quadric["rank"] == quadric["nvars"] == {"0": "-4", "1": "4"}
+    assert quadric["ambient_dim"] == {"0": "-5", "1": "4"}
+    assert quadric["smooth"] is True
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from towercalc import symplectic
-from towercalc.exactnum import ExactMatrix
+from towercalc.exactnum import ExactMatrix, N, rank
 from towercalc.symplectic import (
-    MAX_QUADRIC_N,
     ExtPair,
     HomWE,
     NotInHomOmegaError,
@@ -285,31 +284,37 @@ class TestPO2Action:
         assert stabilizer_class_sigma(ExtPair((1, 0), (0, 0))) is StabilizerClass.TRIVIAL
 
 
+def pairing_quadric_gram(pairing: ExactMatrix) -> ExactMatrix:
+    """Symmetric gram of q(e12, e21) = <e12, e21> on the doubled space."""
+    k = pairing.rows
+    g = pairing.const_entries()
+    size = 2 * k
+    rows = [[Fraction(0)] * size for _ in range(size)]
+    for i in range(k):
+        for j in range(k):
+            rows[i][k + j] = Fraction(g[i][j], 2)
+            rows[k + j][i] = Fraction(g[i][j], 2)
+    return ExactMatrix(rows)
+
+
 class TestNormalConeQuadric:
     def test_rank_values(self) -> None:
-        assert normal_cone_quadric(3)["rank"] == 8
-        assert normal_cone_quadric(4)["rank"] == 12
-        assert normal_cone_quadric(3)["smooth"]
+        quadric = normal_cone_quadric()
+        assert quadric["rank"] == 4 * N - 4
+        assert quadric["rank"].eval(3) == 8
+        assert quadric["rank"].eval(4) == 12
+        assert quadric["smooth"] is True
 
     def test_ambient_dim(self) -> None:
-        assert normal_cone_quadric(3)["ambient_dim"] == 7
+        assert normal_cone_quadric()["ambient_dim"] == 4 * N - 5
 
-    def test_small_n_rejected(self) -> None:
-        with pytest.raises(ValueError):
-            normal_cone_quadric(2)
-
-    def test_n_above_the_budget_is_rejected_before_any_matrix(self, monkeypatch) -> None:
-        class Reached(Exception):
-            pass
-
-        def no_gram(pairing):
-            raise Reached
-
-        monkeypatch.setattr(symplectic, "pairing_quadric_gram", no_gram)
-        with pytest.raises(ValueError, match="budget of %d" % MAX_QUADRIC_N):
-            normal_cone_quadric(MAX_QUADRIC_N + 1)
-        with pytest.raises(Reached):
-            normal_cone_quadric(MAX_QUADRIC_N)
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_rank_matches_the_explicit_gram(self, n) -> None:
+        # The oracle row-reduces the whole (4n-4) x (4n-4) gram of the
+        # identity pairing instead of one hyperbolic plane.
+        gram = pairing_quadric_gram(ExactMatrix.identity(2 * n - 2))
+        assert gram.rows == 4 * n - 4
+        assert rank(gram) == normal_cone_quadric()["rank"].eval(n)
 
 
 class TestFixedLocus:
