@@ -308,6 +308,22 @@ class TestNormalConeQuadric:
     def test_ambient_dim(self) -> None:
         assert normal_cone_quadric()["ambient_dim"] == 4 * N - 5
 
+    def test_n_of_any_size_needs_only_one_plane_matrix(self, monkeypatch) -> None:
+        # The rank is read off one hyperbolic plane, so an n far above any
+        # size a gram could have is answered without an n-sized matrix.
+        sizes = []
+
+        def spy(matrix):
+            sizes.append((matrix.rows, matrix.cols))
+            return rank(matrix)
+
+        monkeypatch.setattr(symplectic, "rank", spy)
+        quadric = normal_cone_quadric()
+        assert sizes == [(2, 2)]
+        assert quadric["rank"].eval(999999999) == 3999999992
+        assert quadric["nvars"].eval(999999999) == 3999999992
+        assert quadric["smooth"] is True
+
     @pytest.mark.parametrize("n", range(3, 9))
     def test_rank_matches_the_explicit_gram(self, n) -> None:
         # The oracle row-reduces the whole (4n-4) x (4n-4) gram of the
