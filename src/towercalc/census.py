@@ -456,6 +456,19 @@ def isotropy_equivalence_f3() -> dict:
     return _f3_enumeration({})
 
 
+def _draw_entries(bits, count: int) -> list[int]:
+    """``count`` integers in -4..4, row by row, drawn as ``randint(-4, 4)``
+    draws them from the generator whose ``getrandbits`` is ``bits``: 4 random
+    bits, redrawn until they are below 9."""
+    entries = []
+    for _ in range(count):
+        r = bits(4)
+        while r >= 9:
+            r = bits(4)
+        entries.append(r - 4)
+    return entries
+
+
 @lru_cache(maxsize=None)
 def rational_isotropy_samples(count: int = 1000, seed: int = DEFAULT_SAMPLE_SEED) -> dict:
     """Seeded rational homs: the quadratic map vanishes iff the image is
@@ -470,18 +483,15 @@ def rational_isotropy_samples(count: int = 1000, seed: int = DEFAULT_SAMPLE_SEED
         raise ValueError(
             "samples %d is outside the budget of 1 to %d" % (count, MAX_SAMPLES)
         )
-    rng = random.Random(seed)
+    bits = random.Random(seed).getrandbits
     e_space = SymplecticSpace.standard(3)
     agree = 0
     zero_locus_hits = 0
     half = count // 2
     for i in range(count):
-        if i < half:
-            rows = [[rng.randint(-4, 4) for _ in range(3)] for _ in range(6)]
-        else:
-            rows = [[rng.randint(-4, 4) for _ in range(3)] for _ in range(3)]
-            rows += [[0] * 3 for _ in range(3)]
-        phi = HomWE(ExactMatrix(rows))
+        entries = _draw_entries(bits, 18 if i < half else 9)
+        entries += [0] * (18 - len(entries))
+        phi = HomWE(ExactMatrix([entries[j:j + 3] for j in range(0, 18, 3)]))
         on_zero_locus = all(x == 0 for x in yoneda_omega(phi, e_space))
         isotropic = is_isotropic(phi.columns(), e_space)
         if on_zero_locus == isotropic:

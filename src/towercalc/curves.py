@@ -11,7 +11,6 @@ section classes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, lcm
@@ -62,18 +61,17 @@ class PropagationError(ValueError):
         self.condition = condition
 
 
-@dataclass(frozen=True, eq=False)
 class CurveClass(LatticeVector):
     """Numerical curve class: pairings against the home space's generators."""
 
-    def __post_init__(self):
-        coords = tuple(aspoly(v) for v in self.coords)
-        object.__setattr__(self, "coords", coords)
-        if len(coords) != self.space.pic_rank:
+    def __init__(self, space: Space, coords: tuple[ParamPoly, ...]):
+        coords = tuple(aspoly(v) for v in coords)
+        if len(coords) != space.pic_rank:
             raise CurveSpaceError(
                 "vector length %d does not match the %d generators of %s"
-                % (len(coords), self.space.pic_rank, self.space.name)
+                % (len(coords), space.pic_rank, space.name)
             )
+        super().__init__(space, coords)
 
 
 # ---------------------------------------------------------------------------
@@ -201,24 +199,26 @@ def kneg_check(k_class: DivClass, curves: Sequence[CurveClass]) -> dict:
 # cones and extremality certificates
 
 
-@dataclass(frozen=True)
 class Cone:
     """A cone given by generators (curve vectors over a fixed lattice)."""
 
-    dim: int
-    generators: tuple[tuple[ParamPoly, ...], ...]
-    names: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        gens = tuple(tuple(aspoly(x) for x in g) for g in self.generators)
-        object.__setattr__(self, "generators", gens)
+    def __init__(
+        self,
+        dim: int,
+        generators: tuple[tuple[ParamPoly, ...], ...],
+        names: tuple[str, ...] = (),
+    ):
+        gens = tuple(tuple(aspoly(x) for x in g) for g in generators)
         for g in gens:
-            if len(g) != self.dim:
+            if len(g) != dim:
                 raise ValueError("generator length does not match the lattice")
             if all(x.is_zero() for x in g):
                 raise ValueError("zero generator")
-        if self.names and len(self.names) != len(gens):
+        if names and len(names) != len(gens):
             raise ValueError("names do not match the generators")
+        self.dim = dim
+        self.generators = gens
+        self.names = names
 
 
 def _shell_vectors(dim: int, h: int):
@@ -354,7 +354,6 @@ def _dependency_witness(cone: Cone, face_idx, others) -> dict | None:
 # cone propagation along chains of contractions
 
 
-@dataclass(frozen=True)
 class ContractionData:
     """One morphism out of a chain step.
 
@@ -364,21 +363,21 @@ class ContractionData:
     outside the divisor calculus) must be supplied, not both.
     """
 
-    name: str
-    pullbacks: ExactMatrix | None = None
-    images: tuple[tuple[ParamPoly, ...], ...] | None = None
-
-    def __post_init__(self):
-        if (self.pullbacks is None) == (self.images is None):
+    def __init__(
+        self,
+        name: str,
+        pullbacks: ExactMatrix | None = None,
+        images: tuple[tuple[ParamPoly, ...], ...] | None = None,
+    ):
+        if (pullbacks is None) == (images is None):
             raise ValueError(
-                "exactly one of pullbacks/images must be given for %s" % self.name
+                "exactly one of pullbacks/images must be given for %s" % name
             )
-        if self.images is not None:
-            object.__setattr__(
-                self,
-                "images",
-                tuple(tuple(aspoly(x) for x in v) for v in self.images),
-            )
+        if images is not None:
+            images = tuple(tuple(aspoly(x) for x in v) for v in images)
+        self.name = name
+        self.pullbacks = pullbacks
+        self.images = images
 
     def image_of(self, index: int, degrees: Sequence[ParamPoly]) -> tuple[ParamPoly, ...]:
         if self.pullbacks is not None:
@@ -386,48 +385,51 @@ class ContractionData:
         return self.images[index]
 
 
-@dataclass(frozen=True)
 class ChainStep:
-    space_name: str
-    generator_names: tuple[str, ...]
-    generators: tuple[tuple[ParamPoly, ...], ...]
-    contracted: str
-    cprime: ContractionData
-    cdouble: ContractionData
-
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "generators",
-            tuple(tuple(aspoly(x) for x in v) for v in self.generators),
-        )
-        if len(self.generator_names) != len(self.generators):
+    def __init__(
+        self,
+        space_name: str,
+        generator_names: tuple[str, ...],
+        generators: tuple[tuple[ParamPoly, ...], ...],
+        contracted: str,
+        cprime: ContractionData,
+        cdouble: ContractionData,
+    ):
+        generators = tuple(tuple(aspoly(x) for x in v) for v in generators)
+        if len(generator_names) != len(generators):
             raise ValueError("generator names and vectors must align")
-        for c in (self.cprime, self.cdouble):
-            if c.images is not None and len(c.images) != len(self.generators):
+        for c in (cprime, cdouble):
+            if c.images is not None and len(c.images) != len(generators):
                 raise ValueError(
                     "%s declares %d images for %d generators"
-                    % (c.name, len(c.images), len(self.generators))
+                    % (c.name, len(c.images), len(generators))
                 )
-        if self.contracted not in self.generator_names:
+        if contracted not in generator_names:
             raise ValueError(
-                "contracted curve %r not among the generators" % self.contracted
+                "contracted curve %r not among the generators" % contracted
             )
+        self.space_name = space_name
+        self.generator_names = generator_names
+        self.generators = generators
+        self.contracted = contracted
+        self.cprime = cprime
+        self.cdouble = cdouble
 
 
-@dataclass(frozen=True)
 class ChainSpec:
-    base_space: str
-    base_generator_names: tuple[str, ...]
-    base_generators: tuple[tuple[ParamPoly, ...], ...]
-    steps: tuple[ChainStep, ...]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "base_generators",
-            tuple(tuple(aspoly(x) for x in v) for v in self.base_generators),
+    def __init__(
+        self,
+        base_space: str,
+        base_generator_names: tuple[str, ...],
+        base_generators: tuple[tuple[ParamPoly, ...], ...],
+        steps: tuple[ChainStep, ...],
+    ):
+        self.base_space = base_space
+        self.base_generator_names = base_generator_names
+        self.base_generators = tuple(
+            tuple(aspoly(x) for x in v) for v in base_generators
         )
+        self.steps = steps
 
 
 def _vec_key(vec: Sequence[ParamPoly]) -> tuple[str, ...]:

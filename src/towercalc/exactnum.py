@@ -281,7 +281,7 @@ class ExactMatrix:
         width = len(rows[0]) if rows else (cols or 0)
         const = []
         for row in rows:
-            values = tuple(_const_value(x) for x in row)
+            values = tuple(map(_const_value, row))
             if None in values:
                 const = None
                 break

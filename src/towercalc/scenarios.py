@@ -25,7 +25,6 @@ their checks are sorted by name.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from importlib import resources
@@ -206,12 +205,9 @@ def canonical_json(data) -> str:
 # perfbench/, sees the calls.
 
 
-@dataclass
 class Env:
-    spaces: dict
-    bundles: dict
-    maps: dict
-    curves: dict
+    def __init__(self):
+        self.spaces, self.bundles, self.maps, self.curves = {}, {}, {}, {}
 
 
 class _BadField(ValueError):
@@ -619,7 +615,7 @@ _CURVE_ENTRY = _object(
 
 
 def _make_env(doc) -> Env:
-    env = Env({}, {}, {}, {})
+    env = Env()
 
     def define(store: dict, label: str, read, entry) -> None:
         name = entry["name"]
@@ -973,21 +969,21 @@ _CHECK_KIND = _one_of(CHECK_KINDS, "check kind")
 # reports
 
 
-@dataclass(frozen=True)
 class CheckResult:
-    name: str
-    status: str
-    expected: object
-    computed: object
-    provenance: str
-    anchor: str
+    def __init__(self, name, status, expected, computed, provenance, anchor):
+        self.name = name
+        self.status = status
+        self.expected = expected
+        self.computed = computed
+        self.provenance = provenance
+        self.anchor = anchor
 
 
-@dataclass(frozen=True)
 class VerificationReport:
-    scenario: str
-    n: object
-    checks: tuple
+    def __init__(self, scenario: str, n, checks: tuple):
+        self.scenario = scenario
+        self.n = n
+        self.checks = checks
 
     @property
     def passed(self) -> bool:

@@ -10,9 +10,7 @@ locus.  All checks run over exact rationals or a small prime field.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import product
 from typing import Sequence
 
@@ -36,20 +34,18 @@ class SingularPairingError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class SymplecticSpace:
     """Even-dimensional space with a nonsingular antisymmetric gram."""
 
-    gram: ExactMatrix
-
-    def __post_init__(self):
-        g = self.gram
-        if g.rows != g.cols or g.rows % 2 != 0:
+    def __init__(self, gram: ExactMatrix):
+        if gram.rows != gram.cols or gram.rows % 2 != 0:
             raise ValueError("gram must be square of even size")
-        if g.transpose() != -g:
+        if gram.transpose() != -gram:
             raise ValueError("gram must be antisymmetric")
-        if rank(g) != g.rows:
+        if rank(gram) != gram.rows:
             raise ValueError("gram must be nonsingular")
+        self.gram = gram
+        self._terms = _nonzero_terms(gram)
 
     @classmethod
     def standard(cls, m: int) -> "SymplecticSpace":
@@ -66,10 +62,6 @@ class SymplecticSpace:
     @property
     def dim(self) -> int:
         return self.gram.rows
-
-    @cached_property
-    def _terms(self) -> tuple[tuple[int, int, int | Fraction], ...]:
-        return _nonzero_terms(self.gram)
 
 
 def _nonzero_terms(gram: ExactMatrix) -> tuple[tuple[int, int, int | Fraction], ...]:
@@ -98,24 +90,18 @@ def _raw_bilinear(terms, v: Sequence, w: Sequence) -> int | Fraction:
 HYPERBOLIC_GRAM = ExactMatrix([[0, 0, 1], [0, 1, 0], [1, 0, 0]])
 
 
-@dataclass(frozen=True)
 class QuadSpaceW:
     """Three-dimensional quadratic space (w1, w2, w3)."""
 
-    gram: ExactMatrix = HYPERBOLIC_GRAM
-
-    def __post_init__(self):
-        g = self.gram
-        if g.rows != 3 or g.cols != 3:
+    def __init__(self, gram: ExactMatrix = HYPERBOLIC_GRAM):
+        if gram.rows != 3 or gram.cols != 3:
             raise ValueError("W is three-dimensional")
-        if g.transpose() != g:
+        if gram.transpose() != gram:
             raise ValueError("gram must be symmetric")
-        if rank(g) != 3:
+        if rank(gram) != 3:
             raise ValueError("gram must be nonsingular")
-
-    @cached_property
-    def _terms(self) -> tuple[tuple[int, int, int | Fraction], ...]:
-        return _nonzero_terms(self.gram)
+        self.gram = gram
+        self._terms = _nonzero_terms(gram)
 
     def kappa(self, v: Sequence, w: Sequence) -> Fraction:
         """kappa(v, w) for any rational input; integral inputs stay int until
@@ -125,22 +111,15 @@ class QuadSpaceW:
         return Fraction(_raw_bilinear(self._terms, v, w))
 
 
-@dataclass(frozen=True)
 class HomWE:
-    """Linear map W -> E; columns are the images of w1, w2, w3."""
+    """Linear map W -> E, given by a constant matrix; columns are the images
+    of w1, w2, w3."""
 
-    matrix: ExactMatrix
-
-    def __post_init__(self):
-        if self.matrix.cols != 3:
+    def __init__(self, matrix: ExactMatrix):
+        if matrix.cols != 3:
             raise ValueError("need exactly three columns")
-
-    @cached_property
-    def _columns(self) -> tuple[tuple[int | Fraction, ...], ...]:
-        ent = self.matrix.const_entries()
-        return tuple(
-            tuple(ent[i][j] for i in range(self.matrix.rows)) for j in range(3)
-        )
+        self.matrix = matrix
+        self._columns = tuple(zip(*matrix.const_entries()))
 
     def columns(self) -> list[tuple[int | Fraction, ...]]:
         return list(self._columns)
@@ -149,16 +128,18 @@ class HomWE:
 def is_isotropic(generators: Sequence[Sequence], space: SymplecticSpace) -> bool:
     """True when the span of the generators is omega-isotropic.
 
-    The empty list spans the zero subspace, which is isotropic.
+    The empty list spans the zero subspace, which is isotropic.  Only pairs
+    of distinct generators are paired: omega(v, v) = 0 for the antisymmetric
+    gram of every SymplecticSpace.
     """
-    gens = [[_const_value(x) for x in g] for g in generators]
+    gens = [list(map(_const_value, g)) for g in generators]
     for g in gens:
         if len(g) != space.dim:
             raise ValueError("generator length %d, expected %d" % (len(g), space.dim))
     terms = space._terms
-    for i in range(len(gens)):
-        for j in range(i, len(gens)):
-            if _raw_bilinear(terms, gens[i], gens[j]) != 0:
+    for i, g in enumerate(gens):
+        for h in gens[i + 1:]:
+            if _raw_bilinear(terms, g, h) != 0:
                 return False
     return True
 
@@ -204,7 +185,9 @@ def stabilizer_class_omega(
 
 def yoneda_omega(phi: HomWE, e_space: SymplecticSpace) -> tuple[Fraction, Fraction, Fraction]:
     """The three coordinates (phi^* omega)(w_i, w_j) for i < j."""
-    c = phi.columns()
+    if phi.matrix.rows != e_space.dim:
+        raise ValueError("hom target dimension mismatch")
+    c = phi._columns
     terms = e_space._terms
     return (
         Fraction(_raw_bilinear(terms, c[0], c[1])),
@@ -213,26 +196,21 @@ def yoneda_omega(phi: HomWE, e_space: SymplecticSpace) -> tuple[Fraction, Fracti
     )
 
 
-@dataclass(frozen=True)
 class ExtPair:
     """Off-diagonal ext pair (e12, e21) with a nonsingular pairing."""
 
-    e12: tuple
-    e21: tuple
-    pairing: ExactMatrix | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "e12", tuple(Fraction(x) for x in self.e12))
-        object.__setattr__(self, "e21", tuple(Fraction(x) for x in self.e21))
+    def __init__(self, e12: tuple, e21: tuple, pairing: ExactMatrix | None = None):
+        self.e12 = tuple(Fraction(x) for x in e12)
+        self.e21 = tuple(Fraction(x) for x in e21)
         if len(self.e12) != len(self.e21) or not self.e12:
             raise ValueError("e12 and e21 must be nonempty of equal length")
-        if self.pairing is None:
-            object.__setattr__(self, "pairing", ExactMatrix.identity(len(self.e12)))
-        p = self.pairing
-        if p.rows != len(self.e12) or p.cols != len(self.e21):
+        if pairing is None:
+            pairing = ExactMatrix.identity(len(self.e12))
+        if pairing.rows != len(self.e12) or pairing.cols != len(self.e21):
             raise ValueError("pairing shape mismatch")
-        if rank(p) != p.rows:
+        if rank(pairing) != pairing.rows:
             raise SingularPairingError("pairing is singular")
+        self.pairing = pairing
 
     def pair(self) -> Fraction:
         g = self.pairing.const_entries()
@@ -254,17 +232,13 @@ def stabilizer_class_sigma(pair: ExtPair) -> StabilizerClass:
     return StabilizerClass.MULTIPLICATIVE if both_zero else StabilizerClass.TRIVIAL
 
 
-@dataclass(frozen=True)
 class Scale:
-    lam: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "lam", Fraction(self.lam))
+    def __init__(self, lam: Fraction):
+        self.lam = Fraction(lam)
         if self.lam == 0:
             raise ValueError("scale factor must be nonzero")
 
 
-@dataclass(frozen=True)
 class Swap:
     pass
 

@@ -14,7 +14,6 @@ canonical class and intersection bookkeeping consume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from . import exactnum
@@ -87,14 +86,14 @@ class Space:
         return "<%s %s>" % (type(self).__name__, self.name)
 
 
-@dataclass(frozen=True, eq=False)
 class LatticeVector:
     """A vector of coordinates over the space's generator names; divisor and
     curve classes share this arithmetic.  Results keep the operand's type,
     and classes of different types are never equal."""
 
-    space: Space
-    coords: tuple[ParamPoly, ...]
+    def __init__(self, space: Space, coords: tuple[ParamPoly, ...]):
+        self.space = space
+        self.coords = coords
 
     def _compat(self, other: "LatticeVector") -> None:
         # Curve classes live on the dual of the divisor lattice.
@@ -143,24 +142,22 @@ class DivClass(LatticeVector):
     """Divisor class: coordinates over the space's generator names."""
 
 
-@dataclass(frozen=True)
 class FormalBundle:
     """A vector bundle remembered only through its rank and first Chern
     class.  The rank must be at least 1 for every integer n >= N_MIN."""
 
-    space: Space
-    rank: ParamPoly
-    c1: DivClass
-    name: str = ""
-
-    def __post_init__(self):
-        object.__setattr__(self, "rank", aspoly(self.rank))
-        if self.c1.space.pic_names() != self.space.pic_names():
+    def __init__(self, space: Space, rank: ParamPoly, c1: DivClass, name: str = ""):
+        rank = aspoly(rank)
+        if c1.space.pic_names() != space.pic_names():
             raise LatticeError("c1 lives on the wrong lattice")
-        if not nonnegative_on_integers_from(self.rank - 1):
+        if not nonnegative_on_integers_from(rank - 1):
             raise ValueError(
-                "rank %s is below 1 for some n >= %d" % (self.rank, exactnum.N_MIN)
+                "rank %s is below 1 for some n >= %d" % (rank, exactnum.N_MIN)
             )
+        self.space = space
+        self.rank = rank
+        self.c1 = c1
+        self.name = name
 
 
 class FormalBase(Space):
@@ -247,17 +244,14 @@ class ProjBundle(Space):
         return tuple(b - c for b, c in zip(below, rel.c1.coords))
 
 
-@dataclass(frozen=True)
 class RestrictionClassSpec:
     """Restriction of the exceptional divisor class to its own fiber
     directions, given as degrees on named rulings."""
 
-    directions: tuple[str, ...]
-    degrees: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "degrees", tuple(aspoly(d) for d in self.degrees))
-        if len(self.directions) != len(self.degrees):
+    def __init__(self, directions: tuple[str, ...], degrees: tuple):
+        self.directions = directions
+        self.degrees = tuple(aspoly(d) for d in degrees)
+        if len(directions) != len(self.degrees):
             raise ValueError("directions and degrees must align")
 
     def degree_on(self, direction: str) -> ParamPoly:
@@ -266,16 +260,15 @@ class RestrictionClassSpec:
         return self.degrees[self.directions.index(direction)]
 
 
-@dataclass(frozen=True)
 class CenterSpec:
     """Blow-up center described by its codimension and, optionally, the
     restriction of the exceptional class to the exceptional fibers."""
 
-    codim: ParamPoly
-    exc_restriction: RestrictionClassSpec | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "codim", aspoly(self.codim))
+    def __init__(
+        self, codim: ParamPoly, exc_restriction: RestrictionClassSpec | None = None
+    ):
+        self.codim = aspoly(codim)
+        self.exc_restriction = exc_restriction
         if not nonnegative_on_integers_from(self.codim - 1):
             raise ValueError(
                 "codimension %s is below 1 for some n >= %d"
@@ -430,7 +423,6 @@ def pull_to(f: FormalBundle, dst: Space) -> FormalBundle:
 # pullback maps between named lattices
 
 
-@dataclass(frozen=True)
 class PullbackMap:
     """Lattice map recording a pullback on divisor classes.
 
@@ -438,16 +430,19 @@ class PullbackMap:
     in the target basis.
     """
 
-    name: str
-    source_names: tuple[str, ...]
-    target_names: tuple[str, ...]
-    matrix: ExactMatrix
-
-    def __post_init__(self):
-        if self.matrix.rows != len(self.target_names) or self.matrix.cols != len(
-            self.source_names
-        ):
+    def __init__(
+        self,
+        name: str,
+        source_names: tuple[str, ...],
+        target_names: tuple[str, ...],
+        matrix: ExactMatrix,
+    ):
+        if matrix.rows != len(target_names) or matrix.cols != len(source_names):
             raise LatticeError("matrix shape does not match the bases")
+        self.name = name
+        self.source_names = source_names
+        self.target_names = target_names
+        self.matrix = matrix
 
     def apply(self, coords: Sequence) -> tuple[ParamPoly, ...]:
         if len(coords) != len(self.source_names):

@@ -21,6 +21,7 @@ from towercalc.census import (
     order_two_relations,
     rational_isotropy_samples,
     sigma_census,
+    _draw_entries,
     _extend_basis_f3,
     _f3_enumeration,
     _f3_omega_table,
@@ -29,7 +30,8 @@ from towercalc.census import (
     _omega_f3,
     _span_basis_f3,
 )
-from towercalc.exactnum import ParamPoly
+from towercalc.exactnum import ExactMatrix, ParamPoly
+from towercalc.symplectic import HomWE, SymplecticSpace
 
 
 def test_additive_covectors_satisfy_the_hyperbolic_criterion():
@@ -296,6 +298,51 @@ def test_rational_samples_agree_for_other_seeds():
     assert report["all_agree"] is True
     # half the draws are built inside the vanishing locus by construction
     assert report["zero_locus_hits"] >= 30
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**40 + 1, DEFAULT_SAMPLE_SEED])
+def test_entry_draws_equal_randint_draw_for_draw(seed):
+    reference = random.Random(seed)
+    rng = random.Random(seed)
+    drawn = []
+    for count in (18, 9, 4000, 1):
+        drawn += _draw_entries(rng.getrandbits, count)
+    assert drawn == [reference.randint(-4, 4) for _ in range(4028)]
+    assert rng.getstate() == reference.getstate()
+
+
+def reference_samples(count, seed):
+    """rational_isotropy_samples as a plain loop: randint draws, a HomWE per
+    sample, and omega paired densely over Fractions, the diagonal included."""
+    rng = random.Random(seed)
+    gram = SymplecticSpace.standard(3).gram.const_entries()
+
+    def omega(v, w):
+        return sum(
+            Fraction(v[i]) * gram[i][j] * w[j] for i in range(6) for j in range(6)
+        )
+
+    agree = hits = 0
+    for i in range(count):
+        drawn = 6 if i < count // 2 else 3
+        rows = [[rng.randint(-4, 4) for _ in range(3)] for _ in range(drawn)]
+        rows += [[0, 0, 0]] * (6 - drawn)
+        cols = HomWE(ExactMatrix(rows)).columns()
+        on_zero_locus = all(omega(cols[a], cols[b]) == 0 for a, b in ((0, 1), (0, 2), (1, 2)))
+        isotropic = all(omega(cols[a], cols[b]) == 0 for a in range(3) for b in range(a, 3))
+        agree += on_zero_locus == isotropic
+        hits += on_zero_locus
+    return {
+        "samples": count,
+        "agreements": agree,
+        "all_agree": agree == count,
+        "zero_locus_hits": hits,
+    }
+
+
+@pytest.mark.parametrize("count, seed", [(1000, DEFAULT_SAMPLE_SEED), (60, 7)])
+def test_rational_samples_match_the_reference_loop(count, seed):
+    assert rational_isotropy_samples(count, seed) == reference_samples(count, seed)
 
 
 @pytest.mark.parametrize("count", [0, -1, MAX_SAMPLES + 1])

@@ -501,6 +501,23 @@ def run_cold(path):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+def test_import_pulls_in_no_dataclass_machinery():
+    # dataclasses imports inspect, ast and dis: about a quarter of a cold
+    # `towercalc` command's import time.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(towercalc.__file__)))
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    probe = "import sys, towercalc.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env=dict(env, PYTHONPATH=src),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def tower_doc(floors, value):
     """A document on a tower of ``floors`` divisor-in spaces over one base,
     with one vector-sum check whose expected value is ``value``."""
@@ -757,7 +774,8 @@ def cli_digests() -> dict:
     """sha256 of the stdout of `export` for every built-in scenario, of
     `verify --format text` at symbolic and n = 3, of `verify` over
     `range:3..6` as JSON, and of `table` and `cone` at symbolic and n = 3 in
-    both formats, for every scenario where the command succeeds."""
+    both formats, for every scenario where the command succeeds; where it
+    exits non-zero, sha256 of the exit code and the stderr text."""
     digests = {}
     for info in list_scenarios():
         name = info["name"]
@@ -776,13 +794,11 @@ def cli_digests() -> dict:
             ]
         )
         for argv in argvs:
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main(argv)
-            if code == 0:
-                digests[" ".join(argv)] = hashlib.sha256(
-                    out.getvalue().encode("utf-8")
-                ).hexdigest()
+            text = out.getvalue() if code == 0 else "%d\n%s" % (code, err.getvalue())
+            digests[" ".join(argv)] = hashlib.sha256(text.encode("utf-8")).hexdigest()
     return digests
 
 

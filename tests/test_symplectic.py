@@ -236,6 +236,15 @@ class TestYoneda:
         assert upsilon == (1, 0, 0)
         assert all(type(x) is Fraction for x in upsilon)
 
+    def test_target_dimension_mismatch_is_rejected(self) -> None:
+        # Eight rows against a six-dimensional E: rows 7 and 8 would be
+        # dropped, and is_isotropic refuses the same columns.
+        phi = HomWE(ExactMatrix([[0, 0, 0]] * 6 + [[1, 0, 0], [0, 1, 0]]))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            yoneda_omega(phi, E6)
+        with pytest.raises(ValueError, match="generator length 8"):
+            is_isotropic(phi.columns(), E6)
+
     def test_sigma_zero_locus_example(self) -> None:
         assert yoneda_sigma(ExtPair((1, 0), (0, 1))) == (0, 0)
 
