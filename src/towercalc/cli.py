@@ -124,7 +124,7 @@ def _cmd_verify(args) -> int:
         doc = load_scenario_file(args.scenario_file)
     else:
         doc = scenario_doc(args.scenario)
-    reports = [_evaluate_valid(doc, n) for n in ns]
+    reports = _evaluate_valid(doc, ns)
     if args.format == "json":
         if len(reports) == 1:
             text = reports[0].to_json_text()
@@ -179,7 +179,7 @@ def _single_report(args):
     if len(ns) != 1:
         raise UsageError("%s prints a single parameter value at a time" % args.command)
     doc = scenario_doc(args.scenario)
-    return doc, _evaluate_valid(doc, ns[0])
+    return doc, _evaluate_valid(doc, ns)[0]
 
 
 def _cmd_table(args) -> int:

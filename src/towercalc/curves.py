@@ -22,11 +22,11 @@ from .exactnum import (
     NoSolutionError,
     ParamPoly,
     UnderdeterminedError,
+    _int_signs_from,
     aspoly,
     negative_on_integers_from,
     nonnegative_on_integers_from,
     nullspace,
-    positive_on_integers_from,
     solve_linear_generic,
 )
 from .towers import BlowUp, DivClass, LatticeVector, ProjBundle, PullbackMap, Space
@@ -221,10 +221,29 @@ class Cone:
         self.names = names
 
 
-def _shell_vectors(dim: int, h: int):
-    """Integer vectors of sup-height exactly h, lexicographically."""
-    for vec in product(range(-h, h + 1), repeat=dim):
-        if h == 0 or h in vec or -h in vec:
+def _face_candidates(dim: int, h: int, face_rows: Sequence[tuple[int, ...]]):
+    """The vectors of sup-height exactly h that every face row pairs to zero,
+    lexicographically.  Only the first dim - 1 coordinates are walked: a face
+    row with a nonzero last coefficient is solved for the last coordinate and
+    the other rows are checked on that one vector; with no such row, a prefix
+    zeroing every row takes each last coordinate on the shell."""
+    if dim == 0:
+        yield from [()] if h == 0 else []
+        return
+    pivot = next((row for row in face_rows if row[-1]), None)
+    rest = [row for row in face_rows if row is not pivot]
+    span = range(-h, h + 1)
+    for prefix in product(span, repeat=dim - 1):  # _dot(prefix, row) drops row[-1]
+        edge = h == 0 or h in prefix or -h in prefix
+        if pivot is None:
+            if not any(_dot(prefix, row) for row in face_rows):
+                yield from (prefix + (last,) for last in (span if edge else (-h, h)))
+            continue
+        last, remainder = divmod(-_dot(prefix, pivot), pivot[-1])
+        if remainder or abs(last) > h or not (edge or abs(last) == h):
+            continue
+        vec = prefix + (last,)
+        if not any(_dot(vec, row) for row in rest):
             yield vec
 
 
@@ -245,6 +264,16 @@ def _coefficient_rows(gen: Sequence[ParamPoly]) -> list[tuple[int, int, tuple]]:
 
 def _dot(u: Sequence[int], v: Sequence[int]) -> int:
     return sum(map(mul, u, v))
+
+
+def _integer_pairing_rows(rows, dim: int) -> list[tuple[int, ...]]:
+    """Rows per exponent 0..degree over a common denominator (zero rows where absent):
+    their dot products with f are the coefficients of a positive multiple of f . gen."""
+    common = lcm(*(scale for _, scale, _ in rows))
+    dense = [(0,) * dim] * (rows[-1][0] + 1)
+    for e, scale, row in rows:
+        dense[e] = tuple(x * (common // scale) for x in row)
+    return dense
 
 
 def _value(functional: Sequence[int], rows) -> ParamPoly:
@@ -272,9 +301,10 @@ def extremal_certificate(
     Each generator is turned once into integer coefficient rows, one per
     exponent of n occurring in it, scaled by the lcm of their denominators
     (`_coefficient_rows`).  A candidate vanishes on the face exactly when its
-    integer dot product with every face row is zero; only the survivors get
-    their pairings with the other generators built as ParamPolys and
-    sign-decided, stopping at the first one that is not positive.
+    integer dot product with every face row is zero; `_face_candidates` yields
+    those from (2 * h + 1) ** (dim - 1) prefixes per shell.  Their pairings with
+    the other generators are integer coefficient lists (`_integer_pairing_rows`)
+    signed by `_int_signs_from`; only the hit gets ParamPolys.
 
     The search size (2 * height_bound + 1) ** dim is budgeted: a negative
     height_bound, or a size above MAX_SEARCH_SIZE, raises ValueError before
@@ -292,13 +322,12 @@ def extremal_certificate(
     others = [i for i in range(len(cone.generators)) if i not in face_idx]
     rows = [_coefficient_rows(g) for g in cone.generators]
     face_rows = [row for i in face_idx for _, _, row in rows[i]]
+    pairings = [_integer_pairing_rows(rows[j], cone.dim) for j in others]
     for h in range(height_bound + 1):
-        for cand in _shell_vectors(cone.dim, h):
-            if any(_dot(cand, row) for row in face_rows):
-                continue
+        for cand in _face_candidates(cone.dim, h, face_rows):
             if all(
-                positive_on_integers_from(_value(cand, rows[j]))
-                for j in others
+                _int_signs_from([_dot(cand, row) for row in dense]) == {1}
+                for dense in pairings
             ):
                 return {
                     "status": "certified",

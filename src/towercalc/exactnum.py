@@ -210,23 +210,30 @@ def rat_str(c) -> str:
 N_MIN = 3
 
 
+def _int_signs_from(coeffs: Sequence[int]) -> set:
+    """The signs (-1, 0, 1) that sum_e coeffs[e] * k^e, integer coefficients,
+    takes over the integers k >= N_MIN.  Every root lies below the Cauchy
+    bound 1 + max |a_i / a_d|, from which on the sign is the leading
+    coefficient's; the integers below it are evaluated one by one."""
+    d = len(coeffs) - 1
+    while d and not coeffs[d]:
+        d -= 1
+    lead = coeffs[d]
+    if not d:
+        return {_sign(lead)}
+    bound = 1 - (-max(map(abs, coeffs[:d])) // abs(lead))  # ceil, in integers
+    window = range(N_MIN, max(N_MIN, bound) + 1)
+    return {_sign(sum(c * k**e for e, c in enumerate(coeffs))) for k in window} | {_sign(lead)}
+
+
 def _signs_from(p: ParamPoly) -> set:
-    """The signs (-1, 0, 1) that p(k) takes over the integers k >= N_MIN.
-
-    Every root of p lies below the Cauchy bound 1 + max |a_i / a_d|, so from
-    the bound on p has the sign of its leading coefficient; the integers
-    below it are evaluated one by one.
-    """
-    if p.is_constant():
-        return {_sign(p.constant_value())}
-    d = p.degree
-    lead = p.coeff(d)
-    bound = 1 + max(abs(p.coeff(i) / lead) for i in range(d))
-    window = range(N_MIN, max(N_MIN, math.ceil(bound)) + 1)
-    return {_sign(p.eval(k)) for k in window} | {_sign(lead)}
+    """`_int_signs_from` on p times the lcm of its denominators."""
+    common = math.lcm(*(c.denominator for c in p.coeffs.values()))
+    coeffs = map(p.coeff, range(p.degree + 1))
+    return _int_signs_from([c.numerator * (common // c.denominator) for c in coeffs])
 
 
-def _sign(x: Fraction) -> int:
+def _sign(x: int) -> int:
     return (x > 0) - (x < 0)
 
 

@@ -970,13 +970,12 @@ _CHECK_KIND = _one_of(CHECK_KINDS, "check kind")
 
 
 class CheckResult:
-    def __init__(self, name, status, expected, computed, provenance, anchor):
+    def __init__(self, name, status, expected, computed, provenance):
         self.name = name
         self.status = status
         self.expected = expected
         self.computed = computed
         self.provenance = provenance
-        self.anchor = anchor
 
 
 class VerificationReport:
@@ -1121,14 +1120,16 @@ def validate_doc(doc) -> None:
 def evaluate_doc(doc, n) -> VerificationReport:
     _validate_n(n)
     validate_doc(doc)
-    return _evaluate_valid(doc, n)
+    return _evaluate_valid(doc, [n])[0]
 
 
-def _evaluate_valid(doc, n) -> VerificationReport:
-    """`evaluate_doc` on a document that `validate_doc` has accepted, as every
-    document from `scenario_doc` or `load_scenario_file` has been, at a valid
-    ``n``."""
-    if doc.get("n_policy", POLICY_ANY) == POLICY_NUMERIC and n == SYMBOLIC:
+def _evaluate_valid(doc, ns) -> list:
+    """`evaluate_doc` at each valid ``n`` of ``ns``, one report per n, on a
+    document that `validate_doc` has accepted, as every document from
+    `scenario_doc` or `load_scenario_file` has been.  No check depends on n,
+    so the environment is built and each check run once; only serializing
+    and comparing happen per n."""
+    if doc.get("n_policy", POLICY_ANY) == POLICY_NUMERIC and SYMBOLIC in ns:
         raise PolicyError(
             "scenario %r computes finite ranks; run it at a numeric n >= %d"
             % (doc["name"], exactnum.N_MIN)
@@ -1141,25 +1142,22 @@ def _evaluate_valid(doc, n) -> VerificationReport:
         what = "scenario %r check %r" % (doc["name"], entry["name"])
         check = _entry(what, lambda: _row(entry, "check", _CHECK_KIND, env))
         checks.append((entry, what, check))
-    results = []
+    results = [[] for _ in ns]
     for entry, what, check in checks:
         try:
-            computed = serialize_value(check(), n)
-            expected = serialize_value(parse_value(entry["value"]), n)
+            value = check()
+            computed = [serialize_value(value, n) for n in ns]
+            wanted = parse_value(entry["value"])
+            expected = [serialize_value(wanted, n) for n in ns]
         except (ValueError, ScenarioFileError) as exc:
             raise ScenarioFileError("%s: %s" % (what, exc)) from exc
-        results.append(
-            CheckResult(
-                name=entry["name"],
-                status="PASS" if computed == expected else "FAIL",
-                expected=expected,
-                computed=computed,
-                provenance=entry["provenance"],
-                anchor=entry["anchor"],
-            )
-        )
-    results.sort(key=lambda c: c.name)
-    return VerificationReport(doc["name"], n, tuple(results))
+        for out, got, want in zip(results, computed, expected):
+            status = "PASS" if got == want else "FAIL"
+            out.append(CheckResult(entry["name"], status, want, got, entry["provenance"]))
+    return [
+        VerificationReport(doc["name"], n, tuple(sorted(out, key=lambda c: c.name)))
+        for n, out in zip(ns, results)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -1232,7 +1230,7 @@ def run_scenario(name: str, n) -> VerificationReport:
     ``"symbolic"``)."""
     doc = scenario_doc(name)
     _validate_n(n)
-    return _evaluate_valid(doc, n)
+    return _evaluate_valid(doc, [n])[0]
 
 
 def export_scenario(name: str) -> str:

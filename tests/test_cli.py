@@ -105,6 +105,25 @@ def test_verify_range_aggregates_reports(capsys):
     assert all(c["status"] == "PASS" for r in reports for c in r["checks"])
 
 
+def test_verify_range_runs_each_check_once(capsys, monkeypatch):
+    from towercalc import scenarios
+
+    calls = []
+    search = scenarios.extremal_certificate
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(scenarios, "extremal_certificate", counted)
+    argv = ["verify", "--scenario", "extremal-sigma-ray", "--format", "json"]
+    code, out, _ = run(capsys, argv + ["--n", "range:3..6"])
+    assert code == 0
+    assert len(calls) == 1
+    singles = [json.loads(run(capsys, argv + ["--n", str(n)])[1]) for n in range(3, 7)]
+    assert json.loads(out) == singles
+
+
 def test_verify_text_report(capsys):
     code, out, _ = run(capsys, ["verify", "--scenario", "euler-convention", "--n", "3"])
     assert code == 0

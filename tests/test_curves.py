@@ -386,6 +386,10 @@ class TestExtremalCertificate:
         cert = extremal_certificate(cone, face=("a", "b"))
         assert cert["functional"] == (0, 0, 1)
 
+    def test_zero_dimensional_lattice_gets_the_empty_functional(self):
+        cert = extremal_certificate(Cone(dim=0, generators=()), face=())
+        assert (cert["status"], cert["functional"], cert["height"]) == ("certified", (), 0)
+
     def test_unknown_face_name(self, setup):
         with pytest.raises(ValueError):
             extremal_certificate(self.cone(setup), face=("nope",))
@@ -419,10 +423,10 @@ class TestExtremalCertificate:
         )
         assert 33**4 > curves.MAX_SEARCH_SIZE >= 31**4
 
-        def unreachable(dim, h):
+        def unreachable(dim, h, face_rows):
             raise AssertionError("the search started")
 
-        monkeypatch.setattr(curves, "_shell_vectors", unreachable)
+        monkeypatch.setattr(curves, "_face_candidates", unreachable)
         with pytest.raises(ValueError, match="budget"):
             extremal_certificate(cone, face=("a",), height_bound=16)
 
@@ -492,6 +496,24 @@ DESIGNED_CONES = [
         "certified",
     ),
     (((N, 1), (1, 0), (0, 1)), ("g0",), 3, "inconclusive"),
+    # Both face rows have last coefficient 0: every prefix that zeroes them
+    # admits each last coordinate on the shell.
+    (
+        ((N - 2, 2 - N, 0), (1, 0, HALF), (0, 1, -1), (0, 0, 1)),
+        ("g0",),
+        3,
+        "certified",
+    ),
+    # Face row (6, 3, 5): most prefixes leave a remainder mod 5.
+    (((2, 1, FIVE_THIRDS), (1, 0, 0), (0, 0, -1), (1, 1, 1)), ("g0",), 3, "certified"),
+    # Only the second face row has a nonzero last coefficient; the first
+    # must still be checked on the solved vector.
+    (
+        ((1, -1, 0, 0), (0, 2, 1, 2), (1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, -1)),
+        ("g0", "g1"),
+        3,
+        "certified",
+    ),
 ]
 
 
@@ -538,6 +560,35 @@ class TestIntegerFaceRows:
         cone, face, height_bound = seeded_cone(seed)
         cert = extremal_certificate(cone, face, height_bound=height_bound)
         assert cert == reference_certificate(cone, face, height_bound)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda dim: st.tuples(
+                st.just(dim),
+                st.integers(0, 3),
+                st.lists(
+                    st.tuples(
+                        st.lists(st.integers(-4, 4), min_size=dim, max_size=dim),
+                        st.booleans(),
+                    ),
+                    min_size=1,
+                    max_size=3,
+                ),
+            )
+        )
+    )
+    def test_face_candidates_are_the_filtered_shell(self, case):
+        dim, h, drawn = case
+        # A row drawn with the flag set gets last coefficient 0.
+        face_rows = [tuple(row[:-1]) + (0 if flat else row[-1],) for row, flat in drawn]
+        shell = [
+            v
+            for v in product(range(-h, h + 1), repeat=dim)
+            if max(map(abs, v)) == h
+            and all(sum(a * b for a, b in zip(v, row)) == 0 for row in face_rows)
+        ]
+        assert list(curves._face_candidates(dim, h, face_rows)) == shell
 
     def test_coefficient_rows_are_scaled_to_integers(self):
         gen = tuple(aspoly(x) for x in (N * HALF - 1, FIVE_THIRDS, 0))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -8,15 +9,20 @@ from hypothesis import strategies as st
 
 from towercalc.exactnum import (
     MAX_DEGREE,
+    N_MIN,
     DegreeCapError,
     ExactMatrix,
     N,
     NoSolutionError,
     ParamPoly,
     UnderdeterminedError,
+    _int_signs_from,
     aspoly,
     inverse,
+    negative_on_integers_from,
+    nonnegative_on_integers_from,
     nullspace,
+    positive_on_integers_from,
     rank,
     rat_str,
     solve_linear,
@@ -82,6 +88,44 @@ class TestParamPoly:
     def test_reduced_representation(self) -> None:
         x = Fraction(6, -4)
         assert (x.numerator, x.denominator) == (-3, 2)
+
+
+sign_coeffs = st.fractions(min_value=-12, max_value=12, max_denominator=4)
+sign_polys = st.one_of(
+    st.builds(
+        lambda cs: ParamPoly(dict(enumerate(cs))),
+        st.lists(sign_coeffs, max_size=MAX_DEGREE + 1),
+    ),
+    # a root at an integer r, inside the domain when r >= N_MIN
+    st.builds(
+        lambda r, cs: (N - r) * ParamPoly(dict(enumerate(cs))),
+        st.integers(0, 15),
+        st.lists(sign_coeffs, max_size=MAX_DEGREE),
+    ),
+)
+
+
+def _sign(x) -> int:
+    return (x > 0) - (x < 0)
+
+
+class TestIntegerSigns:
+    @given(sign_polys, st.integers(1, 6))
+    @settings(max_examples=100, deadline=None)
+    def test_integer_routine_matches_the_verdicts(self, p: ParamPoly, scale: int) -> None:
+        # p over a common denominator times a positive scale, padded with
+        # zeros up to the degree cap
+        common = math.lcm(*(c.denominator for c in p.coeffs.values())) * scale
+        signs = _int_signs_from([int(p.coeff(e) * common) for e in range(MAX_DEGREE + 1)])
+        assert (signs == {1}) == positive_on_integers_from(p)
+        assert (signs == {-1}) == negative_on_integers_from(p)
+        assert (-1 not in signs) == nonnegative_on_integers_from(p)
+        # Oracle: no root exceeds max(1, sum |a_i / a_d|) in size, so beyond
+        # that p has the sign of its leading coefficient.
+        lead = p.coeff(p.degree)
+        reach = sum(abs(p.coeff(i) / lead) for i in range(p.degree)) if lead else 0
+        window = range(N_MIN, N_MIN + math.ceil(reach) + 2)
+        assert signs == {_sign(p.eval(k)) for k in window} | {_sign(lead)}
 
 
 class TestSolveLinear:
