@@ -3,48 +3,13 @@ blow-up resolutions, and the curve cones and symplectic local models attached
 to them.
 
 Everything is computed over the rationals (with one formal parameter ``n``)
-or over small prime fields; no floating point is used anywhere.  The main
-entry points are the scenario suite (:func:`run_scenario`,
-:func:`list_scenarios`) and the ``towercalc`` command line tool.
+or over small prime fields; no floating point is used anywhere.  The entry
+points are the scenario suite below and the ``towercalc`` command line tool;
+the engine's pieces are imported from their own modules.
 """
 
-from .census import (
-    DEFAULT_SAMPLE_SEED,
-    build_ext_pair_family,
-    build_stabilizer_family,
-    isotropy_equivalence_f3,
-    omega_census,
-    order_two_relations,
-    rational_isotropy_samples,
-    sigma_census,
-)
-from .curves import (
-    ChainSpec,
-    ChainStep,
-    Cone,
-    CurveClass,
-    PropagationError,
-    extremal_certificate,
-    intersect,
-    kneg_check,
-    mori_propagate,
-    pairing_table,
-    push_from_sublattice,
-    restriction_kernel,
-    solve_pushforward,
-)
-from .exactnum import (
-    ExactMatrix,
-    LinearSolveError,
-    ParamPoly,
-    solve_linear,
-)
 from .scenarios import (
-    PolicyError,
     ScenarioError,
-    ScenarioFileError,
-    UnknownScenarioError,
-    VerificationReport,
     evaluate_doc,
     export_scenario,
     list_scenarios,
@@ -52,82 +17,3 @@ from .scenarios import (
     run_scenario,
     scenario_doc,
 )
-from .symplectic import (
-    ExtPair,
-    HomWE,
-    StabilizerClass,
-    SymplecticSpace,
-    fixed_locus_incidence,
-    is_isotropic,
-    normal_cone_quadric,
-    stabilizer_class_omega,
-    stabilizer_class_sigma,
-)
-from .towers import (
-    BlowUp,
-    DivClass,
-    FiberProduct,
-    FormalBase,
-    FormalBundle,
-    ProjBundle,
-    PullbackMap,
-    canonical_class,
-    transport_class,
-)
-
-__all__ = [
-    "BlowUp",
-    "ChainSpec",
-    "ChainStep",
-    "Cone",
-    "CurveClass",
-    "DEFAULT_SAMPLE_SEED",
-    "DivClass",
-    "ExactMatrix",
-    "ExtPair",
-    "FiberProduct",
-    "FormalBase",
-    "FormalBundle",
-    "HomWE",
-    "LinearSolveError",
-    "ParamPoly",
-    "PolicyError",
-    "ProjBundle",
-    "PropagationError",
-    "PullbackMap",
-    "ScenarioError",
-    "ScenarioFileError",
-    "StabilizerClass",
-    "SymplecticSpace",
-    "UnknownScenarioError",
-    "VerificationReport",
-    "build_ext_pair_family",
-    "build_stabilizer_family",
-    "canonical_class",
-    "evaluate_doc",
-    "export_scenario",
-    "extremal_certificate",
-    "fixed_locus_incidence",
-    "intersect",
-    "is_isotropic",
-    "isotropy_equivalence_f3",
-    "kneg_check",
-    "list_scenarios",
-    "load_scenario_file",
-    "mori_propagate",
-    "normal_cone_quadric",
-    "omega_census",
-    "order_two_relations",
-    "pairing_table",
-    "push_from_sublattice",
-    "rational_isotropy_samples",
-    "restriction_kernel",
-    "run_scenario",
-    "scenario_doc",
-    "sigma_census",
-    "solve_linear",
-    "solve_pushforward",
-    "stabilizer_class_omega",
-    "stabilizer_class_sigma",
-    "transport_class",
-]

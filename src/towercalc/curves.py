@@ -98,13 +98,11 @@ def line_in_proj_fiber(taut_name: str, space: Space) -> CurveClass:
 
 def line_in_exceptional_fiber(direction: str, space: Space) -> CurveClass:
     """A line along a named ruling of an exceptional fiber; its degree on the
-    exceptional class comes from the blow-up's declared restriction class."""
+    exceptional class is the one the blow-up declares for that ruling."""
     names = space.pic_names()
-    hits = []
-    for s in space.ancestors():
-        if isinstance(s, BlowUp) and s.center.exc_restriction is not None:
-            if direction in s.center.exc_restriction.directions:
-                hits.append(s)
+    hits = [
+        s for s in space.ancestors() if isinstance(s, BlowUp) and direction in s.exc_degrees
+    ]
     if not hits:
         raise CurveSpaceError(
             "no blow-up of %s declares the ruling %r" % (space.name, direction)
@@ -115,7 +113,7 @@ def line_in_exceptional_fiber(direction: str, space: Space) -> CurveClass:
         )
     up = hits[0]
     vec = [ParamPoly()] * len(names)
-    vec[names.index(up.exc_name)] = up.center.exc_restriction.degree_on(direction)
+    vec[names.index(up.exc_name)] = up.exc_degrees[direction]
     return CurveClass(space, tuple(vec))
 
 

@@ -242,11 +242,6 @@ def negative_on_integers_from(p: ParamPoly) -> bool:
     return _signs_from(p) == {-1}
 
 
-def positive_on_integers_from(p: ParamPoly) -> bool:
-    """Exact verdict of p(k) > 0 for every integer k >= N_MIN."""
-    return _signs_from(p) == {1}
-
-
 def nonnegative_on_integers_from(p: ParamPoly) -> bool:
     """Exact verdict of p(k) >= 0 for every integer k >= N_MIN."""
     return -1 not in _signs_from(p)

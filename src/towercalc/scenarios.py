@@ -70,14 +70,12 @@ from .projcoh import coh_dim_product_proj, sym_rank
 from .symplectic import fixed_locus_incidence, normal_cone_quadric
 from .towers import (
     BlowUp,
-    CenterSpec,
     DivisorIn,
     FiberProduct,
     FormalBase,
     FormalBundle,
     ProjBundle,
     PullbackMap,
-    RestrictionClassSpec,
     canonical_class,
     dual,
     extension,
@@ -498,13 +496,6 @@ RECIPES = {
 # the spaces, bundles, maps and curves of a document
 
 
-def _blow_up_space(name, ambient, codim, exc, exc_directions, exc_degrees):
-    restriction = None
-    if exc_directions:
-        restriction = RestrictionClassSpec(exc_directions, exc_degrees)
-    return BlowUp(name, ambient, CenterSpec(codim, restriction), exc)
-
-
 SPACE_KINDS = {
     "formal-base": (
         FormalBase,
@@ -520,7 +511,7 @@ SPACE_KINDS = {
         {"name": _name, "base": _space, "bundle": _bundle, "taut": _name},
     ),
     "blow-up": (
-        _blow_up_space,
+        BlowUp,
         {
             "name": _name,
             "ambient": _space,
@@ -829,8 +820,8 @@ _KERNEL = {"matrix": _map, "curves": _curves}
 
 CHECK_KINDS = {
     "dim": (lambda space: space.dim(), {"space": _space}),
-    "codim": (lambda space: space.center.codim, {"space": _blow_up}),
-    "codim-in-ambient": (lambda space: space.center.codim + 1, {"space": _blow_up}),
+    "codim": (lambda space: space.codim, {"space": _blow_up}),
+    "codim-in-ambient": (lambda space: space.codim + 1, {"space": _blow_up}),
     "canonical": (
         lambda space: list(canonical_class(space).coords),
         {"space": _space},

@@ -217,6 +217,21 @@ class ExtPair:
         k = len(self.e12)
         return sum(self.e12[i] * g[i][j] * self.e21[j] for i in range(k) for j in range(k))
 
+    def scaled(self, lam) -> "ExtPair":
+        """The scaling by lam: (lam e12, e21 / lam), same pairing, so the
+        pairing value is preserved."""
+        lam = Fraction(lam)
+        if lam == 0:
+            raise ValueError("scale factor must be nonzero")
+        return ExtPair(
+            tuple(lam * x for x in self.e12), tuple(x / lam for x in self.e21), self.pairing
+        )
+
+    def swapped(self) -> "ExtPair":
+        """The swap: the two slots exchange and the pairing goes to minus its
+        transpose (the trace pairing anticommutes), so the value is negated."""
+        return ExtPair(self.e21, self.e12, -self.pairing.transpose())
+
 
 def yoneda_sigma(pair: ExtPair) -> tuple[Fraction, Fraction]:
     """(alpha, beta) with beta = <e12, e21> and alpha = -beta.
@@ -230,53 +245,6 @@ def yoneda_sigma(pair: ExtPair) -> tuple[Fraction, Fraction]:
 def stabilizer_class_sigma(pair: ExtPair) -> StabilizerClass:
     both_zero = all(x == 0 for x in pair.e12) and all(x == 0 for x in pair.e21)
     return StabilizerClass.MULTIPLICATIVE if both_zero else StabilizerClass.TRIVIAL
-
-
-class Scale:
-    def __init__(self, lam: Fraction):
-        self.lam = Fraction(lam)
-        if self.lam == 0:
-            raise ValueError("scale factor must be nonzero")
-
-
-class Swap:
-    pass
-
-
-def po2_act(element, pair: ExtPair) -> tuple[ExtPair, dict]:
-    """Act by a scaling or the swap; report how the quadratic value moves.
-
-    Scaling lambda sends (e12, e21) to (lambda e12, e21 / lambda) and
-    preserves the pairing value; the swap exchanges the two slots, carries
-    the pairing to minus its transpose (the trace pairing anticommutes), and
-    negates the value.
-    """
-    before = pair.pair()
-    if isinstance(element, Scale):
-        out = ExtPair(
-            tuple(element.lam * x for x in pair.e12),
-            tuple(x / element.lam for x in pair.e21),
-            pair.pairing,
-        )
-        relation = "preserved"
-        expected = before
-    elif isinstance(element, Swap):
-        flipped = -pair.pairing.transpose()
-        out = ExtPair(pair.e21, pair.e12, flipped)
-        relation = "negated"
-        expected = -before
-    else:
-        raise TypeError("unknown group element %r" % (element,))
-    after = out.pair()
-    report = {
-        "psi_before": before,
-        "psi_after": after,
-        "relation": relation,
-        "ok": after == expected,
-    }
-    if not report["ok"]:
-        raise AssertionError("equivariance failed: %r" % (report,))
-    return out, report
 
 
 def normal_cone_quadric() -> dict:
@@ -333,23 +301,19 @@ def fixed_locus_incidence(dim: int) -> dict:
             acc += v[i] * w[m + i] - v[m + i] * w[i]
         return acc % p
 
-    incidence = fixed = diagonal = 0
+    incidence = fixed = 0
     for v in pts:
         for w in pts:
             if omega(v, w) == 0:
                 incidence += 1
                 if v == w:
                     fixed += 1
-    for v in pts:
-        diagonal += 1
-        if omega(v, v) != 0:
-            raise AssertionError("diagonal point outside incidence locus")
     return {
         "dim": dim,
         "projective_points": len(pts),
         "incidence_pairs": incidence,
         "fixed_pairs": fixed,
-        "diagonal_pairs": diagonal,
-        "fixed_equals_diagonal": fixed == diagonal,
+        "diagonal_pairs": len(pts),
+        "fixed_equals_diagonal": fixed == len(pts),
     }
 

@@ -244,46 +244,32 @@ class ProjBundle(Space):
         return tuple(b - c for b, c in zip(below, rel.c1.coords))
 
 
-class RestrictionClassSpec:
-    """Restriction of the exceptional divisor class to its own fiber
-    directions, given as degrees on named rulings."""
-
-    def __init__(self, directions: tuple[str, ...], degrees: tuple):
-        self.directions = directions
-        self.degrees = tuple(aspoly(d) for d in degrees)
-        if len(directions) != len(self.degrees):
-            raise ValueError("directions and degrees must align")
-
-    def degree_on(self, direction: str) -> ParamPoly:
-        if direction not in self.directions:
-            raise ValueError("unknown ruling %r" % direction)
-        return self.degrees[self.directions.index(direction)]
-
-
-class CenterSpec:
-    """Blow-up center described by its codimension and, optionally, the
-    restriction of the exceptional class to the exceptional fibers."""
+class BlowUp(Space):
+    """Blow-up of ``ambient`` along a center of codimension ``codim``, with
+    exceptional generator ``exc_name``.  The optional rulings of the
+    exceptional fibers carry the degree of the exceptional class on a line
+    along each of them."""
 
     def __init__(
-        self, codim: ParamPoly, exc_restriction: RestrictionClassSpec | None = None
+        self, name: str, ambient: Space, codim, exc_name: str,
+        exc_directions: tuple = (), exc_degrees: tuple = (),
     ):
+        if len(exc_directions) != len(exc_degrees):
+            raise ValueError("directions and degrees must align")
+        if len(set(exc_directions)) != len(exc_directions):
+            raise ValueError("a ruling is declared twice")
         self.codim = aspoly(codim)
-        self.exc_restriction = exc_restriction
         if not nonnegative_on_integers_from(self.codim - 1):
             raise ValueError(
                 "codimension %s is below 1 for some n >= %d"
                 % (self.codim, exactnum.N_MIN)
             )
-
-
-class BlowUp(Space):
-    def __init__(self, name: str, ambient: Space, center: CenterSpec, exc_name: str):
         if exc_name in ambient.pic_names():
             raise LatticeError("generator name %r already used" % exc_name)
         self.name = name
         self.ambient = ambient
-        self.center = center
         self.exc_name = exc_name
+        self.exc_degrees = dict(zip(exc_directions, map(aspoly, exc_degrees)))
 
     def parents(self):
         return (self.ambient,)
@@ -296,7 +282,7 @@ class BlowUp(Space):
 
     def canonical_coords(self):
         below = lift_coords(self.ambient, self, self.ambient.canonical_coords())
-        disc = self.gen(self.exc_name, self.center.codim - 1)
+        disc = self.gen(self.exc_name, self.codim - 1)
         return tuple(b + e for b, e in zip(below, disc.coords))
 
 

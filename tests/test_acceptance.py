@@ -5,13 +5,12 @@ pins the decisive values literally, so a regression anywhere in the stack
 (lattices, bundle towers, curve cones, local models, census) fails here.
 """
 
-from towercalc import (
+from towercalc.census import (
     build_stabilizer_family,
     isotropy_equivalence_f3,
     rational_isotropy_samples,
-    run_scenario,
 )
-from towercalc.scenarios import SYMBOLIC
+from towercalc.scenarios import SYMBOLIC, run_scenario
 
 
 def _passed(name, n):

@@ -30,8 +30,9 @@ from towercalc.census import (
     _omega_f3,
     _span_basis_f3,
 )
+from towercalc.cli import main
 from towercalc.exactnum import ExactMatrix, ParamPoly
-from towercalc.symplectic import HomWE, SymplecticSpace
+from towercalc.symplectic import ExtPair, HomWE, StabilizerClass, SymplecticSpace
 
 
 def test_additive_covectors_satisfy_the_hyperbolic_criterion():
@@ -95,6 +96,60 @@ def test_order_two_relations():
     assert report["scale_relation"] == "preserved"
     assert report["swap_ok"] and report["swap_involution"]
     assert report["scale_ok"] and report["scale_round_trip"]
+
+
+def _swap_keeping_the_pairing(self):
+    return ExtPair(self.e21, self.e12, self.pairing)
+
+
+def _scale_forgetting_e21(self, lam):
+    return ExtPair(tuple(lam * x for x in self.e12), self.e21, self.pairing)
+
+
+@pytest.mark.parametrize(
+    "method, wrong, key",
+    [
+        ("swapped", _swap_keeping_the_pairing, "swap_ok"),
+        ("scaled", _scale_forgetting_e21, "scale_ok"),
+    ],
+)
+def test_a_wrong_order_two_relation_fails_the_check(monkeypatch, capsys, method, wrong, key):
+    monkeypatch.setattr(ExtPair, method, wrong)
+    report = order_two_relations()
+    assert report[key] is False
+    assert all(v is True for k, v in report.items() if k.endswith("_ok") and k != key)
+    assert main(["verify", "--scenario", "local-model-stabilizers"]) == 1
+    out, err = capsys.readouterr()
+    assert "  [FAIL] order-two-relations (reference)" in out
+    assert "result: FAIL (5/6 checks)" in out
+    assert err == ""
+
+
+@pytest.mark.parametrize(
+    "stratum, size",
+    [
+        ("rank0", 1),
+        ("rank1-additive", 32),
+        ("rank1-multiplicative", 32),
+        ("rank2", 6),
+        ("rank3", 4),
+    ],
+)
+def test_tally_counts_a_classifier_wrong_on_one_stratum(stratum, size):
+    family = build_stabilizer_family()
+    predicted = {id(m["hom"]): m["predicted"] for m in family}
+    wrong_on = {id(m["hom"]) for m in family if m["stratum"] == stratum}
+
+    def classify(hom):
+        right = predicted[id(hom)]
+        if id(hom) in wrong_on:
+            return next(c for c in StabilizerClass if c is not right)
+        return right
+
+    report = census._tally(family, "hom", classify)
+    assert report["total"] == 75
+    assert report["mismatches"] == size
+    assert report["all_match"] is False
 
 
 def test_f3_enumeration_counts_and_closed_form():

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -518,6 +519,16 @@ def run_cold(path):
         timeout=120,
     )
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_the_package_keeps_every_entry_point_the_benchmark_uses():
+    # The benchmark child is read as text, not imported, so a missing name
+    # fails here rather than in a benchmark run.
+    text = (Path(__file__).parents[1] / "perfbench" / "child.py").read_text(encoding="utf-8")
+    submodules = {p.stem for p in Path(towercalc.__file__).parent.glob("*.py")}
+    used = set(re.findall(r"\btowercalc\.([A-Za-z_]\w*)", text)) - submodules
+    assert {"run_scenario", "evaluate_doc", "list_scenarios", "scenario_doc"} <= used
+    assert [name for name in sorted(used) if not hasattr(towercalc, name)] == []
 
 
 def test_import_pulls_in_no_dataclass_machinery():

@@ -11,14 +11,13 @@ from towercalc.exactnum import (
     ExactMatrix,
     N,
     ParamPoly,
+    _signs_from,
     aspoly,
     negative_on_integers_from,
     nonnegative_on_integers_from,
-    positive_on_integers_from,
 )
 from towercalc.towers import (
     BlowUp,
-    CenterSpec,
     DivClass,
     DivisorIn,
     FiberProduct,
@@ -27,7 +26,6 @@ from towercalc.towers import (
     LatticeError,
     ProjBundle,
     PullbackMap,
-    RestrictionClassSpec,
     canonical_class,
     lift_class,
     quotient,
@@ -76,12 +74,7 @@ def build_jhat():
     pa2 = ProjBundle("PA2", pt, quot, "x3")
     fp = FiberProduct("PAxPA", pa1, pa2, pt)
     jz = DivisorIn("J_Z", fp, fp.div((0, 1, 1)))
-    jhat = BlowUp(
-        "Jhat_Z",
-        jz,
-        CenterSpec(2 * N - 4, RestrictionClassSpec(("theta", "w"), (-1, -1))),
-        "x4",
-    )
+    jhat = BlowUp("Jhat_Z", jz, 2 * N - 4, "x4", ("theta", "w"), (-1, -1))
     return jz, jhat
 
 
@@ -134,9 +127,7 @@ class TestAtomics:
         # Blow-up of a point-like center: a line in the exceptional fiber
         # meets the exceptional divisor in degree -1.
         base = FormalBase("P3", ("h",), canonical=(-4,), dim=3)
-        up = BlowUp(
-            "P3up", base, CenterSpec(3, RestrictionClassSpec(("f",), (-1,))), "e"
-        )
+        up = BlowUp("P3up", base, 3, "e", exc_directions=("f",), exc_degrees=(-1,))
         line = line_in_exceptional_fiber("f", up)
         assert line.coords[1] == -1
 
@@ -317,8 +308,8 @@ class TestKNegativity:
         # zero at n = 5, beyond the first two sample values
         assert not negative_on_integers_from(-(N - 5) * (N - 6))
         assert nonnegative_on_integers_from((N - 5) * (N - 6))
-        assert not positive_on_integers_from((N - 5) * (N - 6))
-        assert positive_on_integers_from((N - 5) * (N - 6) + 1)
+        assert _signs_from((N - 5) * (N - 6)) != {1}
+        assert _signs_from((N - 5) * (N - 6) + 1) == {1}
 
     @given(
         scale=st.integers(min_value=1, max_value=7),
@@ -457,7 +448,7 @@ def reference_certificate(cone, face, height_bound):
             ]
             if not all(values[i].is_zero() for i in face_idx):
                 continue
-            if all(positive_on_integers_from(values[j]) for j in others):
+            if all(_signs_from(values[j]) == {1} for j in others):
                 return {
                     "status": "certified",
                     "functional": cand,
@@ -658,6 +649,12 @@ def _two_step_chain(break_condition=None):
         cdouble_images = ((aspoly(0),), (aspoly(0),))
     if break_condition == "c":
         cprime = ContractionData(name="projection", pullbacks=ExactMatrix([[2], [0]]))
+    if break_condition == "a-also":
+        # contracts the marked fiber-line, and the section with it
+        cprime = ContractionData(name="projection", pullbacks=ExactMatrix([[0], [0]]))
+    if break_condition == "b-keeps":
+        # leaves the fiber-line alone, but keeps the section too
+        cdouble_images = ((aspoly(1),), (aspoly(1),))
     cdouble = ContractionData(name="other-ruling", images=cdouble_images)
     step = ChainStep(
         space_name="bundle-step",
@@ -673,6 +670,15 @@ def _two_step_chain(break_condition=None):
         base_generators=base_gens,
         steps=(step,),
     )
+
+
+VIOLATIONS = {
+    "a": "fiber-line is not contracted by projection",
+    "b": "fiber-line is contracted by other-ruling too",
+    "c": "do not match the known cone",
+    "a-also": "section is also contracted by projection",
+    "b-keeps": "section is not contracted by other-ruling",
+}
 
 
 class TestMoriPropagation:
@@ -707,12 +713,13 @@ class TestMoriPropagation:
         assert [step["space"] for step in cone["steps"]] == ["bundle-step"]
         assert all(cone["steps"][0]["conditions"].values())
 
-    @pytest.mark.parametrize("cond", ["a", "b", "c"])
+    @pytest.mark.parametrize("cond", ["a", "b", "c", "a-also", "b-keeps"])
     def test_hypothesis_violations_identified(self, cond):
         with pytest.raises(PropagationError) as err:
             mori_propagate(_two_step_chain(break_condition=cond))
-        assert err.value.condition == cond
+        assert err.value.condition == cond[0]
         assert err.value.step_name == "bundle-step"
+        assert VIOLATIONS[cond] in str(err.value)
 
     def test_contraction_data_exclusive(self):
         with pytest.raises(ValueError):

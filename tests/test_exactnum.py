@@ -17,12 +17,12 @@ from towercalc.exactnum import (
     ParamPoly,
     UnderdeterminedError,
     _int_signs_from,
+    _signs_from,
     aspoly,
     inverse,
     negative_on_integers_from,
     nonnegative_on_integers_from,
     nullspace,
-    positive_on_integers_from,
     rank,
     rat_str,
     solve_linear,
@@ -117,7 +117,7 @@ class TestIntegerSigns:
         # zeros up to the degree cap
         common = math.lcm(*(c.denominator for c in p.coeffs.values())) * scale
         signs = _int_signs_from([int(p.coeff(e) * common) for e in range(MAX_DEGREE + 1)])
-        assert (signs == {1}) == positive_on_integers_from(p)
+        assert (signs == {1}) == (_signs_from(p) == {1})
         assert (signs == {-1}) == negative_on_integers_from(p)
         assert (-1 not in signs) == nonnegative_on_integers_from(p)
         # Oracle: no root exceeds max(1, sum |a_i / a_d|) in size, so beyond

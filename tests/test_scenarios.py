@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from towercalc import exactnum, scenarios
 from towercalc.cli import main
-from towercalc.exactnum import N, ParamPoly, positive_on_integers_from
+from towercalc.exactnum import N, ParamPoly, _signs_from
 from towercalc.scenarios import (
     BadParameterError,
     FORMAT_TAG,
@@ -36,7 +36,7 @@ from towercalc.scenarios import (
     scenario_doc,
     serialize_value,
 )
-from towercalc.towers import CenterSpec, FormalBase, FormalBundle
+from towercalc.towers import BlowUp, FormalBase, FormalBundle
 
 ALL_NAMES = [info["name"] for info in list_scenarios()]
 
@@ -246,7 +246,7 @@ def domain_texts(capsys):
     texts = []
     for build in (
         lambda: FormalBundle(base, N - 4, base.gen("g")),
-        lambda: CenterSpec(N - 4),
+        lambda: BlowUp("up", base, N - 4, "e"),
         lambda: run_scenario("normal-cone-quadric", SYMBOLIC),
     ):
         with pytest.raises((ValueError, PolicyError)) as err:
@@ -258,14 +258,14 @@ def domain_texts(capsys):
 
 
 def test_the_domain_start_is_one_constant(monkeypatch, capsys):
-    assert not positive_on_integers_from(N - 3)
+    assert _signs_from(N - 3) != {1}
     texts = domain_texts(capsys)
     assert texts[0] == "rank n - 4 is below 1 for some n >= 3"
     assert texts[1] == "codimension n - 4 is below 1 for some n >= 3"
     assert texts[2].endswith("run it at a numeric n >= 3")
     assert "--n N integer >= 3, 'symbolic'" in texts[3]
     monkeypatch.setattr(exactnum, "N_MIN", 4)
-    assert positive_on_integers_from(N - 3)
+    assert _signs_from(N - 3) == {1}
     assert domain_texts(capsys) == [t.replace(">= 3", ">= 4") for t in texts]
     for argv_n, message in (
         ("3", "n must be >= 4 (got 3)"),

@@ -1,27 +1,27 @@
 from __future__ import annotations
 
+import inspect
 import random
+import textwrap
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from towercalc import symplectic
+from towercalc import scenarios, symplectic
+from towercalc.cli import main
 from towercalc.exactnum import ExactMatrix, N, rank
 from towercalc.symplectic import (
     ExtPair,
     HomWE,
     NotInHomOmegaError,
     QuadSpaceW,
-    Scale,
     StabilizerClass,
-    Swap,
     SymplecticSpace,
     fixed_locus_incidence,
     is_isotropic,
     normal_cone_quadric,
-    po2_act,
     stabilizer_class_omega,
     stabilizer_class_sigma,
     yoneda_omega,
@@ -260,33 +260,39 @@ class TestYoneda:
 
 class TestPO2Action:
     def test_scale_example(self) -> None:
-        out, report = po2_act(Scale(2), ExtPair((1, 0), (0, 1)))
+        out = ExtPair((1, 0), (2, 1)).scaled(2)
         assert out.e12 == (2, 0)
-        assert out.e21 == (0, Fraction(1, 2))
-        assert report["relation"] == "preserved" and report["ok"]
+        assert out.e21 == (1, Fraction(1, 2))
+        assert out.pair() == 2
+
+    def test_swap_example(self) -> None:
+        pairing = ExactMatrix([[1, 2], [0, 1]])
+        out = ExtPair((1, 0), (3, 1), pairing).swapped()
+        assert out.e12 == (3, 1) and out.e21 == (1, 0)
+        assert out.pairing == ExactMatrix([[-1, 0], [-2, -1]])
+        assert out.pair() == -5
+
+    def test_zero_scale_rejected(self) -> None:
+        with pytest.raises(ValueError, match="scale factor must be nonzero"):
+            ExtPair((1, 0), (0, 1)).scaled(0)
 
     @given(st.tuples(rats, rats), st.tuples(rats, rats), nonzero_rats)
     @settings(max_examples=50)
     def test_equivariance(self, e12, e21, lam) -> None:
         pair = ExtPair(e12, e21)
         psi = pair.pair()
-        scaled, rep1 = po2_act(Scale(lam), pair)
-        assert scaled.pair() == psi and rep1["ok"]
-        swapped, rep2 = po2_act(Swap(), pair)
-        assert swapped.pair() == -psi and rep2["ok"]
+        assert pair.scaled(lam).pair() == psi
+        assert pair.swapped().pair() == -psi
 
     def test_swap_is_an_involution_on_values(self) -> None:
         pair = ExtPair((1, 2), (3, 5))
-        once, _ = po2_act(Swap(), pair)
-        twice, _ = po2_act(Swap(), once)
-        assert twice.pair() == pair.pair()
+        assert pair.swapped().swapped().pair() == pair.pair()
 
     @given(st.tuples(rats, rats), st.tuples(rats, rats), nonzero_rats)
     @settings(max_examples=40)
     def test_sigma_class_scale_invariant(self, e12, e21, lam) -> None:
         pair = ExtPair(e12, e21)
-        scaled, _ = po2_act(Scale(lam), pair)
-        assert stabilizer_class_sigma(scaled) is stabilizer_class_sigma(pair)
+        assert stabilizer_class_sigma(pair.scaled(lam)) is stabilizer_class_sigma(pair)
 
     def test_sigma_classes(self) -> None:
         assert stabilizer_class_sigma(ExtPair((0, 0), (0, 0))) is StabilizerClass.MULTIPLICATIVE
@@ -359,4 +365,34 @@ class TestFixedLocus:
     def test_odd_dim_rejected(self) -> None:
         with pytest.raises(ValueError):
             fixed_locus_incidence(3)
+
+    @pytest.mark.parametrize("d, points, pairs", [(2, 4, 4), (4, 40, 520), (6, 364, 44044)])
+    def test_counts_match_the_closed_forms(self, d, points, pairs) -> None:
+        # |P^{d-1}(F_3)| = (3^d - 1)/2, and each point pairs with the points
+        # of its perp hyperplane, a P^{d-2}(F_3).
+        assert points == (3**d - 1) // 2
+        assert pairs == points * ((3 ** (d - 1) - 1) // 2)
+        rep = fixed_locus_incidence(d)
+        assert rep["projective_points"] == points
+        assert rep["incidence_pairs"] == pairs
+        assert rep["fixed_pairs"] == rep["diagonal_pairs"] == points
+        assert rep["fixed_equals_diagonal"] is True
+
+    def test_a_symmetric_form_reads_false_not_a_traceback(self, monkeypatch, capsys) -> None:
+        # Rebuild fixed_locus_incidence with omega made symmetric, so the
+        # diagonal leaves the incidence locus.
+        source = textwrap.dedent(inspect.getsource(symplectic.fixed_locus_incidence))
+        mutant = source.replace("- v[m + i] * w[i]", "+ v[m + i] * w[i]")
+        assert mutant != source
+        namespace = dict(vars(symplectic))
+        exec(mutant, namespace)
+        broken = namespace["fixed_locus_incidence"]
+        rep = broken(2)
+        assert rep["fixed_pairs"] < rep["diagonal_pairs"] == 4
+        assert rep["fixed_equals_diagonal"] is False
+        monkeypatch.setattr(scenarios, "fixed_locus_incidence", broken)
+        assert main(["verify", "--scenario", "incidence-fixed-locus"]) == 1
+        out, err = capsys.readouterr()
+        assert "  [FAIL] plane-fixed (reference)" in out
+        assert err == ""
 

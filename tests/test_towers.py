@@ -7,7 +7,6 @@ import pytest
 from towercalc.exactnum import ExactMatrix, N, ParamPoly, aspoly
 from towercalc.towers import (
     BlowUp,
-    CenterSpec,
     DivisorIn,
     FiberProduct,
     FormalBase,
@@ -55,7 +54,7 @@ class TestTowerAssembly:
         assert pa1.pic_rank == 2
         assert fp.pic_names() == ("x1", "x2", "x3")
         assert jz.pic_names() == ("x1", "x2", "x3")
-        jhat = BlowUp("Jhat", jz, CenterSpec(2 * N - 4), "x4")
+        jhat = BlowUp("Jhat", jz, 2 * N - 4, "x4")
         assert jhat.pic_names() == ("x1", "x2", "x3", "x4")
 
     def test_dimensions(self):
@@ -70,7 +69,7 @@ class TestTowerAssembly:
         with pytest.raises(LatticeError):
             ProjBundle("bad", pt, quot, "x1")
         with pytest.raises(LatticeError):
-            BlowUp("bad", pt, CenterSpec(2), "x1")
+            BlowUp("bad", pt, 2, "x1")
 
     def test_fiber_product_needs_common_base(self):
         pt, quot, pa1, _, _, _ = jz_tower()
@@ -94,8 +93,21 @@ class TestTowerAssembly:
         with pytest.raises(ValueError):
             FormalBundle(base, 6 - N, base.div(()))
         with pytest.raises(ValueError):
-            CenterSpec(6 - N)
+            BlowUp("up", base, 6 - N, "e")
         assert FormalBundle(base, N - 2, base.div(())).rank == N - 2
+
+    def test_blow_up_rulings(self):
+        base = FormalBase("pt", (), canonical=(), dim=0)
+        up = BlowUp("up", base, N - 2, "e", ("f", "g"), (-1, N))
+        assert up.codim == N - 2
+        assert up.exc_degrees == {"f": aspoly(-1), "g": N}
+        assert BlowUp("up", base, 2, "e").exc_degrees == {}
+        with pytest.raises(ValueError, match="^directions and degrees must align$"):
+            BlowUp("up", base, 2, "e", ("f",), ())
+        with pytest.raises(ValueError, match="^directions and degrees must align$"):
+            BlowUp("up", base, 2, "e", (), (-1,))
+        with pytest.raises(ValueError, match="declared twice"):
+            BlowUp("up", base, 2, "e", ("f", "f"), (-1, -2))
 
 
 class TestCanonicalClasses:
@@ -120,7 +132,7 @@ class TestCanonicalClasses:
 
     def test_blowup_discrepancy(self):
         *_, jz = jz_tower()
-        jhat = BlowUp("Jhat", jz, CenterSpec(2 * N - 4), "x4")
+        jhat = BlowUp("Jhat", jz, 2 * N - 4, "x4")
         assert canonical_class(jhat).coords == (
             -2 * N,
             3 - 2 * N,
@@ -137,7 +149,7 @@ class TestCanonicalClasses:
             canonical=(1 - 2 * N, 3 - 2 * N, 3 - 2 * N),
             dim=6 * N - 7,
         )
-        up = BlowUp("Ihat_on_J", restr, CenterSpec(2 * N - 3), "x4")
+        up = BlowUp("Ihat_on_J", restr, 2 * N - 3, "x4")
         assert canonical_class(up).coords == (
             1 - 2 * N,
             3 - 2 * N,
