@@ -64,7 +64,6 @@ from .exactnum import (
     aspoly,
     inverse,
     rat_str,
-    solve_linear,
 )
 from .projcoh import coh_dim_product_proj, sym_rank
 from .symplectic import fixed_locus_incidence, normal_cone_quadric
@@ -368,131 +367,6 @@ _curves = _list_of(_curve)
 
 
 # ---------------------------------------------------------------------------
-# derivation recipes for lattice maps
-
-
-def _ig_dim_poly(k: int) -> ParamPoly:
-    """Dimension of the family of isotropic k-planes in a 2n-dimensional
-    symplectic space: k(2n - k) - k(k-1)/2."""
-    return ParamPoly({1: 2 * k, 0: Fraction(-k * k) - Fraction(k * (k - 1), 2)})
-
-
-def _chi_tower():
-    grass3 = FormalBase("grass3", ("g",), canonical=None, dim=_ig_dim_poly(3))
-    rank3 = FormalBundle(grass3, 3, grass3.gen("g", -1), name="rank_three_taut")
-    chi = ProjBundle("chi_plane", grass3, rank3, "h")
-    t_chi = relative_tangent(chi)
-    return grass3, chi, t_chi
-
-
-def relative_cotangent_class() -> FormalBundle:
-    """Line bundle class of the relative cotangent of the plane curve
-    fibration, on the lattice (g, h, xk)."""
-    _, chi, t_chi = _chi_tower()
-    kappa = ProjBundle("kappa_curve", chi, t_chi, "xk")
-    return dual(relative_tangent(kappa))
-
-
-def derive_psi_pullback() -> ExactMatrix:
-    """Pullback matrix of the comparison of the two resolutions.
-
-    The first three columns record declared generator correspondences; the
-    fourth column is computed: the relative cotangent class is pulled to the
-    doubled ruling lattice, and its fiber component splits evenly over the
-    two rulings because restriction to the diagonal fixes the sum while swap
-    symmetry forces equality.
-    """
-    omega = relative_cotangent_class()
-    g_c, h_c, k_c = omega.c1.coords
-    split = solve_linear(
-        ExactMatrix([[1, 1], [1, -1]]), (k_c.constant_value(), Fraction(0))
-    )
-    cols = [
-        (0, 1, 0, 0),
-        (0, 1, 1, 0),
-        (0, 1, 0, 1),
-        (g_c, h_c, split[0], split[1]),
-    ]
-    return ExactMatrix([[cols[c][r] for c in range(4)] for r in range(4)])
-
-
-def _ruling_lattice():
-    _, chi, t_chi = _chi_tower()
-    one = ProjBundle("ruling_one", chi, t_chi, "k10")
-    two = ProjBundle("ruling_two", chi, t_chi, "k01")
-    product = FiberProduct("double_ruling", one, two, chi)
-    return product, t_chi
-
-
-def derive_xi_pullback() -> ExactMatrix:
-    """Pullback matrix of the resolution of the double-dual family.
-
-    Ruling columns are computed by bundle algebra: quotient the pulled
-    relative tangent by the ruling's tautological subline and twist by the
-    dual plane class.  The last column is the transported relative cotangent
-    class shared with the other pullback.
-    """
-    product, t_chi = _ruling_lattice()
-
-    def ruling_column(taut_name: str):
-        pulled = pull_to(t_chi, product)
-        sub = FormalBundle(product, 1, product.gen(taut_name, -1))
-        quo = quotient(pulled, sub)
-        return tensor_line(quo, product.gen("h", -1)).c1.coords
-
-    psi = derive_psi_pullback()
-    cols = [
-        (aspoly(1), aspoly(0), aspoly(0), aspoly(0)),
-        ruling_column("k10"),
-        ruling_column("k01"),
-        tuple(psi.entries[r][3] for r in range(4)),
-    ]
-    return ExactMatrix([[cols[c][r] for c in range(4)] for r in range(4)])
-
-
-def exc_restriction_routes() -> dict:
-    """The exceptional-class restriction on the boundary lattice (a, t, w),
-    by two routes: the declared product of the two degree-minus-one ruling
-    classes, and the projectivized-cone route, where the cone is the model
-    bundle twisted by the dual hyperplane line, so its tautological class
-    picks up the twist."""
-    declared = (Fraction(0), Fraction(-1), Fraction(-1))
-    untwisted_taut = (Fraction(0), Fraction(0), Fraction(-1))
-    twist = (Fraction(0), Fraction(-1), Fraction(0))
-    cone_route = tuple(a + b for a, b in zip(untwisted_taut, twist))
-    return {
-        "declared": list(declared),
-        "cone_route": list(cone_route),
-        "agree": cone_route == declared,
-    }
-
-
-def derive_boundary_restriction() -> ExactMatrix:
-    """Restriction of the resolved-fiber divisor lattice to the boundary
-    lattice (a, t, w).  Columns one to three are declared restriction rules;
-    the last column is the exceptional class, whose two derivation routes
-    must agree."""
-    routes = exc_restriction_routes()
-    if not routes["agree"]:
-        raise AssertionError("exceptional restriction routes disagree: %r" % routes)
-    col4 = routes["declared"]
-    cols = [
-        (0, 1, 0),
-        (1, -1, 0),
-        (1, -1, 0),
-        tuple(col4),
-    ]
-    return ExactMatrix([[cols[c][r] for c in range(4)] for r in range(3)])
-
-
-RECIPES = {
-    "psi-pullback": derive_psi_pullback,
-    "xi-pullback": derive_xi_pullback,
-    "boundary-restriction": derive_boundary_restriction,
-}
-
-
-# ---------------------------------------------------------------------------
 # the spaces, bundles, maps and curves of a document
 
 
@@ -548,7 +422,36 @@ BUNDLE_KINDS = {
         lambda space: relative_tangent(space),
         {"space": _ref("spaces", ProjBundle, "projective bundle")},
     ),
+    "tensor-line": (
+        lambda of, line: tensor_line(of, of.space.div(line)),
+        {"of": _bundle, "line": _vector},
+    ),
+    "pull-to": (lambda of, space: pull_to(of, space), {"of": _bundle, "space": _space}),
 }
+
+
+def _c1_column(bundle, via):
+    """The first Chern class of ``bundle``, carried through the map ``via``
+    when one is given."""
+    coords, names = bundle.c1.coords, bundle.space.pic_names()
+    if via is None:
+        return coords
+    if via.source_names != names:
+        raise ValueError(
+            "map %r reads (%s), not the lattice (%s) of the bundle"
+            % (via.name, ", ".join(via.source_names), ", ".join(names))
+        )
+    return via.apply(coords)
+
+
+_C1_COLUMN = _object(_c1_column, {"c1": _bundle, "via": (_map, None)})
+
+
+def _column(raw, env):
+    """A column of a ``columns`` map: a vector, or ``{"c1": bundle, "via":
+    map}``."""
+    return (_C1_COLUMN if isinstance(raw, dict) else _vector)(raw, env)
+
 
 _MAP_BASES = {"name": _name, "source": _names, "target": _names}
 
@@ -559,11 +462,11 @@ MAP_KINDS = {
         ),
         dict(_MAP_BASES, matrix=_list_of(_vector)),
     ),
-    "recipe": (
-        lambda name, source, target, recipe: PullbackMap(
-            name, source, target, recipe()
+    "columns": (
+        lambda name, source, target, columns: PullbackMap(
+            name, source, target, ExactMatrix(columns, cols=len(target)).transpose()
         ),
-        dict(_MAP_BASES, recipe=_one_of(RECIPES, "recipe")),
+        dict(_MAP_BASES, columns=_list_of(_column)),
     ),
 }
 
@@ -749,6 +652,29 @@ def _combo_string(names, vector) -> str:
 def _check_kernel_polynomials(m, curves):
     kernel = restriction_kernel(m, curves)["kernel"]
     return [_combo_string(m.source_names, v) for v in kernel]
+
+
+def _ig_dim_poly(k: int) -> ParamPoly:
+    """Dimension of the family of isotropic k-planes in a 2n-dimensional
+    symplectic space: k(2n - k) - k(k-1)/2."""
+    return ParamPoly({1: 2 * k, 0: Fraction(-k * k) - Fraction(k * (k - 1), 2)})
+
+
+def exc_restriction_routes() -> dict:
+    """The exceptional-class restriction on the boundary lattice (a, t, w),
+    by two routes: the declared product of the two degree-minus-one ruling
+    classes, and the projectivized-cone route, where the cone is the model
+    bundle twisted by the dual hyperplane line, so its tautological class
+    picks up the twist."""
+    declared = (Fraction(0), Fraction(-1), Fraction(-1))
+    untwisted_taut = (Fraction(0), Fraction(0), Fraction(-1))
+    twist = (Fraction(0), Fraction(-1), Fraction(0))
+    cone_route = tuple(a + b for a, b in zip(untwisted_taut, twist))
+    return {
+        "declared": list(declared),
+        "cone_route": list(cone_route),
+        "agree": cone_route == declared,
+    }
 
 
 def _fixed_locus(*keys):

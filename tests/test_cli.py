@@ -218,8 +218,15 @@ def test_parse_error_in_scenario_file(capsys, tmp_path):
 
 
 KNOWN_BUNDLE_KINDS = (
-    "known bundle kinds: declared, dual, extension, quotient, relative-tangent"
+    "known bundle kinds: declared, dual, extension, pull-to, quotient,"
+    " relative-tangent, tensor-line"
 )
+PSI_COLUMNS = [
+    ["0", "1", "0", "0"],
+    ["0", "1", "1", "0"],
+    ["0", "1", "0", "1"],
+    {"c1": "curve_cotangent", "via": "cotangent_split"},
+]
 
 
 @pytest.mark.parametrize(
@@ -261,7 +268,7 @@ KNOWN_BUNDLE_KINDS = (
         ("picard-matrices", "maps", "xi_inverse_printed", "matrix", [5], "'matrix[0]'"),
         ("jz-intersection-table", "curves", "sigma_push", "atomic", 5, "'atomic'"),
         ("jz-intersection-table", "expect", "table", "check", [], "'check'"),
-        ("ez-kernel-x2-x3", "maps", "boundary_restriction", "recipe", [], "'recipe'"),
+        ("picard-matrices", "maps", "psi", "columns", "psi", "'columns'"),
         ("extremal-sigma-ray", "expect", "certificate", "face", "sigma_push", "'face'"),
         ("extremal-sigma-ray", "expect", "certificate", "height_bound", "16", "budget"),
         (
@@ -349,8 +356,41 @@ KNOWN_BUNDLE_KINDS = (
             "bundles",
             "curve_cotangent",
             "kind",
-            "pull-to",
+            "wedge-top",
             KNOWN_BUNDLE_KINDS,
+        ),
+        ("picard-matrices", "maps", "psi", "columns", [5] + PSI_COLUMNS[1:], "'columns[0]'"),
+        (
+            "picard-matrices",
+            "maps",
+            "psi",
+            "columns",
+            [PSI_COLUMNS[0] + ["7"]] + PSI_COLUMNS[1:],
+            "ragged rows",
+        ),
+        (
+            "normal-bundle-transport",
+            "maps",
+            "psi",
+            "columns",
+            PSI_COLUMNS[:3] + [{"c1": "no_such_bundle"}],
+            "'columns[3].c1': unknown reference 'no_such_bundle'",
+        ),
+        (
+            "picard-matrices",
+            "maps",
+            "psi",
+            "columns",
+            PSI_COLUMNS[:3] + [{"c1": "phi_ten_line", "via": "cotangent_split"}],
+            "map 'cotangent_split' reads (g, h, xk), not the lattice (g, h, k10, k01)",
+        ),
+        (
+            "picard-matrices",
+            "bundles",
+            "phi_ten_line",
+            "line",
+            ["0", "-1", "0"],
+            "expected 4 coordinates on ruling_product, got 3",
         ),
     ],
     ids=[
@@ -369,7 +409,7 @@ KNOWN_BUNDLE_KINDS = (
         "number-as-matrix-row",
         "number-as-atomic",
         "list-as-check-kind",
-        "list-as-recipe",
+        "string-as-columns",
         "string-as-face",
         "height-over-budget",
         "negative-height",
@@ -382,7 +422,12 @@ KNOWN_BUNDLE_KINDS = (
         "kernel-curve-off-the-source",
         "kernel-polynomials-curve-off-the-source",
         "sym-power-bundle",
-        "pull-to-bundle",
+        "wedge-top-bundle",
+        "number-as-column",
+        "long-column",
+        "unknown-column-bundle",
+        "column-via-off-the-lattice",
+        "short-twisting-line",
     ],
 )
 def test_bad_document_is_a_named_error(

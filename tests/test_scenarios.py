@@ -23,9 +23,6 @@ from towercalc.scenarios import (
     SYMBOLIC,
     UnknownScenarioError,
     canonical_json,
-    derive_boundary_restriction,
-    derive_psi_pullback,
-    derive_xi_pullback,
     evaluate_doc,
     exc_restriction_routes,
     export_scenario,
@@ -120,24 +117,45 @@ def test_data_file_is_its_own_canonical_export(filename):
     assert export_scenario(doc["name"]) == text
 
 
-def test_every_kind_and_recipe_is_named_by_a_packaged_document():
+def test_every_kind_is_named_by_a_packaged_document():
     docs = [json.loads((DATA / f).read_text(encoding="utf-8")) for f in DATA_FILES]
 
     def named(section, key="kind"):
         return {e[key] for doc in docs for e in doc.get(section, [])}
 
     curves = [e["atomic"] for doc in docs for e in doc.get("curves", [])]
-    maps = [m for doc in docs for m in doc.get("maps", [])]
     tables = {
         "SPACE_KINDS": named("spaces"),
         "BUNDLE_KINDS": named("bundles"),
         "MAP_KINDS": named("maps"),
         "CURVE_KINDS": {atomic["kind"] for atomic in curves},
         "CHECK_KINDS": named("expect", "check"),
-        "RECIPES": {m["recipe"] for m in maps if m["kind"] == "recipe"},
     }
     for table, names in tables.items():
         assert set(getattr(scenarios, table)) <= names, table
+
+
+def test_a_name_shared_by_two_documents_declares_the_same_entry():
+    # Documents repeat the towers they read, so an entry declared under one
+    # name in two documents must be the same entry in both.
+    declared = {}
+    for filename in DATA_FILES:
+        doc = json.loads((DATA / filename).read_text(encoding="utf-8"))
+        for section in ("spaces", "bundles", "maps", "curves"):
+            for entry in doc.get(section, []):
+                key = (section, entry["name"])
+                declared.setdefault(key, []).append((filename, entry))
+    for key, entries in declared.items():
+        first_file, first = entries[0]
+        for filename, entry in entries[1:]:
+            assert entry == first, (key, first_file, filename)
+    # The comparison maps read the relative cotangent class whose c1
+    # euler-convention pins as a reference value.
+    assert {
+        "euler-convention.json",
+        "normal-bundle-transport.json",
+        "picard-matrices.json",
+    } <= {filename for filename, _ in declared[("bundles", "curve_cotangent")]}
 
 
 # ---------------------------------------------------------------------------
@@ -460,30 +478,91 @@ def test_polynomial_serialization_is_idempotent(coeffs):
 
 
 # ---------------------------------------------------------------------------
-# recipes
+# comparison maps
 
 
 def test_recipe_matrices_match_their_recorded_forms():
-    psi = derive_psi_pullback()
-    assert psi.const_entries() == [
+    psi = [
         [Fraction(0), Fraction(0), Fraction(0), Fraction(1)],
         [Fraction(1), Fraction(1), Fraction(1), Fraction(-3)],
         [Fraction(0), Fraction(1), Fraction(0), Fraction(-1)],
         [Fraction(0), Fraction(0), Fraction(1), Fraction(-1)],
     ]
-    xi = derive_xi_pullback()
-    assert xi.const_entries() == [
+    xi = [
         [Fraction(1), Fraction(-1), Fraction(-1), Fraction(1)],
         [Fraction(0), Fraction(2), Fraction(2), Fraction(-3)],
         [Fraction(0), Fraction(1), Fraction(0), Fraction(-1)],
         [Fraction(0), Fraction(0), Fraction(1), Fraction(-1)],
     ]
-    restriction = derive_boundary_restriction()
-    assert restriction.const_entries() == [
+    restriction = [
         [Fraction(0), Fraction(1), Fraction(1), Fraction(0)],
         [Fraction(1), Fraction(-1), Fraction(-1), Fraction(-1)],
         [Fraction(0), Fraction(0), Fraction(0), Fraction(-1)],
     ]
+    for name in ("picard-matrices", "normal-bundle-transport"):
+        maps = scenarios._make_env(scenario_doc(name)).maps
+        assert maps["psi"].matrix.const_entries() == psi, name
+        assert maps["xi"].matrix.const_entries() == xi, name
+    restricting = [
+        name
+        for name in ALL_NAMES
+        if any(m["name"] == "boundary_restriction" for m in scenario_doc(name)["maps"])
+    ]
+    assert len(restricting) == 7
+    for name in restricting:
+        maps = scenarios._make_env(scenario_doc(name)).maps
+        assert maps["boundary_restriction"].matrix.const_entries() == restriction, name
+
+
+def _fractions(rows):
+    return [[Fraction(x) for x in row] for row in rows]
+
+
+def _fraction_inverse(m):
+    """Gauss-Jordan inverse of a square matrix of Fractions, or None when it
+    is singular."""
+    k = len(m)
+    rows = [list(row) + [Fraction(int(i == j)) for j in range(k)] for i, row in enumerate(m)]
+    for c in range(k):
+        pivot = next((r for r in range(c, k) if rows[r][c] != 0), None)
+        if pivot is None:
+            return None
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        rows[c] = [x / rows[c][c] for x in rows[c]]
+        for r in range(k):
+            if r != c:
+                rows[r] = [x - rows[r][c] * y for x, y in zip(rows[r], rows[c])]
+    return [row[k:] for row in rows]
+
+
+def test_derived_comparison_values_follow_from_the_reference_matrices():
+    # The derived values next to psi and xi, recomputed from the recorded
+    # reference matrices with plain Fraction arithmetic, not with the engine.
+    picard = scenario_doc("picard-matrices")
+    expect = {e["name"]: e for e in picard["expect"]}
+    psi = _fractions(expect["psi-matrix"]["value"])
+    xi = _fractions(expect["xi-matrix"]["value"])
+    printed = next(m for m in picard["maps"] if m["name"] == "xi_inverse_printed")
+    assert expect["psi-invertible"]["value"] is (_fraction_inverse(psi) is not None)
+    assert expect["xi-inverse-recomputed"]["value"] is (
+        _fraction_inverse(xi) == _fractions(printed["matrix"])
+    )
+
+    transport = scenario_doc("normal-bundle-transport")
+    matrices = {"psi": psi, "xi": xi}
+    bases = {m["name"]: (m["source"], m["target"]) for m in transport["maps"]}
+    derived = [e for e in transport["expect"] if e["provenance"] == "derived"]
+    assert {e["name"] for e in derived} == {"stage-one", "stage-two", "round-trip"}
+    for entry in derived:
+        coords = [Fraction(c) for c in entry["start"]]
+        for step in entry["via"]:
+            matrix = matrices[step["map"]]
+            source, target = bases[step["map"]]
+            if step.get("inverted"):
+                matrix, target = _fraction_inverse(matrix), source
+            coords = [sum(a * c for a, c in zip(row, coords)) for row in matrix]
+        assert entry["value"]["names"] == target, entry["name"]
+        assert [Fraction(c) for c in entry["value"]["coords"]] == coords, entry["name"]
 
 
 def test_exceptional_restriction_routes_agree():
