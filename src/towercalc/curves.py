@@ -155,11 +155,9 @@ def intersect(c: CurveClass, d: DivClass) -> ParamPoly:
     return acc
 
 
-def pairing_table(curves: Sequence[CurveClass], divisors: Sequence[DivClass]) -> ExactMatrix:
-    """Matrix of pairings, one row per curve, one column per divisor."""
-    return ExactMatrix(
-        [[intersect(c, d) for d in divisors] for c in curves], cols=len(divisors)
-    )
+def pairing_table(curves: Sequence[CurveClass], divisors: Sequence[DivClass]) -> tuple:
+    """Rows of ParamPoly pairings, one row per curve, one column per divisor."""
+    return tuple(tuple(intersect(c, d) for d in divisors) for c in curves)
 
 
 def solve_pushforward(observed: Sequence, table: ExactMatrix) -> tuple[ParamPoly, ...]:
@@ -359,11 +357,11 @@ def _dependency_witness(cone: Cone, face_idx, others) -> dict | None:
         target = cone.generators[fi]
         for size in range(1, min(len(others), cone.dim) + 1):
             for subset in combinations(others, size):
-                mat = ExactMatrix(
-                    [[cone.generators[j][k] for j in subset] for k in range(cone.dim)],
-                    cols=size,
-                )
                 try:
+                    mat = ExactMatrix(
+                        [[cone.generators[j][k] for j in subset] for k in range(cone.dim)],
+                        cols=size,
+                    )
                     sol = solve_linear_generic(mat, target)
                 except ValueError:
                     continue

@@ -2,8 +2,10 @@
 
 Rationals, sparse polynomials in one integer parameter ``n`` with an exact
 decision of their sign on the integers ``n >= 3``, small exact matrices with
-Gaussian elimination.  Floating point is deliberately absent from this module
-and from everything built on top of it.
+Gaussian elimination.  Matrices hold constants only: an entry that depends on
+``n`` is a ValueError naming the entry, and a vector that depends on ``n`` is
+multiplied or solved for one power of ``n`` at a time.  Floating point is
+deliberately absent from this module and from everything built on top of it.
 """
 
 from __future__ import annotations
@@ -262,55 +264,32 @@ def _const_value(x) -> int | Fraction | None:
 
 
 class ExactMatrix:
-    """Dense matrix of exact entries: rationals, or ParamPolys in n.
+    """Dense matrix of exact rationals.
 
-    A matrix whose entries are all constant (ints, Fractions, "p/q" strings
-    or constant ParamPolys) stores its rows as exact rationals, integral
-    entries as int, and builds no ParamPoly: `==`, `is_constant`,
-    `const_entries`, `is_identity`, `transpose`, negation and the product of
-    two constant matrices read those rows directly.  The ParamPoly view
-    `entries` is built on first access and cached, so it reads the same
-    however the matrix was built.
-
-    Row-reduction style algorithms require constant entries; purely algebraic
-    operations (product, transpose, identity comparison) work symbolically.
+    Entries may be given as ints, Fractions, "p/q" strings or constant
+    ParamPolys; they are stored as exact rationals, integral ones as int.
+    The lattice maps of the verified towers are constant for every n, so an
+    entry that depends on n is a ValueError naming the entry; a vector that
+    depends on n goes through `apply` one power of n at a time.
     """
 
-    __slots__ = ("rows", "cols", "_const", "_entries")
+    __slots__ = ("rows", "cols", "_const")
 
     def __init__(self, entries: Iterable[Iterable], cols: int | None = None):
         rows = [tuple(row) for row in entries]
-        width = len(rows[0]) if rows else (cols or 0)
+        width = cols if cols is not None else len(rows[0]) if rows else 0
         const = []
-        for row in rows:
+        for i, row in enumerate(rows):
+            if len(row) != width:
+                raise ValueError("row %d has %d entries, expected %d" % (i, len(row), width))
             values = tuple(map(_const_value, row))
             if None in values:
-                const = None
-                break
+                j = values.index(None)
+                raise ValueError("entry [%d][%d] depends on n: %s" % (i, j, row[j]))
             const.append(values)
-        if const is None:
-            rows = [tuple(aspoly(x) for x in row) for row in rows]
-        if any(len(r) != width for r in rows):
-            raise ValueError("ragged rows")
-        if cols is not None and cols != width:
-            raise ValueError("declared column count %d does not match %d"
-                             % (cols, width))
-        self._const = None if const is None else tuple(const)
-        self._entries = None if const is not None else tuple(rows)
+        self._const = tuple(const)
         self.rows = len(rows)
         self.cols = width
-
-    @property
-    def entries(self) -> tuple[tuple[ParamPoly, ...], ...]:
-        if self._entries is None:
-            self._entries = tuple(
-                tuple(ParamPoly.const(x) for x in row) for row in self._const
-            )
-        return self._entries
-
-    def _cells(self) -> tuple[tuple, ...]:
-        """The stored rows: exact rationals when constant, else ParamPolys."""
-        return self._entries if self._const is None else self._const
 
     @classmethod
     def identity(cls, k: int) -> "ExactMatrix":
@@ -319,22 +298,16 @@ class ExactMatrix:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        if self._const is None and other._const is None:
-            return self._entries == other._entries
-        # An entry depending on n never equals a constant one.
         return self._const == other._const
 
     def __hash__(self):
-        return hash(self.entries)
+        return hash(self._const)
 
     def __repr__(self):
-        return "ExactMatrix(%s)" % (
-            [[str(x) for x in row] for row in self.entries],
-        )
+        return "ExactMatrix(%s)" % ([[str(x) for x in row] for row in self._const],)
 
     def __neg__(self) -> "ExactMatrix":
-        return ExactMatrix([[-x for x in row] for row in self._cells()],
-                           cols=self.cols)
+        return ExactMatrix([[-x for x in row] for row in self._const], cols=self.cols)
 
     def __mul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if not isinstance(other, ExactMatrix):
@@ -342,41 +315,28 @@ class ExactMatrix:
         if self.cols != other.rows:
             raise ValueError("shape mismatch %dx%d * %dx%d"
                              % (self.rows, self.cols, other.rows, other.cols))
-        if self._const is not None and other._const is not None:
-            b = other._const
-            out = [
-                [sum(row[k] * b[k][j] for k in range(self.cols))
-                 for j in range(other.cols)]
-                for row in self._const
-            ]
-            return ExactMatrix(out, cols=other.cols)
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = ParamPoly()
-                for k in range(self.cols):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
-                row.append(acc)
-            out.append(row)
+        b = other._const
+        out = [
+            [sum(row[k] * b[k][j] for k in range(self.cols)) for j in range(other.cols)]
+            for row in self._const
+        ]
         return ExactMatrix(out, cols=other.cols)
 
-    def apply(self, vec: Sequence) -> tuple:
-        """Matrix times column vector."""
+    def apply(self, vec: Sequence) -> tuple[ParamPoly, ...]:
+        """Matrix times a column vector whose entries may depend on n."""
         if len(vec) != self.cols:
             raise ValueError("vector length %d, expected %d" % (len(vec), self.cols))
-        column = self * ExactMatrix([[v] for v in vec], cols=1)
-        return tuple(row[0] for row in column.entries)
+        return _per_power(
+            vec, self.rows, lambda v: [sum(c * x for c, x in zip(row, v)) for row in self._const]
+        )
 
     def transpose(self) -> "ExactMatrix":
-        cells = self._cells()
         return ExactMatrix(
-            [[cells[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            cols=self.rows,
+            [[row[j] for row in self._const] for j in range(self.cols)], cols=self.rows
         )
 
     def is_identity(self) -> bool:
-        if self._const is None or self.rows != self.cols:
+        if self.rows != self.cols:
             return False
         return all(
             x == (1 if i == j else 0)
@@ -384,15 +344,23 @@ class ExactMatrix:
             for j, x in enumerate(row)
         )
 
-    def is_constant(self) -> bool:
-        return self._const is not None
-
     def const_entries(self) -> list[list[int | Fraction]]:
         """The entries as fresh row lists of exact rationals, integral ones
         as int."""
-        if self._const is None:
-            raise ValueError("matrix has symbolic entries")
         return [list(row) for row in self._const]
+
+
+def _per_power(vec: Sequence, width: int, linear) -> tuple[ParamPoly, ...]:
+    """A constant linear map on a vector that may depend on n: with v_e the
+    coefficient vector of n^e in ``vec``, the sum over e of n^e
+    ``linear(v_e)``, a vector of ``width`` ParamPolys.  The power n^0 is
+    always mapped, so a map that checks its input sees every vector."""
+    polys = [aspoly(x) for x in vec]
+    powers = sorted({0}.union(*(x.coeffs for x in polys)))
+    parts = [linear([x.coeff(e) for x in polys]) for e in powers]
+    return tuple(
+        ParamPoly({e: part[j] for e, part in zip(powers, parts)}) for j in range(width)
+    )
 
 
 def _rref(rows: list[list]) -> tuple[list[list], list[int]]:
@@ -491,16 +459,6 @@ def solve_linear_generic(a: ExactMatrix, b: Sequence) -> "tuple[ParamPoly, ...]"
     of b (b_e its coefficient vector) gives x = sum_e n^e x_e, which solves
     A x = b as a polynomial identity; it is unique at every n because A has
     full column rank, else the first solve raises UnderdeterminedError.  A
-    power with no solution raises NoSolutionError, and a matrix with an entry
-    that depends on n raises LinearSolveError.
+    power with no solution raises NoSolutionError.
     """
-    bvec = [aspoly(x) for x in b]
-    if len(bvec) != a.rows:
-        raise ValueError("rhs length %d, expected %d" % (len(bvec), a.rows))
-    if not a.is_constant():
-        raise LinearSolveError("matrix depends on n; only constant matrices are solved")
-    powers = sorted({0}.union(*(x.coeffs for x in bvec)))
-    parts = [solve_linear(a, [x.coeff(e) for x in bvec]) for e in powers]
-    return tuple(
-        ParamPoly({e: part[j] for e, part in zip(powers, parts)}) for j in range(a.cols)
-    )
+    return _per_power(b, a.cols, lambda v: solve_linear(a, v))

@@ -142,7 +142,7 @@ def serialize_value(value, n):
     if isinstance(value, str):
         return value
     if isinstance(value, ExactMatrix):
-        return [[serialize_value(e, n) for e in row] for row in value.entries]
+        return [[serialize_value(e, n) for e in row] for row in value.const_entries()]
     if isinstance(value, dict):
         return {str(k): serialize_value(v, n) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -430,27 +430,40 @@ BUNDLE_KINDS = {
 }
 
 
-def _c1_column(bundle, via):
-    """The first Chern class of ``bundle``, carried through the map ``via``
-    when one is given."""
+def _c1_column(raw, env):
+    """``{"c1": bundle, "via": map}``: the first Chern class of the bundle,
+    carried through the map ``via`` when one is given."""
+    bundle, via = _read(raw, {"c1": _bundle, "via": (_map, None)}, env)
     coords, names = bundle.c1.coords, bundle.space.pic_names()
-    if via is None:
-        return coords
-    if via.source_names != names:
-        raise ValueError(
-            "map %r reads (%s), not the lattice (%s) of the bundle"
-            % (via.name, ", ".join(via.source_names), ", ".join(names))
-        )
-    return via.apply(coords)
-
-
-_C1_COLUMN = _object(_c1_column, {"c1": _bundle, "via": (_map, None)})
+    if via is not None:
+        if via.source_names != names:
+            raise ValueError(
+                "map %r reads (%s), not the lattice (%s) of the bundle"
+                % (via.name, ", ".join(via.source_names), ", ".join(names))
+            )
+        coords = via.apply(coords)
+    if not all(x.is_constant() for x in coords):
+        raise ValueError("the c1 of bundle %r depends on n" % raw["c1"])
+    return coords
 
 
 def _column(raw, env):
     """A column of a ``columns`` map: a vector, or ``{"c1": bundle, "via":
     map}``."""
-    return (_C1_COLUMN if isinstance(raw, dict) else _vector)(raw, env)
+    return (_c1_column if isinstance(raw, dict) else _vector)(raw, env)
+
+
+def _columns_map(name, source, target, columns):
+    """Column j is the image of source generator j in the target basis."""
+    for j, column in enumerate(columns):
+        if len(column) != len(target):
+            raise _BadField(
+                "expected %d entries, one per target generator, got %d"
+                % (len(target), len(column)),
+                ("columns", j),
+            )
+    matrix = ExactMatrix(columns, cols=len(target)).transpose()
+    return PullbackMap(name, source, target, matrix)
 
 
 _MAP_BASES = {"name": _name, "source": _names, "target": _names}
@@ -462,12 +475,7 @@ MAP_KINDS = {
         ),
         dict(_MAP_BASES, matrix=_list_of(_vector)),
     ),
-    "columns": (
-        lambda name, source, target, columns: PullbackMap(
-            name, source, target, ExactMatrix(columns, cols=len(target)).transpose()
-        ),
-        dict(_MAP_BASES, columns=_list_of(_column)),
-    ),
+    "columns": (_columns_map, dict(_MAP_BASES, columns=_list_of(_column))),
 }
 
 #: Atomic curve constructors, read from a curve entry's ``atomic`` object.
@@ -770,9 +778,9 @@ CHECK_KINDS = {
         _TABLE,
     ),
     "pairing-table-constant": (
-        lambda space, curves, divisors: _pairings(
-            space, curves, divisors
-        ).is_constant(),
+        lambda space, curves, divisors: all(
+            x.is_constant() for row in _pairings(space, curves, divisors) for x in row
+        ),
         _TABLE,
     ),
     "curve-vector": (lambda curve: list(curve.coords), {"curve": _curve}),
@@ -806,7 +814,10 @@ CHECK_KINDS = {
     ),
     "solve-pushforward": (
         lambda space, curves, divisors, observed: list(
-            solve_pushforward(observed, _pairings(space, curves, divisors))
+            solve_pushforward(
+                observed,
+                ExactMatrix(_pairings(space, curves, divisors), cols=len(divisors)),
+            )
         ),
         dict(_TABLE, observed=_vector),
     ),

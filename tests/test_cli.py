@@ -227,6 +227,7 @@ PSI_COLUMNS = [
     ["0", "1", "0", "1"],
     {"c1": "curve_cotangent", "via": "cotangent_split"},
 ]
+PLUS_N = {"0": "1/2", "1": "1"}
 
 
 @pytest.mark.parametrize(
@@ -366,7 +367,7 @@ PSI_COLUMNS = [
             "psi",
             "columns",
             [PSI_COLUMNS[0] + ["7"]] + PSI_COLUMNS[1:],
-            "ragged rows",
+            "field 'columns[0]': expected 4 entries, one per target generator, got 5",
         ),
         (
             "normal-bundle-transport",
@@ -391,6 +392,38 @@ PSI_COLUMNS = [
             "line",
             ["0", "-1", "0"],
             "expected 4 coordinates on ruling_product, got 3",
+        ),
+        (
+            "picard-matrices",
+            "maps",
+            "cotangent_split",
+            "matrix",
+            [["1", "0", "0"], ["0", "1", "0"], ["0", "0", PLUS_N], ["0", "0", "1/2"]],
+            "entry [2][2] depends on n: n + 1/2",
+        ),
+        (
+            "picard-matrices",
+            "bundles",
+            "phi_ten_line",
+            "line",
+            ["0", PLUS_N, "0", "0"],
+            "map 'xi': field 'columns[1]': the c1 of bundle 'phi_ten_line' depends on n",
+        ),
+        (
+            "mori-chain-ez",
+            "expect",
+            "chain",
+            "chain.steps.0.cprime.pullbacks",
+            [[PLUS_N], ["0"]],
+            "entry [0][0] depends on n: n + 1/2",
+        ),
+        (
+            "pushforward-iz1z2",
+            "expect",
+            "tau-one",
+            "curves",
+            [],
+            "observed pairings are inconsistent with the table",
         ),
     ],
     ids=[
@@ -428,6 +461,10 @@ PSI_COLUMNS = [
         "unknown-column-bundle",
         "column-via-off-the-lattice",
         "short-twisting-line",
+        "declared-entry-depends-on-n",
+        "c1-column-depends-on-n",
+        "chain-pullback-depends-on-n",
+        "no-pushforward-curves",
     ],
 )
 def test_bad_document_is_a_named_error(
@@ -437,7 +474,7 @@ def test_bad_document_is_a_named_error(
     *parents, last = field.split(".")
     node = next(e for e in doc[section] if e["name"] == entry)
     for key in parents:
-        node = node[key]
+        node = node[int(key)] if isinstance(node, list) else node[key]
     node[last] = value
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc), encoding="utf-8")

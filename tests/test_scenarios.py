@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -563,6 +564,84 @@ def test_derived_comparison_values_follow_from_the_reference_matrices():
             coords = [sum(a * c for a, c in zip(row, coords)) for row in matrix]
         assert entry["value"]["names"] == target, entry["name"]
         assert [Fraction(c) for c in entry["value"]["coords"]] == coords, entry["name"]
+
+
+def _fraction_kernel(rows, width):
+    """Right kernel of a Fraction matrix by Gauss-Jordan: one vector per free
+    column, that coordinate 1, scaled to primitive integers with a positive
+    leading entry."""
+    rows = [list(row) for row in rows]
+    pivots = []
+    for c in range(width):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r:
+                rows[i] = [x - rows[i][c] * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    basis = []
+    for free in (c for c in range(width) if c not in pivots):
+        v = [Fraction(int(c == free)) for c in range(width)]
+        for r, c in enumerate(pivots):
+            v[c] = -rows[r][free]
+        ints = [x * math.lcm(*(y.denominator for y in v)) for x in v]
+        lead = next(x for x in ints if x)
+        g = math.gcd(*(int(x) for x in ints)) * (1 if lead > 0 else -1)
+        basis.append([x / g for x in ints])
+    return basis
+
+
+def test_derived_kernel_and_table_values_follow_from_the_documents():
+    # ez-kernel-x2-x3's kernel and kernel-combination and
+    # jz-intersection-table's table-constant, recomputed with plain Fraction
+    # arithmetic from the declared boundary_restriction rows and the curve
+    # vectors, not with the engine.
+    kernel_doc = scenario_doc("ez-kernel-x2-x3")
+    table_doc = scenario_doc("jz-intersection-table")
+    restriction = next(m for m in kernel_doc["maps"] if m["name"] == "boundary_restriction")
+    assert restriction in table_doc["maps"]
+    assert kernel_doc["curves"] == table_doc["curves"]
+    rows = _fractions(restriction["matrix"])
+
+    # Curve vectors: the divisors of the reference table are the generators
+    # x1..x4 in order, so its rows are the curves' coordinates.  sigma_push,
+    # the pushed section, is recomputed from the restriction rows, and
+    # gamma_exc is recorded on its own.
+    expect = {e["name"]: e for e in table_doc["expect"]}
+    table = expect["table"]
+    assert table["divisors"] == restriction["source"]
+    vectors = dict(zip(table["curves"], table["value"]))
+    sigma = next(c for c in table_doc["curves"] if c["name"] == "sigma_push")["atomic"]
+    degrees = [Fraction(d) for d in sigma["degrees"]]
+    pushed = [sum(d * row[j] for d, row in zip(degrees, rows)) for j in range(len(rows[0]))]
+    assert _fractions([vectors["sigma_push"]]) == [pushed]
+    assert vectors["gamma_exc"] == expect["exceptional-row"]["value"]
+    # A pairing that depends on n is written as a coefficient map; every
+    # entry here is a "p/q" string, so the table is constant.
+    constant = all(isinstance(x, str) for v in vectors.values() for x in v)
+    assert constant and expect["table-constant"]["value"] is constant
+
+    by_name = {e["name"]: e for e in kernel_doc["expect"]}
+    kernel = _fraction_kernel(rows, len(restriction["source"]))
+    assert _fractions(by_name["kernel"]["value"]["kernel"]) == kernel
+    curves = [_fractions([vectors[c]])[0] for c in by_name["kernel"]["curves"]]
+    pairings = [[sum(a * b for a, b in zip(k, c)) for c in curves] for k in kernel]
+    perp = _fraction_kernel(pairings, len(curves))
+    assert _fractions(by_name["kernel"]["value"]["perp"]) == perp
+
+    # kernel-combination: each kernel vector over the generator names; its
+    # coefficients are units, so each term is a bare name with its sign.
+    assert all(x in (-1, 0, 1) for v in kernel for x in v)
+    combos = [
+        " ".join(("+ " if x > 0 else "- ") + g for x, g in zip(v, restriction["source"]) if x)
+        for v in kernel
+    ]
+    assert by_name["kernel-combination"]["value"] == [c.removeprefix("+ ") for c in combos]
+    assert by_name["kernel-combination"]["curves"] == by_name["kernel"]["curves"]
 
 
 def test_exceptional_restriction_routes_agree():
