@@ -39,10 +39,8 @@ from functools import lru_cache
 from .exactnum import ExactMatrix
 from .symplectic import (
     ExtPair,
-    HomWE,
-    QuadSpaceW,
     StabilizerClass,
-    SymplecticSpace,
+    _f3_vectors,
     is_isotropic,
     stabilizer_class_omega,
     stabilizer_class_sigma,
@@ -93,14 +91,14 @@ def hyperbolic_criterion(f) -> Fraction:
     return 2 * f[0] * f[2] + f[1] * f[1]
 
 
-def rank_one_hom(vector, covector) -> HomWE:
+def rank_one_hom(vector, covector) -> ExactMatrix:
     """The hom w |-> covector(w) . vector as a 6x3 matrix; the entries are
     int or Fraction."""
-    return HomWE(ExactMatrix([[x * f for f in covector] for x in vector]))
+    return ExactMatrix([[x * f for f in covector] for x in vector])
 
 
-def _hom_from_columns(*cols) -> HomWE:
-    return HomWE(ExactMatrix([list(row) for row in zip(*cols)]))
+def _hom_from_columns(*cols) -> ExactMatrix:
+    return ExactMatrix(list(zip(*cols)))
 
 
 def build_stabilizer_family() -> list[dict]:
@@ -202,13 +200,7 @@ def _tally(family: list[dict], key: str, classify) -> dict:
 @lru_cache(maxsize=None)
 def omega_census() -> dict:
     """Classify every family member and tally against the predictions."""
-    w_space = QuadSpaceW()
-    e_space = SymplecticSpace.standard(3)
-    return _tally(
-        build_stabilizer_family(),
-        "hom",
-        lambda hom: stabilizer_class_omega(hom, w_space, e_space),
-    )
+    return _tally(build_stabilizer_family(), "hom", stabilizer_class_omega)
 
 
 def build_ext_pair_family() -> list[dict]:
@@ -291,15 +283,6 @@ def order_two_relations() -> dict:
 
 # ---------------------------------------------------------------------------
 # Zero locus versus isotropy.
-
-
-def _f3_vectors(dim: int) -> list[tuple[int, ...]]:
-    """The vectors of F_3^dim in order of their integer codes: vector number
-    k has the base-3 digits of k, most significant first."""
-    vecs = [()]
-    for _ in range(dim):
-        vecs = [v + (x,) for v in vecs for x in range(3)]
-    return vecs
 
 
 def _omega_f3(u, v) -> int:
@@ -482,16 +465,15 @@ def rational_isotropy_samples(count: int = 1000, seed: int = DEFAULT_SAMPLE_SEED
             "samples %d is outside the budget of 1 to %d" % (count, MAX_SAMPLES)
         )
     bits = random.Random(seed).getrandbits
-    e_space = SymplecticSpace.standard(3)
     agree = 0
     zero_locus_hits = 0
     half = count // 2
     for i in range(count):
         entries = _draw_entries(bits, 18 if i < half else 9)
         entries += [0] * (18 - len(entries))
-        phi = HomWE(ExactMatrix([entries[j:j + 3] for j in range(0, 18, 3)]))
-        on_zero_locus = all(x == 0 for x in yoneda_omega(phi, e_space))
-        isotropic = is_isotropic(phi.columns(), e_space)
+        phi = ExactMatrix([entries[j:j + 3] for j in range(0, 18, 3)])
+        on_zero_locus = all(x == 0 for x in yoneda_omega(phi))
+        isotropic = is_isotropic(zip(*phi.const_entries()))
         if on_zero_locus == isotropic:
             agree += 1
         if on_zero_locus:

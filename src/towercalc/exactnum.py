@@ -298,10 +298,10 @@ class ExactMatrix:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        return self._const == other._const
+        return self.cols == other.cols and self._const == other._const
 
     def __hash__(self):
-        return hash(self._const)
+        return hash((self.cols, self._const))
 
     def __repr__(self):
         return "ExactMatrix(%s)" % ([[str(x) for x in row] for row in self._const],)

@@ -407,10 +407,8 @@ SPACE_KINDS = {
 
 BUNDLE_KINDS = {
     "declared": (
-        lambda name, space, rank, c1: FormalBundle(
-            space, rank, space.div(c1), name=name
-        ),
-        {"name": _name, "space": _space, "rank": _number, "c1": _vector},
+        lambda space, rank, c1: FormalBundle(space, rank, space.div(c1)),
+        {"space": _space, "rank": _number, "c1": _vector},
     ),
     "dual": (lambda of: dual(of), {"of": _bundle}),
     "quotient": (lambda of, sub: quotient(of, sub), {"of": _bundle, "sub": _bundle}),

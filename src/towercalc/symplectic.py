@@ -5,6 +5,12 @@ hom images, stabilizer classification for the two torus-versus-additive-group
 tables, quadratic maps on ext pairs, the order-two scaling/swap action, the
 normal cone quadric, and finite-field enumeration of the incidence fixed
 locus.  All checks run over exact rationals or a small prime field.
+
+The forms are fixed: E = F^6 carries the standard symplectic form omega with
+gram [[0, I], [-I, 0]], W = F^3 the hyperbolic form kappa(v, w) = v1 w3 +
+v2 w2 + v3 w1, and an ext pair is paired by the dot product, which the swap
+negates.  A hom W -> E is its 6 x 3 constant matrix, columns the images of
+w1, w2, w3.
 """
 
 from __future__ import annotations
@@ -30,207 +36,119 @@ class NotInHomOmegaError(ValueError):
     does not apply."""
 
 
-class SingularPairingError(ValueError):
-    pass
-
-
-class SymplecticSpace:
-    """Even-dimensional space with a nonsingular antisymmetric gram."""
-
-    def __init__(self, gram: ExactMatrix):
-        if gram.rows != gram.cols or gram.rows % 2 != 0:
-            raise ValueError("gram must be square of even size")
-        if gram.transpose() != -gram:
-            raise ValueError("gram must be antisymmetric")
-        if rank(gram) != gram.rows:
-            raise ValueError("gram must be nonsingular")
-        self.gram = gram
-        self._terms = _nonzero_terms(gram)
-
-    @classmethod
-    def standard(cls, m: int) -> "SymplecticSpace":
-        """Dimension 2m with gram [[0, I], [-I, 0]]."""
-        if m < 1:
-            raise ValueError("m must be positive")
-        size = 2 * m
-        rows = [[0] * size for _ in range(size)]
-        for i in range(m):
-            rows[i][m + i] = 1
-            rows[m + i][i] = -1
-        return cls(ExactMatrix(rows))
-
-    @property
-    def dim(self) -> int:
-        return self.gram.rows
-
-
-def _nonzero_terms(gram: ExactMatrix) -> tuple[tuple[int, int, int | Fraction], ...]:
-    """The (i, j, g_ij) with g_ij != 0 of a constant gram; integral entries
-    are stored as int."""
-    return tuple(
-        (i, j, x)
-        for i, row in enumerate(gram.const_entries())
-        for j, x in enumerate(row)
-        if x
+def _omega(v: Sequence, w: Sequence) -> int | Fraction:
+    """The standard symplectic form on E = F^6, with gram [[0, I], [-I, 0]],
+    for vectors whose entries are already int or Fraction.  A vector shorter
+    than six fails with IndexError."""
+    return (
+        v[0] * w[3] + v[1] * w[4] + v[2] * w[5]
+        - v[3] * w[0] - v[4] * w[1] - v[5] * w[2]
     )
 
 
-def _raw_bilinear(terms, v: Sequence, w: Sequence) -> int | Fraction:
-    """sum v_i g_ij w_j over the nonzero terms of a gram, for vectors whose
-    entries are already int or Fraction, with no conversion.
-
-    A nonsingular gram has a nonzero entry in every row and column, so a
-    vector shorter than the gram fails with IndexError.
-    """
-    return sum(v[i] * g * w[j] for i, j, g in terms)
+def _kappa(v: Sequence, w: Sequence) -> int | Fraction:
+    """The hyperbolic form v1 w3 + v2 w2 + v3 w1 on W = F^3, the trace form
+    of the rank-three orthogonal Lie algebra model."""
+    return v[0] * w[2] + v[1] * w[1] + v[2] * w[0]
 
 
-#: Hyperbolic gram of the three-dimensional quadratic space carrying the
-#: trace form of the rank-three orthogonal Lie algebra model.
-HYPERBOLIC_GRAM = ExactMatrix([[0, 0, 1], [0, 1, 0], [1, 0, 0]])
-
-
-class QuadSpaceW:
-    """Three-dimensional quadratic space (w1, w2, w3)."""
-
-    def __init__(self, gram: ExactMatrix = HYPERBOLIC_GRAM):
-        if gram.rows != 3 or gram.cols != 3:
-            raise ValueError("W is three-dimensional")
-        if gram.transpose() != gram:
-            raise ValueError("gram must be symmetric")
-        if rank(gram) != 3:
-            raise ValueError("gram must be nonsingular")
-        self.gram = gram
-        self._terms = _nonzero_terms(gram)
-
-    def kappa(self, v: Sequence, w: Sequence) -> Fraction:
-        """kappa(v, w) for any rational input; integral inputs stay int until
-        the one Fraction of the result."""
-        v = [_const_value(x) for x in v]
-        w = [_const_value(x) for x in w]
-        return Fraction(_raw_bilinear(self._terms, v, w))
-
-
-class HomWE:
-    """Linear map W -> E, given by a constant matrix; columns are the images
-    of w1, w2, w3."""
-
-    def __init__(self, matrix: ExactMatrix):
-        if matrix.cols != 3:
-            raise ValueError("need exactly three columns")
-        self.matrix = matrix
-        self._columns = tuple(zip(*matrix.const_entries()))
-
-    def columns(self) -> list[tuple[int | Fraction, ...]]:
-        return list(self._columns)
-
-
-def is_isotropic(generators: Sequence[Sequence], space: SymplecticSpace) -> bool:
-    """True when the span of the generators is omega-isotropic.
+def is_isotropic(generators: Sequence[Sequence]) -> bool:
+    """True when the span of the generators is omega-isotropic in E.
 
     The empty list spans the zero subspace, which is isotropic.  Only pairs
-    of distinct generators are paired: omega(v, v) = 0 for the antisymmetric
-    gram of every SymplecticSpace.
+    of distinct generators are paired: omega(v, v) = 0 as omega is
+    antisymmetric.
     """
     gens = [list(map(_const_value, g)) for g in generators]
     for g in gens:
-        if len(g) != space.dim:
-            raise ValueError("generator length %d, expected %d" % (len(g), space.dim))
-    terms = space._terms
+        if len(g) != 6:
+            raise ValueError("generator length %d, expected 6" % len(g))
     for i, g in enumerate(gens):
         for h in gens[i + 1:]:
-            if _raw_bilinear(terms, g, h) != 0:
+            if _omega(g, h) != 0:
                 return False
     return True
 
 
-def _perp_in_w(vectors: Sequence[Sequence[Fraction]], w_space: QuadSpaceW):
-    """kappa-orthogonal complement in W of the span of the given vectors."""
-    if not vectors:
-        return tuple(
-            tuple(Fraction(1 if i == j else 0) for j in range(3)) for i in range(3)
+def _hom_columns(phi: ExactMatrix) -> tuple[tuple[int | Fraction, ...], ...]:
+    """The images of w1, w2, w3 under a hom W -> E, given as its 6 x 3
+    constant matrix."""
+    if (phi.rows, phi.cols) != (6, 3):
+        raise ValueError(
+            "a hom W -> E is a 6 x 3 matrix, got %d x %d" % (phi.rows, phi.cols)
         )
-    g = w_space.gram.const_entries()
-    rows = [[sum(v[i] * g[i][j] for i in range(3)) for j in range(3)] for v in vectors]
-    return nullspace(ExactMatrix(rows))
+    return tuple(zip(*phi.const_entries()))
 
 
-def stabilizer_class_omega(
-    phi: HomWE, w_space: QuadSpaceW, e_space: SymplecticSpace
-) -> StabilizerClass:
-    """Classify the stabilizer of a hom with isotropic image.
+def _perp_in_w(vectors: Sequence[Sequence[Fraction]]):
+    """kappa-orthogonal complement in W of the span of the given vectors:
+    kappa's gram applied to a vector reverses it."""
+    return nullspace(ExactMatrix([v[::-1] for v in vectors], cols=3))
+
+
+def stabilizer_class_omega(phi: ExactMatrix) -> StabilizerClass:
+    """Classify the stabilizer of a hom W -> E with isotropic image.
 
     rank 0 -> FULL_SO_W; rank >= 2 -> TRIVIAL; rank 1 splits on whether the
     kappa-orthogonal line of ker(phi) is kappa-isotropic (ADDITIVE) or not
     (MULTIPLICATIVE).
     """
-    if phi.matrix.rows != e_space.dim:
-        raise ValueError("hom target dimension mismatch")
-    if not is_isotropic(phi.columns(), e_space):
+    if not is_isotropic(_hom_columns(phi)):
         raise NotInHomOmegaError("image is not isotropic")
-    r = rank(phi.matrix)
+    r = rank(phi)
     if r == 0:
         return StabilizerClass.FULL_SO_W
     if r >= 2:
         return StabilizerClass.TRIVIAL
-    ker = nullspace(phi.matrix)
-    perp = _perp_in_w(ker, w_space)
+    perp = _perp_in_w(nullspace(phi))
     if len(perp) != 1:
         raise AssertionError("rank-1 hom must have a line as kernel-perp")
     v = perp[0]
-    if w_space.kappa(v, v) == 0:
+    if _kappa(v, v) == 0:
         return StabilizerClass.ADDITIVE
     return StabilizerClass.MULTIPLICATIVE
 
 
-def yoneda_omega(phi: HomWE, e_space: SymplecticSpace) -> tuple[Fraction, Fraction, Fraction]:
-    """The three coordinates (phi^* omega)(w_i, w_j) for i < j."""
-    if phi.matrix.rows != e_space.dim:
-        raise ValueError("hom target dimension mismatch")
-    c = phi._columns
-    terms = e_space._terms
+def yoneda_omega(phi: ExactMatrix) -> tuple[Fraction, Fraction, Fraction]:
+    """The three coordinates (phi^* omega)(w_i, w_j) for i < j of a hom
+    W -> E, given as its 6 x 3 constant matrix."""
+    c = _hom_columns(phi)
     return (
-        Fraction(_raw_bilinear(terms, c[0], c[1])),
-        Fraction(_raw_bilinear(terms, c[0], c[2])),
-        Fraction(_raw_bilinear(terms, c[1], c[2])),
+        Fraction(_omega(c[0], c[1])),
+        Fraction(_omega(c[0], c[2])),
+        Fraction(_omega(c[1], c[2])),
     )
 
 
 class ExtPair:
-    """Off-diagonal ext pair (e12, e21) with a nonsingular pairing."""
+    """Off-diagonal ext pair (e12, e21), paired by ``sign`` (1 or -1) times
+    the dot product."""
 
-    def __init__(self, e12: tuple, e21: tuple, pairing: ExactMatrix | None = None):
+    def __init__(self, e12: tuple, e21: tuple, sign: int = 1):
         self.e12 = tuple(Fraction(x) for x in e12)
         self.e21 = tuple(Fraction(x) for x in e21)
         if len(self.e12) != len(self.e21) or not self.e12:
             raise ValueError("e12 and e21 must be nonempty of equal length")
-        if pairing is None:
-            pairing = ExactMatrix.identity(len(self.e12))
-        if pairing.rows != len(self.e12) or pairing.cols != len(self.e21):
-            raise ValueError("pairing shape mismatch")
-        if rank(pairing) != pairing.rows:
-            raise SingularPairingError("pairing is singular")
-        self.pairing = pairing
+        self.sign = sign
 
     def pair(self) -> Fraction:
-        g = self.pairing.const_entries()
-        k = len(self.e12)
-        return sum(self.e12[i] * g[i][j] * self.e21[j] for i in range(k) for j in range(k))
+        return self.sign * sum(a * b for a, b in zip(self.e12, self.e21))
 
     def scaled(self, lam) -> "ExtPair":
-        """The scaling by lam: (lam e12, e21 / lam), same pairing, so the
+        """The scaling by lam: (lam e12, e21 / lam), same sign, so the
         pairing value is preserved."""
         lam = Fraction(lam)
         if lam == 0:
             raise ValueError("scale factor must be nonzero")
         return ExtPair(
-            tuple(lam * x for x in self.e12), tuple(x / lam for x in self.e21), self.pairing
+            tuple(lam * x for x in self.e12), tuple(x / lam for x in self.e21), self.sign
         )
 
     def swapped(self) -> "ExtPair":
         """The swap: the two slots exchange and the pairing goes to minus its
-        transpose (the trace pairing anticommutes), so the value is negated."""
-        return ExtPair(self.e21, self.e12, -self.pairing.transpose())
+        transpose (the trace pairing anticommutes), which for +-I is a sign
+        flip, so the value is negated."""
+        return ExtPair(self.e21, self.e12, -self.sign)
 
 
 def yoneda_sigma(pair: ExtPair) -> tuple[Fraction, Fraction]:
@@ -265,23 +183,20 @@ def normal_cone_quadric() -> dict:
     return {"nvars": nvars, "rank": r, "smooth": r == nvars, "ambient_dim": nvars - 1}
 
 
-#: The prime field of `fixed_locus_incidence`.
-FIELD_PRIME = 3
+def _f3_vectors(dim: int) -> list[tuple[int, ...]]:
+    """The vectors of F_3^dim in order of their integer codes: vector number
+    k has the base-3 digits of k, most significant first."""
+    return list(product(range(3), repeat=dim))
 
 
-def _projective_points(dim: int, p: int) -> list[tuple[int, ...]]:
-    """Normalized representatives (first nonzero coordinate 1) of P^{dim-1}(F_p)."""
-    pts = []
-    for v in product(range(p), repeat=dim):
-        lead = next((x for x in v if x != 0), 0)
-        if lead == 1:
-            pts.append(v)
-    return pts
+def _projective_points(dim: int) -> list[tuple[int, ...]]:
+    """Normalized representatives (first nonzero coordinate 1) of P^{dim-1}(F_3)."""
+    return [v for v in _f3_vectors(dim) if next((x for x in v if x), 0) == 1]
 
 
 def fixed_locus_incidence(dim: int) -> dict:
-    """Enumerate the incidence locus {([v],[w]) : omega(v, w) = 0} over F_p,
-    p = FIELD_PRIME, and intersect it with the fixed locus of the swap
+    """Enumerate the incidence locus {([v],[w]) : omega(v, w) = 0} over F_3
+    and intersect it with the fixed locus of the swap
     ([v],[w]) -> ([w],[v]).  Returns the counts of projective points,
     incidence pairs, fixed pairs and diagonal pairs.
 
@@ -291,15 +206,14 @@ def fixed_locus_incidence(dim: int) -> dict:
     """
     if dim % 2 != 0 or dim < 2 or dim > 6:
         raise ValueError("dim must be even with 2 <= dim <= 6")
-    p = FIELD_PRIME
     m = dim // 2
-    pts = _projective_points(dim, p)
+    pts = _projective_points(dim)
 
     def omega(v, w) -> int:
         acc = 0
         for i in range(m):
             acc += v[i] * w[m + i] - v[m + i] * w[i]
-        return acc % p
+        return acc % 3
 
     incidence = fixed = 0
     for v in pts:

@@ -146,7 +146,7 @@ class FormalBundle:
     """A vector bundle remembered only through its rank and first Chern
     class.  The rank must be at least 1 for every integer n >= N_MIN."""
 
-    def __init__(self, space: Space, rank: ParamPoly, c1: DivClass, name: str = ""):
+    def __init__(self, space: Space, rank: ParamPoly, c1: DivClass):
         rank = aspoly(rank)
         if c1.space.pic_names() != space.pic_names():
             raise LatticeError("c1 lives on the wrong lattice")
@@ -157,7 +157,6 @@ class FormalBundle:
         self.space = space
         self.rank = rank
         self.c1 = c1
-        self.name = name
 
 
 class FormalBase(Space):
@@ -367,7 +366,7 @@ def relative_tangent(pb: ProjBundle) -> FormalBundle:
     r = pb.bundle.rank
     xi = pb.gen(pb.taut_name)
     c1 = xi * r + lift_class(pb.bundle.c1, pb)
-    return FormalBundle(pb, r - 1, c1, name="T(%s)" % pb.name)
+    return FormalBundle(pb, r - 1, c1)
 
 
 def canonical_class(space: Space) -> DivClass:
@@ -379,13 +378,13 @@ def canonical_class(space: Space) -> DivClass:
 
 
 def dual(f: FormalBundle) -> FormalBundle:
-    return FormalBundle(f.space, f.rank, -f.c1, name="dual(%s)" % f.name)
+    return FormalBundle(f.space, f.rank, -f.c1)
 
 
 def tensor_line(f: FormalBundle, line: DivClass) -> FormalBundle:
     if line.space.pic_names() != f.space.pic_names():
         raise LatticeError("twisting line on the wrong lattice")
-    return FormalBundle(f.space, f.rank, f.c1 + line * f.rank, name=f.name)
+    return FormalBundle(f.space, f.rank, f.c1 + line * f.rank)
 
 
 def extension(sub: FormalBundle, quot: FormalBundle) -> FormalBundle:
@@ -402,7 +401,7 @@ def quotient(total: FormalBundle, sub: FormalBundle) -> FormalBundle:
 
 
 def pull_to(f: FormalBundle, dst: Space) -> FormalBundle:
-    return FormalBundle(dst, f.rank, lift_class(f.c1, dst), name=f.name)
+    return FormalBundle(dst, f.rank, lift_class(f.c1, dst))
 
 
 # ---------------------------------------------------------------------------

@@ -31,8 +31,8 @@ from towercalc.census import (
     _span_basis_f3,
 )
 from towercalc.cli import main
-from towercalc.exactnum import ExactMatrix, ParamPoly
-from towercalc.symplectic import ExtPair, HomWE, StabilizerClass, SymplecticSpace
+from towercalc.exactnum import ParamPoly
+from towercalc.symplectic import ExtPair, StabilizerClass
 
 
 def test_additive_covectors_satisfy_the_hyperbolic_criterion():
@@ -99,11 +99,11 @@ def test_order_two_relations():
 
 
 def _swap_keeping_the_pairing(self):
-    return ExtPair(self.e21, self.e12, self.pairing)
+    return ExtPair(self.e21, self.e12, self.sign)
 
 
 def _scale_forgetting_e21(self, lam):
-    return ExtPair(tuple(lam * x for x in self.e12), self.e21, self.pairing)
+    return ExtPair(tuple(lam * x for x in self.e12), self.e21, self.sign)
 
 
 @pytest.mark.parametrize(
@@ -367,10 +367,18 @@ def test_entry_draws_equal_randint_draw_for_draw(seed):
 
 
 def reference_samples(count, seed):
-    """rational_isotropy_samples as a plain loop: randint draws, a HomWE per
-    sample, and omega paired densely over Fractions, the diagonal included."""
+    """rational_isotropy_samples as a plain loop: randint draws, a 6 x 3
+    matrix per sample, and omega paired densely over Fractions with the
+    standard gram [[0, I], [-I, 0]], the diagonal included."""
     rng = random.Random(seed)
-    gram = SymplecticSpace.standard(3).gram.const_entries()
+    gram = [
+        [0, 0, 0, 1, 0, 0],
+        [0, 0, 0, 0, 1, 0],
+        [0, 0, 0, 0, 0, 1],
+        [-1, 0, 0, 0, 0, 0],
+        [0, -1, 0, 0, 0, 0],
+        [0, 0, -1, 0, 0, 0],
+    ]
 
     def omega(v, w):
         return sum(
@@ -382,7 +390,7 @@ def reference_samples(count, seed):
         drawn = 6 if i < count // 2 else 3
         rows = [[rng.randint(-4, 4) for _ in range(3)] for _ in range(drawn)]
         rows += [[0, 0, 0]] * (6 - drawn)
-        cols = HomWE(ExactMatrix(rows)).columns()
+        cols = list(zip(*rows))
         on_zero_locus = all(omega(cols[a], cols[b]) == 0 for a, b in ((0, 1), (0, 2), (1, 2)))
         isotropic = all(omega(cols[a], cols[b]) == 0 for a in range(3) for b in range(a, 3))
         agree += on_zero_locus == isotropic
@@ -428,5 +436,5 @@ def test_sample_homs_build_no_param_poly(monkeypatch):
 
 def test_family_entries_are_exact():
     for member in build_stabilizer_family():
-        for row in member["hom"].matrix.const_entries():
+        for row in member["hom"].const_entries():
             assert all(type(x) in (int, Fraction) for x in row)

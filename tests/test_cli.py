@@ -425,6 +425,25 @@ PLUS_N = {"0": "1/2", "1": "1"}
             [],
             "observed pairings are inconsistent with the table",
         ),
+        # The space/bundle worklist retries an unknown reference until a pass
+        # makes no progress: a bundle that no entry declares, and a space and
+        # a bundle that refer to each other, never resolve.
+        (
+            "picard-matrices",
+            "spaces",
+            "chi_plane",
+            "bundle",
+            "no_such_bundle",
+            "space 'chi_plane': field 'bundle': unknown reference 'no_such_bundle'",
+        ),
+        (
+            "picard-matrices",
+            "bundles",
+            "rank_three_taut",
+            "space",
+            "chi_plane",
+            "space 'chi_plane': field 'bundle': unknown reference 'rank_three_taut'",
+        ),
     ],
     ids=[
         "zero-denominator",
@@ -465,6 +484,8 @@ PLUS_N = {"0": "1/2", "1": "1"}
         "c1-column-depends-on-n",
         "chain-pullback-depends-on-n",
         "no-pushforward-curves",
+        "proj-bundle-of-an-undeclared-bundle",
+        "space-and-bundle-refer-to-each-other",
     ],
 )
 def test_bad_document_is_a_named_error(

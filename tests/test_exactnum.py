@@ -377,6 +377,13 @@ class TestEmptyShapes:
             (Fraction(0), Fraction(0), Fraction(1)),
         )
 
+    def test_empty_matrices_of_different_widths_differ(self) -> None:
+        assert ExactMatrix([], cols=3) != ExactMatrix([], cols=2)
+        assert hash(ExactMatrix([], cols=3)) != hash(ExactMatrix([], cols=2))
+        assert ExactMatrix([], cols=3) == ExactMatrix([], cols=3)
+        assert hash(ExactMatrix([], cols=3)) == hash(ExactMatrix([], cols=3))
+        assert ExactMatrix([], cols=3).transpose() == ExactMatrix([[]] * 3)
+
     def test_declared_cols_must_match(self) -> None:
         with pytest.raises(ValueError, match="row 0 has 2 entries, expected 3"):
             ExactMatrix([[1, 2]], cols=3)

@@ -14,11 +14,8 @@ from towercalc.cli import main
 from towercalc.exactnum import ExactMatrix, N, rank
 from towercalc.symplectic import (
     ExtPair,
-    HomWE,
     NotInHomOmegaError,
-    QuadSpaceW,
     StabilizerClass,
-    SymplecticSpace,
     fixed_locus_incidence,
     is_isotropic,
     normal_cone_quadric,
@@ -28,16 +25,26 @@ from towercalc.symplectic import (
     yoneda_sigma,
 )
 
-E6 = SymplecticSpace.standard(3)
-W = QuadSpaceW()
+# Oracle grams of the two fixed forms: omega on E and kappa on W.
+OMEGA_GRAM = ExactMatrix(
+    [
+        [0, 0, 0, 1, 0, 0],
+        [0, 0, 0, 0, 1, 0],
+        [0, 0, 0, 0, 0, 1],
+        [-1, 0, 0, 0, 0, 0],
+        [0, -1, 0, 0, 0, 0],
+        [0, 0, -1, 0, 0, 0],
+    ]
+)
+KAPPA_GRAM = ExactMatrix([[0, 0, 1], [0, 1, 0], [1, 0, 0]])
 
 rats = st.fractions(min_value=-9, max_value=9, max_denominator=6)
 nonzero_rats = rats.filter(lambda x: x != 0)
 
 
-def hom(cols) -> HomWE:
+def hom(cols) -> ExactMatrix:
     """Columns are images of w1, w2, w3 in E."""
-    return HomWE(ExactMatrix([[col[i] for col in cols] for i in range(len(cols[0]))]))
+    return ExactMatrix([[col[i] for col in cols] for i in range(len(cols[0]))])
 
 
 X1 = (1, 0, 0, 0, 0, 0)
@@ -55,12 +62,10 @@ def dense_form(gram: ExactMatrix, v, w) -> Fraction:
     return sum(v[i] * g[i][j] * w[j] for i in range(len(g)) for j in range(len(g)))
 
 
-def omega(space: SymplecticSpace, v, w):
-    """omega(v, w) the way `is_isotropic` pairs: each coordinate converted
-    once with `_const_value`, then summed over the nonzero terms of the gram."""
-    v = [symplectic._const_value(x) for x in v]
-    w = [symplectic._const_value(x) for x in w]
-    return symplectic._raw_bilinear(space._terms, v, w)
+def exact(v) -> list:
+    """Each coordinate converted once with `_const_value`, as `is_isotropic`
+    converts it."""
+    return [symplectic._const_value(x) for x in v]
 
 
 def mixed_vector(rng: random.Random, dim: int) -> list:
@@ -73,86 +78,60 @@ def mixed_vector(rng: random.Random, dim: int) -> list:
 
 
 class TestBilinearForms:
-    # Antisymmetric and nonsingular (Pfaffian -13/2), with fractional entries
-    # outside the [[0, I], [-I, 0]] blocks.
-    OTHER_SYMPLECTIC = ExactMatrix(
-        [
-            [0, Fraction(1, 2), 3, -1],
-            [Fraction(-1, 2), 0, 2, Fraction(5, 3)],
-            [-3, -2, 0, 1],
-            [1, Fraction(-5, 3), -1, 0],
-        ]
-    )
-    # Symmetric and nonsingular (determinant -41/18).
-    OTHER_QUADRATIC = ExactMatrix(
-        [[2, Fraction(1, 3), 0], [Fraction(1, 3), 0, -1], [0, -1, Fraction(5, 2)]]
-    )
-
-    @pytest.mark.parametrize(
-        "space", [E6, SymplecticSpace(OTHER_SYMPLECTIC)], ids=["standard", "other"]
-    )
-    def test_omega_equals_the_dense_sum(self, space) -> None:
+    @pytest.mark.parametrize("gram", [OMEGA_GRAM], ids=["standard"])
+    def test_omega_equals_the_dense_sum(self, gram) -> None:
         rng = random.Random(4021)
         for _ in range(200):
-            v, w = mixed_vector(rng, space.dim), mixed_vector(rng, space.dim)
-            got = omega(space, v, w)
-            assert got == dense_form(space.gram, v, w)
-            assert omega(space, w, v) == -got
+            v, w = exact(mixed_vector(rng, 6)), exact(mixed_vector(rng, 6))
+            got = symplectic._omega(v, w)
+            assert got == dense_form(gram, v, w)
+            assert symplectic._omega(w, v) == -got
 
-    @pytest.mark.parametrize(
-        "w_space", [W, QuadSpaceW(OTHER_QUADRATIC)], ids=["hyperbolic", "other"]
-    )
-    def test_kappa_equals_the_dense_sum(self, w_space) -> None:
+    @pytest.mark.parametrize("gram", [KAPPA_GRAM], ids=["hyperbolic"])
+    def test_kappa_equals_the_dense_sum(self, gram) -> None:
         rng = random.Random(4022)
         for _ in range(200):
-            v, w = mixed_vector(rng, 3), mixed_vector(rng, 3)
-            got = w_space.kappa(v, w)
-            assert isinstance(got, Fraction)
-            assert got == dense_form(w_space.gram, v, w)
-            assert w_space.kappa(w, v) == got
+            v, w = exact(mixed_vector(rng, 3)), exact(mixed_vector(rng, 3))
+            got = symplectic._kappa(v, w)
+            assert got == dense_form(gram, v, w)
+            assert symplectic._kappa(w, v) == got
 
     def test_short_vector_is_rejected(self) -> None:
         with pytest.raises(IndexError):
-            omega(E6, (1, 0, 0), (0, 0, 0, 1, 0, 0))
+            symplectic._omega((1, 0, 0), (0, 0, 0, 1, 0, 0))
 
 
 class TestIsotropy:
     def test_empty_list_is_isotropic(self) -> None:
-        assert is_isotropic([], E6)
+        assert is_isotropic([])
 
     def test_lagrangian_is_isotropic(self) -> None:
-        assert is_isotropic([X1, X2, X3], E6)
+        assert is_isotropic([X1, X2, X3])
 
     def test_pairing_detected(self) -> None:
-        assert not is_isotropic([X1, Y1], E6)
+        assert not is_isotropic([X1, Y1])
 
-    @pytest.mark.parametrize(
-        "space",
-        [E6, SymplecticSpace(TestBilinearForms.OTHER_SYMPLECTIC)],
-        ids=["standard", "other"],
-    )
-    def test_verdicts_match_pairwise_omega(self, space) -> None:
+    @pytest.mark.parametrize("gram", [OMEGA_GRAM], ids=["standard"])
+    def test_verdicts_match_pairwise_omega(self, gram) -> None:
         # Half the draws are multiples of one vector, so both verdicts occur.
         rng = random.Random(4023)
         verdicts = set()
         for draw in range(200):
-            gens = [mixed_vector(rng, space.dim) for _ in range(rng.randint(1, 3))]
+            gens = [mixed_vector(rng, 6) for _ in range(rng.randint(1, 3))]
             if draw % 2:
                 base = [Fraction(x) for x in gens[0]]
                 scales = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in gens]
                 gens = [[rng.choice([s * x, str(s * x)]) for x in base] for s in scales]
             expected = all(
-                dense_form(space.gram, gens[i], gens[j]) == 0
+                dense_form(gram, gens[i], gens[j]) == 0
                 for i in range(len(gens))
                 for j in range(i, len(gens))
             )
-            assert is_isotropic(gens, space) is expected
+            assert is_isotropic(gens) is expected
             verdicts.add(expected)
         assert verdicts == {True, False}
 
     def test_converts_each_coordinate_once(self, monkeypatch) -> None:
-        space = SymplecticSpace.standard(3)
-        assert space._terms
         calls = []
         real = symplectic._const_value
 
@@ -162,52 +141,65 @@ class TestIsotropy:
 
         monkeypatch.setattr(symplectic, "_const_value", counting)
         gens = [X1, [Fraction(1, 2), "2/3", 0, 0, 0, 0], X3]
-        assert is_isotropic(gens, space)
+        assert is_isotropic(gens)
         assert len(calls) == 18
         calls.clear()
-        assert not is_isotropic([X1, Y1, X2], space)
+        assert not is_isotropic([X1, Y1, X2])
         assert len(calls) == 18
 
     def test_wrong_generator_length_is_rejected(self) -> None:
         with pytest.raises(ValueError, match="generator length 5"):
-            is_isotropic([X1, (0, 1, 0, 0, 0)], E6)
+            is_isotropic([X1, (0, 1, 0, 0, 0)])
 
     @given(st.lists(st.tuples(*[rats] * 6), min_size=1, max_size=3))
     @settings(max_examples=50)
     def test_agrees_with_yoneda_zero_locus(self, cols) -> None:
         cols = cols + [Z6] * (3 - len(cols))
         phi = hom(cols[:3])
-        upsilon = yoneda_omega(phi, E6)
-        assert (upsilon == (0, 0, 0)) == is_isotropic(phi.columns(), E6)
+        upsilon = yoneda_omega(phi)
+        assert (upsilon == (0, 0, 0)) == is_isotropic(cols[:3])
 
 
 class TestStabilizerOmega:
     def test_zero_hom_full_group(self) -> None:
         phi = hom([Z6, Z6, Z6])
-        assert stabilizer_class_omega(phi, W, E6) is StabilizerClass.FULL_SO_W
+        assert stabilizer_class_omega(phi) is StabilizerClass.FULL_SO_W
 
     def test_kernel_w2_w3_is_additive(self) -> None:
         # image x1, kernel span{w2, w3}; its kappa-perp is span{w3}, isotropic
         phi = hom([X1, Z6, Z6])
-        assert stabilizer_class_omega(phi, W, E6) is StabilizerClass.ADDITIVE
+        assert stabilizer_class_omega(phi) is StabilizerClass.ADDITIVE
 
     def test_kernel_w1_w3_is_multiplicative(self) -> None:
         # image x1, kernel span{w1, w3}; its kappa-perp is span{w2}, kappa = 1
         phi = hom([Z6, X1, Z6])
-        assert stabilizer_class_omega(phi, W, E6) is StabilizerClass.MULTIPLICATIVE
+        assert stabilizer_class_omega(phi) is StabilizerClass.MULTIPLICATIVE
 
     def test_rank_two_trivial(self) -> None:
         phi = hom([X1, X2, Z6])
-        assert stabilizer_class_omega(phi, W, E6) is StabilizerClass.TRIVIAL
+        assert stabilizer_class_omega(phi) is StabilizerClass.TRIVIAL
 
     def test_rank_three_trivial(self) -> None:
         phi = hom([X1, X2, X3])
-        assert stabilizer_class_omega(phi, W, E6) is StabilizerClass.TRIVIAL
+        assert stabilizer_class_omega(phi) is StabilizerClass.TRIVIAL
 
     def test_non_isotropic_image_rejected(self) -> None:
         phi = hom([X1, Y1, Z6])
         with pytest.raises(NotInHomOmegaError):
-            stabilizer_class_omega(phi, W, E6)
+            stabilizer_class_omega(phi)
+
+    def test_perp_in_w_is_kappa_orthogonal(self) -> None:
+        # The classification reads only kappa(v, v) on the perp line, and the
+        # isometry w1 <-> w3 leaves that unchanged, so only a direct check
+        # sees whether the complement is taken for kappa or for the dot
+        # product.
+        rng = random.Random(4024)
+        for count in (1, 2) * 50:
+            vectors = [[rng.randint(-3, 3) for _ in range(3)] for _ in range(count)]
+            perp = symplectic._perp_in_w(vectors)
+            assert len(perp) == 3 - rank(ExactMatrix(vectors))
+            for p in perp:
+                assert all(dense_form(KAPPA_GRAM, p, v) == 0 for v in vectors)
 
     @given(nonzero_rats, rats)
     @settings(max_examples=40)
@@ -221,29 +213,32 @@ class TestStabilizerOmega:
         )
         swap = ExactMatrix([[0, 0, 1], [0, 1, 0], [1, 0, 0]])
         for o in (theta, unip, swap, theta * unip):
-            assert (o.transpose() * W.gram * o) == W.gram
+            assert (o.transpose() * KAPPA_GRAM * o) == KAPPA_GRAM
         for phi in (hom([X1, Z6, Z6]), hom([Z6, X1, Z6]), hom([X1, X2, Z6])):
-            base = stabilizer_class_omega(phi, W, E6)
+            base = stabilizer_class_omega(phi)
             for o in (theta, unip, swap, theta * unip * swap):
-                moved = HomWE(phi.matrix * o)
-                assert stabilizer_class_omega(moved, W, E6) is base
+                assert stabilizer_class_omega(phi * o) is base
 
 
 class TestYoneda:
     def test_omega_example(self) -> None:
         phi = hom([X1, Y1, Z6])
-        upsilon = yoneda_omega(phi, E6)
+        upsilon = yoneda_omega(phi)
         assert upsilon == (1, 0, 0)
         assert all(type(x) is Fraction for x in upsilon)
 
     def test_target_dimension_mismatch_is_rejected(self) -> None:
         # Eight rows against a six-dimensional E: rows 7 and 8 would be
         # dropped, and is_isotropic refuses the same columns.
-        phi = HomWE(ExactMatrix([[0, 0, 0]] * 6 + [[1, 0, 0], [0, 1, 0]]))
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            yoneda_omega(phi, E6)
+        phi = ExactMatrix([[0, 0, 0]] * 6 + [[1, 0, 0], [0, 1, 0]])
+        with pytest.raises(ValueError, match="6 x 3 matrix, got 8 x 3"):
+            yoneda_omega(phi)
+        with pytest.raises(ValueError, match="6 x 3 matrix, got 8 x 3"):
+            stabilizer_class_omega(phi)
         with pytest.raises(ValueError, match="generator length 8"):
-            is_isotropic(phi.columns(), E6)
+            is_isotropic(zip(*phi.const_entries()))
+        with pytest.raises(ValueError, match="6 x 3 matrix, got 6 x 2"):
+            yoneda_omega(hom([X1, Y1]))
 
     def test_sigma_zero_locus_example(self) -> None:
         assert yoneda_sigma(ExtPair((1, 0), (0, 1))) == (0, 0)
@@ -266,11 +261,11 @@ class TestPO2Action:
         assert out.pair() == 2
 
     def test_swap_example(self) -> None:
-        pairing = ExactMatrix([[1, 2], [0, 1]])
-        out = ExtPair((1, 0), (3, 1), pairing).swapped()
-        assert out.e12 == (3, 1) and out.e21 == (1, 0)
-        assert out.pairing == ExactMatrix([[-1, 0], [-2, -1]])
+        out = ExtPair((1, 2), (3, 1)).swapped()
+        assert out.e12 == (3, 1) and out.e21 == (1, 2)
+        assert out.sign == -1
         assert out.pair() == -5
+        assert out.swapped().sign == 1
 
     def test_zero_scale_rejected(self) -> None:
         with pytest.raises(ValueError, match="scale factor must be nonzero"):

@@ -32,8 +32,8 @@ def jz_tower():
     a projective space base, two copies of a projectivized quotient bundle,
     their fiber product, and the (1,1) incidence divisor inside it."""
     pt = FormalBase("PT_Z", ("x1",), canonical=(-2 * N,), dim=2 * N - 1)
-    taut = FormalBundle(pt, 1, pt.gen("x1", -1), name="taut")
-    perp = FormalBundle(pt, 2 * N - 1, pt.gen("x1", -1), name="perp")
+    taut = FormalBundle(pt, 1, pt.gen("x1", -1))
+    perp = FormalBundle(pt, 2 * N - 1, pt.gen("x1", -1))
     quot = quotient(perp, taut)
     pa1 = ProjBundle("PA1", pt, quot, "x2")
     pa2 = ProjBundle("PA2", pt, quot, "x3")
@@ -178,7 +178,7 @@ class TestCotangentTwist:
         # relative tangent on top; the relative cotangent line must come out
         # as g - 3h - 2*xk.
         grass = FormalBase("grass3", ("g",), canonical=(-4,), dim=6)
-        b3 = FormalBundle(grass, 3, grass.gen("g", -1), name="B")
+        b3 = FormalBundle(grass, 3, grass.gen("g", -1))
         chi = ProjBundle("P_chi", grass, b3, "h")
         t_chi = relative_tangent(chi)
         assert t_chi.rank == 2
@@ -193,8 +193,8 @@ class TestBundleAlgebra:
     @pytest.fixture
     def setting(self):
         base = FormalBase("B", ("u", "v"), canonical=(0, 0), dim=4)
-        f = FormalBundle(base, 3, base.div((2, -1)), name="F")
-        g = FormalBundle(base, 2 * N, base.div((0, 1)), name="G")
+        f = FormalBundle(base, 3, base.div((2, -1)))
+        g = FormalBundle(base, 2 * N, base.div((0, 1)))
         return base, f, g
 
     def test_dual_involution(self, setting):
