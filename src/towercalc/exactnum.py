@@ -11,6 +11,7 @@ deliberately absent from this module and from everything built on top of it.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -32,20 +33,24 @@ class NoSolutionError(LinearSolveError):
 
 
 class UnderdeterminedError(LinearSolveError):
-    """The system has more than one solution; carries a kernel basis."""
+    """The system has more than one solution."""
 
-    def __init__(self, message: str, kernel: tuple):
-        super().__init__(message)
-        self.kernel = kernel
+
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def _as_rat(x) -> Fraction:
+    """x as a Fraction.  A string must be written ``-?d+`` or ``-?d+/d+`` in
+    ASCII digits; any other, such as ``1e10000000``, is a ValueError."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        match = _RATIONAL.fullmatch(x)
+        if match is None:
+            raise ValueError("not an exact number: %r" % (x,))
+        return Fraction(int(match[1]), int(match[2] or 1))
     raise TypeError("expected an exact rational, got %r" % (x,))
 
 
@@ -181,7 +186,7 @@ class ParamPoly:
 
     @classmethod
     def from_coeff_strings(cls, d: Mapping[str, str]) -> "ParamPoly":
-        return cls({int(e): Fraction(c) for e, c in d.items()})
+        return cls({int(e): _as_rat(c) for e, c in d.items()})
 
 
 #: The parameter itself, for writing polynomials as expressions: 2 * N - 4.
@@ -290,10 +295,6 @@ class ExactMatrix:
         self._const = tuple(const)
         self.rows = len(rows)
         self.cols = width
-
-    @classmethod
-    def identity(cls, k: int) -> "ExactMatrix":
-        return cls([[1 if i == j else 0 for j in range(k)] for i in range(k)])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExactMatrix):
@@ -417,9 +418,9 @@ def nullspace(a: ExactMatrix) -> tuple[tuple[Fraction, ...], ...]:
 def solve_linear(a: ExactMatrix, b: Sequence) -> tuple[Fraction, ...]:
     """Solve A x = b exactly over the rationals.
 
-    Raises NoSolutionError on inconsistency and UnderdeterminedError (carrying
-    a kernel basis) when the solution is not unique.  Every returned solution
-    is re-substituted before being handed back.
+    Raises NoSolutionError on inconsistency and UnderdeterminedError when the
+    solution is not unique.  Every returned solution is re-substituted before
+    being handed back.
     """
     bvec = [_as_rat(x) for x in b]
     if len(bvec) != a.rows:
@@ -429,7 +430,7 @@ def solve_linear(a: ExactMatrix, b: Sequence) -> tuple[Fraction, ...]:
     if a.cols in pivots:
         raise NoSolutionError("no solution")
     if len(pivots) < a.cols:
-        raise UnderdeterminedError("underdetermined", kernel=nullspace(a))
+        raise UnderdeterminedError("underdetermined")
     x = [Fraction(0)] * a.cols
     for r, pc in enumerate(pivots):
         x[pc] = rows[r][a.cols]

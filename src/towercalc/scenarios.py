@@ -154,15 +154,9 @@ def parse_value(value):
     """Inverse of :func:`serialize_value` on the symbolic form."""
     if value is None or isinstance(value, bool):
         return value
-    if isinstance(value, float):
-        raise ScenarioFileError(
-            "non-exact number %r: use integer strings or p/q strings" % value
-        )
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, (int, str)):
         try:
-            return Fraction(value)
+            return exactnum._as_rat(value)
         except ValueError:
             return value
         except ZeroDivisionError:
@@ -193,9 +187,9 @@ def canonical_json(data) -> str:
 #
 # Each entry kind is one row of a kind table: the engine function it calls
 # and a reader for each of its fields.  A reader turns the raw JSON value into
-# an engine value, looking names up in the environment built so far, or
-# raises _BadField; _read adds the field's path and _entry names the entry,
-# so that a bad field always ends as a ScenarioFileError such as
+# an engine value, looking names up in the environment, or raises _BadField;
+# _read adds the field's path and _entry names the entry, so that a bad field
+# always ends as a ScenarioFileError such as
 # "space 'x': field 'pic[0]': expected a name, got 5".  Rows call engine
 # functions through their module-level names (hence the forwarding lambdas),
 # so that whatever rebinds those names, such as the span tracer in
@@ -203,7 +197,10 @@ def canonical_json(data) -> str:
 
 
 class Env:
-    def __init__(self):
+    """A document's entries by section and name, and the objects built so far."""
+
+    def __init__(self, doc):
+        self.declared = {s: {e["name"]: e for e in doc.get(s, ())} for s in _SECTIONS}
         self.spaces, self.bundles, self.maps, self.curves = {}, {}, {}, {}
 
 
@@ -211,6 +208,11 @@ class _BadField(ValueError):
     def __init__(self, message: str, path: tuple = ()):
         super().__init__(message)
         self.path = path
+
+
+class _Unbuilt(Exception):
+    """A reference to the entry (section, name) of the document, which is not
+    built yet.  Not a ValueError, so that it passes `_at` and `_entry`."""
 
 
 _REQUIRED = object()
@@ -322,13 +324,15 @@ def _one_of(table: dict, label: str):
 
 
 def _ref(section: str, cls=None, what: str = ""):
-    """The name of an object defined earlier in ``section`` of the document,
-    optionally of class ``cls``; reads as that object."""
+    """The name of an entry of ``section`` of the document, optionally of
+    class ``cls``; reads as the object built from it."""
 
     def read(raw, env):
         defined = getattr(env, section)
         name = _name(raw, env)
         if name not in defined:
+            if name in env.declared[section]:
+                raise _Unbuilt(section, name)
             raise _BadField("unknown reference %r" % name)
         if cls is not None and not isinstance(defined[name], cls):
             raise _BadField("%r is not a %s" % (name, what))
@@ -504,55 +508,49 @@ CURVE_KINDS = {
     ),
 }
 
-_SPACE_ENTRY = _kinded(SPACE_KINDS, "space kind")
-_BUNDLE_ENTRY = _kinded(BUNDLE_KINDS, "bundle kind")
-_MAP_ENTRY = _kinded(MAP_KINDS, "map kind")
 _CURVE_KIND = _one_of(CURVE_KINDS, "curve kind")
-_CURVE_ENTRY = _object(
-    lambda space, curve: curve(space),
-    {"space": _space, "atomic": lambda raw, env: _row(raw, "kind", _CURVE_KIND, env)},
-)
+
+#: The reader of the entries of each section; errors call an entry of
+#: "spaces" a "space", and so on.
+_SECTIONS = {
+    "spaces": _kinded(SPACE_KINDS, "space kind"),
+    "bundles": _kinded(BUNDLE_KINDS, "bundle kind"),
+    "maps": _kinded(MAP_KINDS, "map kind"),
+    "curves": _object(
+        lambda space, curve: curve(space),
+        {"space": _space, "atomic": lambda raw, env: _row(raw, "kind", _CURVE_KIND, env)},
+    ),
+}
 
 
 def _make_env(doc) -> Env:
-    env = Env()
-
-    def define(store: dict, label: str, read, entry) -> None:
-        name = entry["name"]
-        store[name] = _entry("%s %r" % (label, name), lambda: read(entry, env))
-
-    # Spaces and bundles live in separate lists but depend on each other in
-    # an interleaved order (a projective bundle needs a bundle that lives on
-    # an earlier space).  Build with a worklist that keeps document order
-    # within each pass and retries entries whose references are not ready
-    # yet; a pass with no progress surfaces the first missing reference.
-    pending = [(env.spaces, "space", _SPACE_ENTRY, sd) for sd in doc.get("spaces", ())]
-    pending += [
-        (env.bundles, "bundle", _BUNDLE_ENTRY, bd) for bd in doc.get("bundles", ())
-    ]
-    while pending:
-        progress = False
-        deferred = []
-        first_error = None
-        for item in pending:
+    """Build each entry of ``doc`` in document order.  An entry that names
+    one not built yet stops at that name; the named entry is built first, on
+    an explicit stack rather than through the readers, and the waiting one is
+    read again.  An entry that waits on itself, directly or through others,
+    is a circular reference."""
+    env = Env(doc)
+    for root in [(s, name) for s in _SECTIONS for name in env.declared[s]]:
+        stack = [root]
+        while stack:
+            section, name = stack[-1]
+            built = getattr(env, section)
+            if name in built:
+                stack.pop()
+                continue
+            entry = env.declared[section][name]
             try:
-                define(*item)
-                progress = True
-            except ScenarioFileError as exc:
-                if "unknown reference" in str(exc):
-                    deferred.append(item)
-                    if first_error is None:
-                        first_error = exc
-                else:
-                    raise
-        if not progress:
-            raise first_error
-        pending = deferred
-
-    for md in doc.get("maps", ()):
-        define(env.maps, "map", _MAP_ENTRY, md)
-    for cd in doc.get("curves", ()):
-        define(env.curves, "curve", _CURVE_ENTRY, cd)
+                built[name] = _entry(
+                    "%s %r" % (section[:-1], name), lambda: _SECTIONS[section](entry, env)
+                )
+            except _Unbuilt as wait:
+                if wait.args in stack:
+                    cycle = stack[stack.index(wait.args):] + [wait.args]
+                    raise ScenarioFileError(
+                        "circular reference: "
+                        + " -> ".join("%s %r" % (s[:-1], n) for s, n in cycle)
+                    ) from None
+                stack.append(wait.args)
     return env
 
 

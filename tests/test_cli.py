@@ -425,9 +425,8 @@ PLUS_N = {"0": "1/2", "1": "1"}
             [],
             "observed pairings are inconsistent with the table",
         ),
-        # The space/bundle worklist retries an unknown reference until a pass
-        # makes no progress: a bundle that no entry declares, and a space and
-        # a bundle that refer to each other, never resolve.
+        # A name that no entry declares is an unknown reference; entries that
+        # wait on each other, or a space on itself, are a circular reference.
         (
             "picard-matrices",
             "spaces",
@@ -442,7 +441,25 @@ PLUS_N = {"0": "1/2", "1": "1"}
             "rank_three_taut",
             "space",
             "chi_plane",
-            "space 'chi_plane': field 'bundle': unknown reference 'rank_three_taut'",
+            "circular reference: space 'chi_plane' -> bundle 'rank_three_taut'"
+            " -> space 'chi_plane'",
+        ),
+        (
+            "picard-matrices",
+            "spaces",
+            "chi_plane",
+            "base",
+            "chi_plane",
+            "circular reference: space 'chi_plane' -> space 'chi_plane'",
+        ),
+        (
+            "jz-intersection-table",
+            "spaces",
+            "resolved_incidence",
+            "ambient",
+            "resolved_incidence",
+            "circular reference: space 'resolved_incidence'"
+            " -> space 'resolved_incidence'",
         ),
     ],
     ids=[
@@ -486,6 +503,8 @@ PLUS_N = {"0": "1/2", "1": "1"}
         "no-pushforward-curves",
         "proj-bundle-of-an-undeclared-bundle",
         "space-and-bundle-refer-to-each-other",
+        "proj-bundle-over-itself",
+        "blow-up-of-itself",
     ],
 )
 def test_bad_document_is_a_named_error(
@@ -503,6 +522,52 @@ def test_bad_document_is_a_named_error(
     assert code == 2
     assert entry in err and needle in err
     assert "Traceback" not in err
+
+
+EXPONENT = "1e10000000"
+
+
+@pytest.mark.parametrize(
+    "section, entry, field, value, code, needle",
+    [
+        ("expect", "line-sanity", "value", EXPONENT, 1, "[FAIL] line-sanity"),
+        (
+            "bundles",
+            "rank_three_taut",
+            "rank",
+            EXPONENT,
+            2,
+            "bundle 'rank_three_taut': field 'rank': expected an exact number, "
+            "got '1e10000000'",
+        ),
+        (
+            "bundles",
+            "rank_three_taut",
+            "rank",
+            {"0": EXPONENT},
+            2,
+            "bundle 'rank_three_taut': field 'rank': expected an exact number, "
+            "got {'0': '1e10000000'}",
+        ),
+    ],
+    ids=["expected-value", "bundle-rank", "coefficient"],
+)
+def test_exponent_notation_is_not_a_number(
+    capsys, tmp_path, section, entry, field, value, code, needle
+):
+    # Only -?d+ and -?d+/d+ are numbers.  Fraction() would read "1e10000000"
+    # as an integer of ten million digits, for seconds, and then fail with
+    # the interpreter's own digit-limit message.
+    doc = scenario_doc("euler-convention")
+    next(e for e in doc[section] if e["name"] == entry)[field] = value
+    path = tmp_path / "exponent.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    start = time.perf_counter()
+    got, out, err = run(capsys, ["verify", "--scenario-file", str(path), "--n", "3"])
+    assert time.perf_counter() - start < 1.0
+    assert got == code
+    assert needle in out + err
+    assert "digits" not in out + err and "Traceback" not in err
 
 
 def test_certificate_curve_on_another_lattice_of_the_same_size_is_a_named_error(

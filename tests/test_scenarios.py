@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import time
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -17,6 +18,7 @@ from towercalc.exactnum import N, ParamPoly, _signs_from
 from towercalc.scenarios import (
     BadParameterError,
     FORMAT_TAG,
+    MAX_SECTION_ENTRIES,
     POLICY_ANY,
     POLICY_NUMERIC,
     PolicyError,
@@ -476,6 +478,130 @@ def test_polynomial_serialization_is_idempotent(coeffs):
     once = serialize_value(p, SYMBOLIC)
     again = serialize_value(parse_value(once), SYMBOLIC)
     assert once == again
+
+
+def test_only_integers_and_quotients_are_numbers():
+    assert parse_value("-12/8") == Fraction(-3, 2)
+    assert parse_value({"0": "3", "1": "-1/2"}) == 3 - N * Fraction(1, 2)
+    for text in ("1e10000000", "1.5", "+3", " 3", "1_000", "\u0661"):
+        assert parse_value(text) == text
+        assert parse_value({"0": text}) == {"0": text}
+
+
+# ---------------------------------------------------------------------------
+# building a document's entries
+
+
+SECTIONS = ("spaces", "bundles", "maps", "curves")
+
+
+def counted_builds(monkeypatch):
+    """Wrap scenarios._entry: (calls, builds, errors), the entry labels of
+    every call, of every call that returned and of every call that raised a
+    ScenarioFileError."""
+    calls, builds, errors = [], [], []
+    entry = scenarios._entry
+
+    def counted(what, build):
+        calls.append(what)
+        try:
+            value = entry(what, build)
+        except ScenarioFileError:
+            errors.append(what)
+            raise
+        builds.append(what)
+        return value
+
+    monkeypatch.setattr(scenarios, "_entry", counted)
+    return calls, builds, errors
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_every_entry_is_built_once(monkeypatch, name):
+    doc = scenario_doc(name)
+    calls, builds, errors = counted_builds(monkeypatch)
+    env = scenarios._make_env(doc)
+    assert errors == []
+    declared = [(s, e["name"]) for s in SECTIONS for e in doc.get(s, ())]
+    assert sorted(builds) == sorted("%s %r" % (s[:-1], name) for s, name in declared)
+    built = [(s, name) for s in SECTIONS for name in getattr(env, s)]
+    assert sorted(built) == sorted(declared)
+    # An attempt cut short waits on an entry not built yet, which is then
+    # built: at most one such attempt per entry.
+    assert len(calls) - len(builds) <= len(builds)
+
+
+def interleaved_tower(depth):
+    """Spaces s0..s{depth-1} and bundles b0..b{depth-1}: s0 a formal base,
+    s_k the projective bundle of b_{k-1} over s_{k-1}, b_k pulled to s_k."""
+    spaces = [{"name": "s0", "kind": "formal-base", "pic": ["h"], "dim": "2"}]
+    bundles = [
+        {"name": "b0", "kind": "declared", "space": "s0", "rank": "2", "c1": ["1"]}
+    ]
+    for k in range(1, depth):
+        spaces.append(
+            {
+                "name": "s%d" % k,
+                "kind": "proj-bundle",
+                "base": "s%d" % (k - 1),
+                "bundle": "b%d" % (k - 1),
+                "taut": "t%d" % k,
+            }
+        )
+        bundles.append(
+            {
+                "name": "b%d" % k,
+                "kind": "pull-to",
+                "of": "b%d" % (k - 1),
+                "space": "s%d" % k,
+            }
+        )
+    return spaces, bundles
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["dependency-order", "reversed"])
+def test_deepest_interleaved_tower_builds_each_entry_once(monkeypatch, reverse):
+    # The tower is as deep as a section may be long.  Building through the
+    # readers' own recursion would need about eight frames per level, past
+    # the default recursion limit, and retrying unready entries pass by pass
+    # takes calls quadratic in the depth.
+    depth = MAX_SECTION_ENTRIES
+    spaces, bundles = interleaved_tower(depth)
+    if reverse:
+        spaces.reverse()
+        bundles.reverse()
+    doc = {"name": "tower", "spaces": spaces, "bundles": bundles}
+    calls, builds, errors = counted_builds(monkeypatch)
+    start = time.perf_counter()
+    env = scenarios._make_env(doc)
+    assert time.perf_counter() - start < 0.5
+    assert len(builds) == len(set(builds)) == 2 * depth and errors == []
+    assert len(calls) <= 2 * len(builds)
+    assert env.spaces["s%d" % (depth - 1)].dim() == depth + 1
+
+
+def test_a_map_may_read_through_a_map_declared_after_it():
+    doc = scenario_doc("picard-matrices")
+    assert any(
+        isinstance(c, dict) and c.get("via") == "cotangent_split"
+        for m in doc["maps"]
+        for c in m.get("columns", ())
+    )
+    split = next(m for m in doc["maps"] if m["name"] == "cotangent_split")
+    doc["maps"].remove(split)
+    doc["maps"].append(split)
+    for n in (SYMBOLIC, 3):
+        expected = run_scenario("picard-matrices", n).to_json_text()
+        assert evaluate_doc(doc, n).to_json_text() == expected
+
+
+def test_entries_may_be_listed_in_any_order():
+    doc = scenario_doc("contraction-numerics")
+    for section in SECTIONS:
+        doc[section] = doc.get(section, [])[::-1]
+    for n in (SYMBOLIC, 4):
+        expected = run_scenario("contraction-numerics", n).to_json_text()
+        assert evaluate_doc(doc, n).to_json_text() == expected
 
 
 # ---------------------------------------------------------------------------
