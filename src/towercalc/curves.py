@@ -545,20 +545,14 @@ def mori_propagate(chain: ChainSpec) -> dict:
 # restriction kernels
 
 
-def _primitive(vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    denom = 1
-    for x in vec:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
+def _primitive(vec: Sequence[Fraction]) -> tuple[int, ...]:
+    """vec scaled to coprime integers whose first nonzero entry is positive."""
+    denom = lcm(*(x.denominator for x in vec))
     ints = [int(x * denom) for x in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g:
-        ints = [x // g for x in ints]
-    lead = next((x for x in ints if x != 0), 0)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return tuple(Fraction(x) for x in ints)
+    g = gcd(*ints)
+    if next((x for x in ints if x), 0) < 0:
+        g = -g
+    return tuple(x // g for x in ints) if g else tuple(ints)
 
 
 def restriction_kernel(restriction: PullbackMap, curves: Sequence[CurveClass]) -> dict:
@@ -576,7 +570,7 @@ def restriction_kernel(restriction: PullbackMap, curves: Sequence[CurveClass]) -
     kernel = tuple(_primitive(v) for v in nullspace(restriction.matrix))
     if not kernel:
         perp_basis = tuple(
-            tuple(Fraction(1 if i == j else 0) for j in range(len(curves)))
+            tuple(int(i == j) for j in range(len(curves)))
             for i in range(len(curves))
         )
         return {"kernel": (), "perp": perp_basis}

@@ -2,10 +2,15 @@
 
 Rationals, sparse polynomials in one integer parameter ``n`` with an exact
 decision of their sign on the integers ``n >= 3``, small exact matrices with
-Gaussian elimination.  Matrices hold constants only: an entry that depends on
-``n`` is a ValueError naming the entry, and a vector that depends on ``n`` is
-multiplied or solved for one power of ``n`` at a time.  Floating point is
-deliberately absent from this module and from everything built on top of it.
+Gaussian elimination.  Inside the module an exact rational is stored as an
+int when it is integral and as a Fraction only when it is not, so integer
+arithmetic, which is all the verified towers need, builds no Fraction; the
+public results (`ParamPoly.coeff`, `constant_value`, `eval`, `nullspace`,
+`solve_linear`) are Fractions all the same.  Matrices hold constants only: an
+entry that depends on ``n`` is a ValueError naming the entry, and a vector
+that depends on ``n`` is multiplied or solved for one power of ``n`` at a
+time.  Floating point is deliberately absent from this module and from
+everything built on top of it.
 """
 
 from __future__ import annotations
@@ -24,6 +29,11 @@ class DegreeCapError(ValueError):
     pass
 
 
+def _cap(degree: int) -> None:
+    if degree > MAX_DEGREE:
+        raise DegreeCapError("degree %d exceeds cap %d" % (degree, MAX_DEGREE))
+
+
 class LinearSolveError(ValueError):
     pass
 
@@ -40,26 +50,39 @@ _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def _as_rat(x) -> Fraction:
-    """x as a Fraction.  A string must be written ``-?d+`` or ``-?d+/d+`` in
-    ASCII digits; any other, such as ``1e10000000``, is a ValueError."""
-    if isinstance(x, Fraction):
+    """x, an int, a Fraction or a string read by `_const_value`, as a
+    Fraction."""
+    if isinstance(x, ParamPoly):
+        raise TypeError("expected an exact rational, got %r" % (x,))
+    return Fraction(_const_value(x))
+
+
+def _const_value(x) -> int | Fraction | None:
+    """x as an exact rational, int when it is integral; None when x is a
+    ParamPoly that depends on n.  A string must be written ``-?d+`` or
+    ``-?d+/d+`` in ASCII digits; any other, such as ``1e10000000``, is a
+    ValueError."""
+    if type(x) is int:
         return x
-    if isinstance(x, int):
-        return Fraction(x)
+    if isinstance(x, ParamPoly):
+        return None if x.degree else x.coeffs.get(0, 0)
     if isinstance(x, str):
         match = _RATIONAL.fullmatch(x)
         if match is None:
             raise ValueError("not an exact number: %r" % (x,))
-        return Fraction(int(match[1]), int(match[2] or 1))
-    raise TypeError("expected an exact rational, got %r" % (x,))
+        x = Fraction(int(match[1]), int(match[2])) if match[2] else int(match[1])
+    elif not isinstance(x, (int, Fraction)):
+        raise TypeError("expected an exact rational, got %r" % (x,))
+    return x.numerator if x.denominator == 1 else x
 
 
 class ParamPoly:
     """Polynomial in the integer parameter n with exact rational coefficients.
 
-    Coefficients live in a sparse exponent -> Fraction map with no stored
-    zeros.  Instances are immutable by convention; all operations return new
-    objects.
+    Coefficients live in a sparse exponent -> int | Fraction map with no
+    stored zeros: an integral coefficient is an int, any other a Fraction,
+    and `coeff`, `constant_value` and `eval` return Fractions.  Instances
+    are immutable by convention; all operations return new objects.
 
     >>> p = 2 * N - 4
     >>> p.eval(5)
@@ -71,24 +94,23 @@ class ParamPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Mapping[int, object] | None = None):
-        clean: dict[int, Fraction] = {}
-        if coeffs:
-            for e, c in dict(coeffs).items():
-                e = int(e)
-                if e < 0:
-                    raise ValueError("negative exponent %d" % e)
-                c = _as_rat(c)
-                if c != 0:
-                    clean[e] = c
-        if clean and max(clean) > MAX_DEGREE:
-            raise DegreeCapError(
-                "degree %d exceeds cap %d" % (max(clean), MAX_DEGREE)
-            )
-        self.coeffs = clean
+        clean = {int(e): _as_rat(c) for e, c in dict(coeffs or {}).items()}
+        if clean and min(clean) < 0:
+            raise ValueError("negative exponent %d" % min(clean))
+        self.coeffs = ParamPoly._of(clean).coeffs
+        _cap(self.degree)
+
+    @classmethod
+    def _of(cls, coeffs: dict) -> "ParamPoly":
+        """Trusted constructor: ``coeffs`` maps exponents up to MAX_DEGREE to
+        exact rationals.  Drops zeros and stores integral values as int."""
+        p = object.__new__(cls)
+        p.coeffs = {e: _const_value(c) for e, c in coeffs.items() if c}
+        return p
 
     @classmethod
     def const(cls, c) -> "ParamPoly":
-        return cls({0: _as_rat(c)})
+        return cls._of({0: c if type(c) is int else _as_rat(c)})
 
     @classmethod
     def var(cls) -> "ParamPoly":
@@ -108,29 +130,25 @@ class ParamPoly:
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise ValueError("polynomial %s is not constant" % self)
-        return self.coeffs.get(0, Fraction(0))
+        return Fraction(self.coeffs.get(0, 0))
 
     def eval(self, n) -> Fraction:
-        n = _as_rat(n)
-        total = Fraction(0)
-        for e, c in self.coeffs.items():
-            total += c * n**e
-        return total
+        n = n if type(n) is int else _as_rat(n)
+        return Fraction(sum(c * n**e for e, c in self.coeffs.items()))
 
     def coeff(self, e: int) -> Fraction:
-        return self.coeffs.get(e, Fraction(0))
+        return Fraction(self.coeffs.get(e, 0))
 
     def __add__(self, other) -> "ParamPoly":
-        other = aspoly(other)
         out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return ParamPoly(out)
+        for e, c in aspoly(other).coeffs.items():
+            out[e] = out.get(e, 0) + c
+        return ParamPoly._of(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "ParamPoly":
-        return ParamPoly({e: -c for e, c in self.coeffs.items()})
+        return ParamPoly._of({e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other) -> "ParamPoly":
         return self + (-aspoly(other))
@@ -140,12 +158,13 @@ class ParamPoly:
 
     def __mul__(self, other) -> "ParamPoly":
         other = aspoly(other)
-        out: dict[int, Fraction] = {}
+        _cap(self.degree + other.degree)
+        out: dict[int, int | Fraction] = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
                 e = e1 + e2
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return ParamPoly(out)
+                out[e] = out.get(e, 0) + c1 * c2
+        return ParamPoly._of(out)
 
     __rmul__ = __mul__
 
@@ -186,7 +205,7 @@ class ParamPoly:
 
     @classmethod
     def from_coeff_strings(cls, d: Mapping[str, str]) -> "ParamPoly":
-        return cls({int(e): _as_rat(c) for e, c in d.items()})
+        return cls(d)
 
 
 #: The parameter itself, for writing polynomials as expressions: 2 * N - 4.
@@ -194,18 +213,16 @@ N = ParamPoly.var()
 
 
 def aspoly(x) -> ParamPoly:
-    if isinstance(x, ParamPoly):
-        return x
-    return ParamPoly.const(_as_rat(x))
+    return x if isinstance(x, ParamPoly) else ParamPoly.const(x)
 
 
-def _rat_str(c: Fraction) -> str:
+def _rat_str(c: int | Fraction) -> str:
     return str(c.numerator) if c.denominator == 1 else "%d/%d" % (c.numerator, c.denominator)
 
 
 def rat_str(c) -> str:
     """Serialize an exact rational as "p" or "p/q"."""
-    return _rat_str(_as_rat(c))
+    return _rat_str(c if type(c) in (int, Fraction) else _as_rat(c))
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +253,7 @@ def _int_signs_from(coeffs: Sequence[int]) -> set:
 def _signs_from(p: ParamPoly) -> set:
     """`_int_signs_from` on p times the lcm of its denominators."""
     common = math.lcm(*(c.denominator for c in p.coeffs.values()))
-    coeffs = map(p.coeff, range(p.degree + 1))
+    coeffs = [p.coeffs.get(e, 0) for e in range(p.degree + 1)]
     return _int_signs_from([c.numerator * (common // c.denominator) for c in coeffs])
 
 
@@ -252,20 +269,6 @@ def negative_on_integers_from(p: ParamPoly) -> bool:
 def nonnegative_on_integers_from(p: ParamPoly) -> bool:
     """Exact verdict of p(k) >= 0 for every integer k >= N_MIN."""
     return -1 not in _signs_from(p)
-
-
-def _const_value(x) -> int | Fraction | None:
-    """x as an exact rational, int when it is integral; None when x is a
-    ParamPoly that depends on n."""
-    if type(x) is int:
-        return x
-    if isinstance(x, ParamPoly):
-        if not x.is_constant():
-            return None
-        x = x.constant_value()
-    else:
-        x = _as_rat(x)
-    return x.numerator if x.denominator == 1 else x
 
 
 class ExactMatrix:
@@ -358,16 +361,17 @@ def _per_power(vec: Sequence, width: int, linear) -> tuple[ParamPoly, ...]:
     always mapped, so a map that checks its input sees every vector."""
     polys = [aspoly(x) for x in vec]
     powers = sorted({0}.union(*(x.coeffs for x in polys)))
-    parts = [linear([x.coeff(e) for x in polys]) for e in powers]
+    parts = [linear([x.coeffs.get(e, 0) for x in polys]) for e in powers]
     return tuple(
-        ParamPoly({e: part[j] for e, part in zip(powers, parts)}) for j in range(width)
+        ParamPoly._of({e: part[j] for e, part in zip(powers, parts)}) for j in range(width)
     )
 
 
 def _rref(rows: list[list]) -> tuple[list[list], list[int]]:
     """In-place reduced row echelon form; returns (rows, pivot columns).
 
-    Entries may be int or Fraction; every pivot row comes out as Fractions.
+    Entries are ints and Fractions, and stay so: a row is divided only by a
+    pivot other than 1, and exactly, so an integral quotient stays an int.
     """
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
@@ -382,8 +386,9 @@ def _rref(rows: list[list]) -> tuple[list[list], list[int]]:
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = Fraction(rows[r][c])
-        rows[r] = [x / inv for x in rows[r]]
+        p = rows[r][c]
+        if p != 1:
+            rows[r] = [_quotient(x, p) for x in rows[r]]
         for i in range(nrows):
             if i != r and rows[i][c] != 0:
                 f = rows[i][c]
@@ -393,6 +398,13 @@ def _rref(rows: list[list]) -> tuple[list[list], list[int]]:
         if r == nrows:
             break
     return rows, pivots
+
+
+def _quotient(x, y) -> int | Fraction:
+    """x / y for exact rationals x and y != 0, an int when it is integral."""
+    if type(x) is int and type(y) is int and not x % y:
+        return x // y
+    return _const_value(Fraction(x, y))
 
 
 def rank(a: ExactMatrix) -> int:
@@ -410,7 +422,7 @@ def nullspace(a: ExactMatrix) -> tuple[tuple[Fraction, ...], ...]:
         v = [Fraction(0)] * a.cols
         v[fc] = Fraction(1)
         for r, pc in enumerate(pivots):
-            v[pc] = -rows[r][fc]
+            v[pc] = Fraction(-rows[r][fc])
         basis.append(tuple(v))
     return tuple(basis)
 
@@ -433,7 +445,7 @@ def solve_linear(a: ExactMatrix, b: Sequence) -> tuple[Fraction, ...]:
         raise UnderdeterminedError("underdetermined")
     x = [Fraction(0)] * a.cols
     for r, pc in enumerate(pivots):
-        x[pc] = rows[r][a.cols]
+        x[pc] = Fraction(rows[r][a.cols])
     for i, row in enumerate(a.const_entries()):
         if sum(c * xv for c, xv in zip(row, x)) != bvec[i]:
             raise AssertionError("re-substitution failed")
@@ -444,7 +456,7 @@ def inverse(a: ExactMatrix) -> ExactMatrix:
     if a.rows != a.cols:
         raise ValueError("not square")
     k = a.rows
-    aug = [list(r) + [Fraction(1 if i == j else 0) for j in range(k)]
+    aug = [list(r) + [int(i == j) for j in range(k)]
            for i, r in enumerate(a.const_entries())]
     rows, pivots = _rref(aug)
     if pivots != list(range(k)):

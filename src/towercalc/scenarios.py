@@ -25,6 +25,7 @@ their checks are sorted by name.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 from functools import partial
 from importlib import resources
@@ -156,7 +157,7 @@ def parse_value(value):
         return value
     if isinstance(value, (int, str)):
         try:
-            return exactnum._as_rat(value)
+            return exactnum._const_value(value)
         except ValueError:
             return value
         except ZeroDivisionError:
@@ -266,14 +267,20 @@ def _name(raw, env) -> str:
     return raw
 
 
+def _shown(raw) -> str:
+    """repr(raw), cut to its first 60 characters when it is over 100 long."""
+    text = repr(raw)
+    return text if len(text) <= 100 else "%s... (%d characters)" % (text[:60], len(text))
+
+
 def _number(raw, env) -> ParamPoly:
     """An exact rational or a polynomial in n."""
     try:
         parsed = None if isinstance(raw, bool) else parse_value(raw)
     except ScenarioFileError as exc:
         raise _BadField(str(exc)) from None
-    if not isinstance(parsed, (Fraction, ParamPoly)):
-        raise _BadField("expected an exact number, got %r" % (raw,))
+    if not isinstance(parsed, (int, Fraction, ParamPoly)):
+        raise _BadField("expected an exact number, got %s" % _shown(raw))
     return aspoly(parsed)
 
 
@@ -634,23 +641,14 @@ def _check_mori_chain(chain):
 
 def _combo_string(names, vector) -> str:
     parts = []
-    for name, coeff in zip(names, vector):
-        c = Fraction(coeff)
-        if c == 0:
-            continue
-        if not parts:
-            if c == 1:
-                parts.append(name)
-            elif c == -1:
-                parts.append("-%s" % name)
+    for name, c in zip(names, vector):
+        if c:
+            term = name if abs(c) == 1 else "%s %s" % (rat_str(abs(c)), name)
+            if parts:
+                parts.append("%s %s" % ("-" if c < 0 else "+", term))
             else:
-                parts.append("%s %s" % (rat_str(c), name))
-            continue
-        sign = "+" if c > 0 else "-"
-        mag = abs(c)
-        term = name if mag == 1 else "%s %s" % (rat_str(mag), name)
-        parts.append("%s %s" % (sign, term))
-    return " ".join(parts) if parts else "0"
+                parts.append(("-" if c < 0 else "") + term)
+    return " ".join(parts) or "0"
 
 
 def _check_kernel_polynomials(m, curves):
@@ -1107,6 +1105,11 @@ def _parse_doc(text: str, source: str) -> dict:
     except RecursionError:
         raise ScenarioFileError(
             "%s: parse error: nested deeper than the parser can follow" % source
+        ) from None
+    except ValueError:  # an integer literal over the interpreter's digit limit
+        raise ScenarioFileError(
+            "%s: parse error: an integer has more than %d digits"
+            % (source, sys.get_int_max_str_digits())
         ) from None
     if not isinstance(doc, dict):
         raise ScenarioFileError("scenario document must be a JSON object")

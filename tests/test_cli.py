@@ -570,6 +570,29 @@ def test_exponent_notation_is_not_a_number(
     assert "digits" not in out + err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "spelling, needle",
+    [
+        ("string", "field 'rank': expected an exact number, got '111"),
+        ("bare", "parse error: an integer has more than"),
+    ],
+    ids=["string", "bare"],
+)
+def test_a_five_thousand_digit_integer_is_a_short_named_error(capsys, tmp_path, spelling, needle):
+    # Past the interpreter's 4,300-digit limit json.loads raises a plain
+    # ValueError for a bare integer, and int() fails on the string form.
+    digits = "1" * 5000
+    doc = scenario_doc("euler-convention")
+    next(e for e in doc["bundles"] if e["name"] == "rank_three_taut")["rank"] = "RANK"
+    literal = '"%s"' % digits if spelling == "string" else digits
+    path = tmp_path / "digits.json"
+    path.write_text(json.dumps(doc).replace('"RANK"', literal), encoding="utf-8")
+    got, out, err = run(capsys, ["verify", "--scenario-file", str(path), "--n", "3"])
+    assert got == 2 and out == ""
+    assert needle in err and "Traceback" not in err
+    assert len(err.replace(str(path), "<path>")) < 200
+
+
 def test_certificate_curve_on_another_lattice_of_the_same_size_is_a_named_error(
     capsys, tmp_path
 ):

@@ -292,6 +292,14 @@ class TestKNegativity:
         assert report["pairings"] == [aspoly(-1), aspoly(-1), aspoly(-1), 4 - 2 * N]
         assert report["all_negative"]
 
+    def test_mixed_signs_are_not_all_negative(self, setup):
+        _, jhat, *_ = setup
+        curves = (CurveClass(jhat, (1, 0, 0, 0)), CurveClass(jhat, (0, 1, 0, 0)))
+        for k, verdict in (((-1, 1, 0, 0), False), ((1, -1, 0, 0), False), ((-1, -1, 0, 0), True)):
+            report = kneg_check(jhat.div(k), curves)
+            assert report["pairings"] == [aspoly(k[0]), aspoly(k[1])]
+            assert report["all_negative"] is verdict
+
     def test_zero_class_not_negative(self, setup):
         _, jhat, ehat1, *_ = setup
         zero = CurveClass(jhat, (0, 0, 0, 0))

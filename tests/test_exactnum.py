@@ -412,3 +412,114 @@ def test_rat_str_forms() -> None:
     assert rat_str(Fraction(1, 2)) == "1/2"
     assert rat_str(Fraction(-7)) == "-7"
     assert rat_str(3) == "3"
+
+
+# Coefficients as a document or a caller may write them: ints, Fractions
+# (integral ones included), and "p" / "p/q" strings.
+written_coeffs = st.one_of(
+    st.integers(-40, 40),
+    rats,
+    st.integers(-40, 40).map(Fraction),
+    rats.map(rat_str),
+)
+written_polys = st.dictionaries(st.integers(0, 2), written_coeffs, max_size=3)
+
+
+def assert_stored_exactly(p: ParamPoly) -> None:
+    """The storage invariant: every coefficient is a nonzero int or a
+    non-integral Fraction at an exponent within the cap, and the public
+    readers still hand out Fractions."""
+    for e, c in p.coeffs.items():
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), (e, c)
+        assert c != 0 and 0 <= e <= MAX_DEGREE
+    assert all(type(p.coeff(e)) is Fraction for e in range(MAX_DEGREE + 2))
+    if p.is_constant():
+        assert type(p.constant_value()) is Fraction
+    assert all(type(p.eval(k)) is Fraction for k in (3, 10, Fraction(1, 2), "5"))
+
+
+def fraction_rref(rows):
+    """Reference reduced row echelon form that uses Fractions only."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    pivots, r = [], 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r:
+                rows[i] = [x - rows[i][c] * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows, pivots
+
+
+class TestIntegralStorage:
+    """Integral coefficients are stored as int and others as Fractions,
+    whichever way a polynomial is built; the public readers return
+    Fractions."""
+
+    @given(written_polys, written_polys, written_coeffs)
+    @settings(max_examples=80, deadline=None)
+    def test_every_constructor_and_ring_operation_keeps_the_invariant(self, a, b, c) -> None:
+        p, q = ParamPoly(a), ParamPoly.from_coeff_strings(
+            {str(e): x if isinstance(x, str) else rat_str(x) for e, x in b.items()}
+        )
+        built = [p, q, ParamPoly.const(c), aspoly(c), aspoly(p)]
+        built += [p + q, p - q, -p, p * q, p + c, c + p, p - c, c - p, p * c, c * p]
+        for r in built:
+            assert_stored_exactly(r)
+        for n in (3, 7):
+            assert (p * q - c).eval(n) == p.eval(n) * q.eval(n) - Fraction(rat_str(c))
+
+    def test_integral_fractions_are_stored_as_int(self) -> None:
+        p = ParamPoly({0: Fraction(4, 2), 1: "6/3", 2: Fraction(1, 2)})
+        assert [type(p.coeffs[e]) for e in (0, 1, 2)] == [int, int, Fraction]
+        # 1/2 + 1/2 and 2 * 1/2 come back to ints
+        half = ParamPoly.const(Fraction(1, 2))
+        assert type((half + half).coeffs[0]) is int
+        assert type((2 * half).coeffs[0]) is int
+        assert (half - half).coeffs == {}
+
+    @given(st.integers(1, 3), st.integers(1, 4), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_row_reduction_of_int_matrices_matches_a_fraction_reference(
+        self, rows, cols, data
+    ) -> None:
+        cells = data.draw(grids(st.integers(-5, 5), rows, cols))
+        got, pivots = exactnum._rref([list(row) for row in cells])
+        want, want_pivots = fraction_rref(cells)
+        assert pivots == want_pivots and got == want
+        assert all(type(x) in (int, Fraction) for row in got for x in row)
+        square = [row[:rows] for row in cells]
+        if cols >= rows and fraction_rref(square)[1] == list(range(rows)):
+            inv = inverse(ExactMatrix(square)).const_entries()
+            aug = [row + [Fraction(int(i == j)) for j in range(rows)]
+                   for i, row in enumerate(square)]
+            assert inv == [row[rows:] for row in fraction_rref(aug)[0]]
+            assert all(type(x) in (int, Fraction) for row in inv for x in row)
+
+
+def test_integral_arithmetic_builds_no_fraction(monkeypatch) -> None:
+    # A work guard that needs no clock: ring operations on ParamPolys with
+    # integral coefficients, reading an integer literal, and row reduction of
+    # an int matrix whose divisions are exact must stay in ints.
+    p, q = 2 * N * N - 3 * N + 1, 5 - N
+    a, b = ExactMatrix([[2, 4, 6], [1, 3, 5]]), ExactMatrix([[1, 2], [0, 1]])
+    built = []
+    real = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return real(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    results = [p + q, p - q, -p, p * q, q * q * q, p + 3, 3 - p, 7 * q, p - 1, 2 * p * q]
+    assert rank(a) == 2 and inverse(b) == ExactMatrix([[1, -2], [0, 1]])
+    assert exactnum._const_value("-12") == -12 and aspoly(-12) == ParamPoly.const(-12)
+    assert built == []
+    assert results[3].coeffs == {0: 5, 1: -16, 2: 13, 3: -2}
+    Fraction(1, 2)  # the guard does see a Fraction being made
+    assert built == [(1, 2)]

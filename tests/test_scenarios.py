@@ -488,6 +488,30 @@ def test_only_integers_and_quotients_are_numbers():
         assert parse_value({"0": text}) == {"0": text}
 
 
+def test_integer_literals_are_read_as_int():
+    for value in (12, "12", "-12", "24/2"):
+        assert type(parse_value(value)) is int and abs(parse_value(value)) == 12
+    assert type(parse_value("1/2")) is Fraction
+    assert all(type(c) is int for c in parse_value({"0": "3", "1": -1}).coeffs.values())
+
+
+@pytest.mark.parametrize(
+    "vector, text",
+    [
+        ((-1, 1, 0), "-x1 + x2"),
+        ((0, -1, 0), "-x2"),
+        ((Fraction(-1), 0, 1), "-x1 + x3"),
+        ((1, -1, -3), "x1 - x2 - 3 x3"),
+        ((-2, 0, Fraction(1, 2)), "-2 x1 + 1/2 x3"),
+        ((Fraction(3, 2), -1, 0), "3/2 x1 - x2"),
+        ((0, 0, 0), "0"),
+    ],
+)
+def test_combination_strings(vector, text):
+    # A leading -1 is written "-x1", with no space, as in ParamPoly's "-n".
+    assert scenarios._combo_string(("x1", "x2", "x3"), vector) == text
+
+
 # ---------------------------------------------------------------------------
 # building a document's entries
 
