@@ -26,6 +26,7 @@ import sys
 from . import exactnum
 from .exactnum import ParamPoly
 from .scenarios import (
+    POLICY_NUMERIC,
     SYMBOLIC,
     ScenarioError,
     _evaluate_valid,
@@ -252,7 +253,7 @@ def _cmd_list(args) -> int:
         width = max(len(i["name"]) for i in infos)
         lines = []
         for info in infos:
-            marker = "  [numeric only]" if info["n_policy"] == "numeric-only" else ""
+            marker = "  [numeric only]" if info["n_policy"] == POLICY_NUMERIC else ""
             lines.append(
                 "%s  %s%s" % (info["name"].ljust(width), info["description"], marker)
             )

@@ -62,9 +62,9 @@ def _pattern_cohomology(pattern: frozenset) -> tuple[int, int, int]:
 
 
 def _pattern_count(pattern: frozenset, d: int) -> int | None:
-    """Number of multidegrees summing to d whose negative-support is exactly
-    off-pattern... i.e. coordinates in the pattern are <= -1 and the rest are
-    >= 0.  None means the count is infinite."""
+    """Number of multidegrees summing to d whose negative coordinates are
+    exactly those in ``pattern``: coordinates in the pattern are <= -1 and the
+    rest are >= 0.  None means the count is infinite."""
     k = len(pattern)
     if 0 < k < 3:
         return None

@@ -5,7 +5,10 @@ lattice maps, and curve classes, plus a list of expected values.  The
 evaluator rebuilds the objects with the engine, recomputes every expected
 value, and emits a deterministic report.  Documents round-trip through
 export and load without changing any report byte.  The built-in scenarios
-are the documents packaged as ``towercalc/data/<name>.json``.
+share one tower: ``towercalc/tower.json`` declares each space, bundle, map
+and curve once, and ``towercalc/data/<name>.json`` holds a scenario's
+metadata and expected values, with a ``uses`` list naming the tower entries
+it reads.  `scenario_doc` joins the two into one self-contained document.
 
 Expected values carry a provenance tag:
 
@@ -27,7 +30,7 @@ from __future__ import annotations
 import json
 import sys
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from importlib import resources
 
 from . import exactnum
@@ -151,6 +154,12 @@ def serialize_value(value, n):
     raise TypeError("cannot serialize %r" % (value,))
 
 
+def _shown(raw) -> str:
+    """repr(raw), cut to its first 60 characters when it is over 100 long."""
+    text = repr(raw)
+    return text if len(text) <= 100 else "%s... (%d characters)" % (text[:60], len(text))
+
+
 def parse_value(value):
     """Inverse of :func:`serialize_value` on the symbolic form."""
     if value is None or isinstance(value, bool):
@@ -161,7 +170,7 @@ def parse_value(value):
         except ValueError:
             return value
         except ZeroDivisionError:
-            raise ScenarioFileError("zero denominator in %r" % value) from None
+            raise ScenarioFileError("zero denominator in %s" % _shown(value)) from None
     if isinstance(value, dict):
         if value and all(
             isinstance(k, str) and k.isdigit() and isinstance(v, (str, int))
@@ -176,7 +185,7 @@ def parse_value(value):
         return {k: parse_value(v) for k, v in value.items()}
     if isinstance(value, list):
         return [parse_value(v) for v in value]
-    raise ScenarioFileError("cannot parse value %r" % (value,))
+    raise ScenarioFileError("cannot parse value %s" % _shown(value))
 
 
 def canonical_json(data) -> str:
@@ -235,7 +244,7 @@ def _read(obj, fields: dict, env) -> list:
     declaration order.  A field declared as ``(reader, default)`` is optional
     and takes the default when it is missing."""
     if not isinstance(obj, dict):
-        raise _BadField("expected an object, got %r" % (obj,))
+        raise _BadField("expected an object, got %s" % _shown(obj))
     values = []
     for key, spec in fields.items():
         read, default = spec if isinstance(spec, tuple) else (spec, _REQUIRED)
@@ -263,14 +272,8 @@ def _entry(what: str, build):
 
 def _name(raw, env) -> str:
     if not isinstance(raw, str):
-        raise _BadField("expected a name, got %r" % (raw,))
+        raise _BadField("expected a name, got %s" % _shown(raw))
     return raw
-
-
-def _shown(raw) -> str:
-    """repr(raw), cut to its first 60 characters when it is over 100 long."""
-    text = repr(raw)
-    return text if len(text) <= 100 else "%s... (%d characters)" % (text[:60], len(text))
 
 
 def _number(raw, env) -> ParamPoly:
@@ -287,13 +290,13 @@ def _number(raw, env) -> ParamPoly:
 def _integer(raw, env) -> int:
     p = _number(raw, env)
     if not p.is_constant() or p.constant_value().denominator != 1:
-        raise _BadField("expected an integer, got %r" % (raw,))
+        raise _BadField("expected an integer, got %s" % _shown(raw))
     return int(p.constant_value())
 
 
 def _flag(raw, env) -> bool:
     if not isinstance(raw, bool):
-        raise _BadField("expected true or false, got %r" % (raw,))
+        raise _BadField("expected true or false, got %s" % _shown(raw))
     return raw
 
 
@@ -302,7 +305,7 @@ def _list_of(read, length=None, nonempty=False):
 
     def read_list(raw, env) -> tuple:
         if not isinstance(raw, list):
-            raise _BadField("expected a list, got %r" % (raw,))
+            raise _BadField("expected a list, got %s" % _shown(raw))
         if length is not None and len(raw) != length:
             raise _BadField("expected %d items, got %d" % (length, len(raw)))
         if nonempty and not raw:
@@ -322,8 +325,8 @@ def _one_of(table: dict, label: str):
     def read(raw, env):
         if not isinstance(raw, str) or raw not in table:
             raise _BadField(
-                "unknown %s %r; known %ss: %s"
-                % (label, raw, label, ", ".join(sorted(table)))
+                "unknown %s %s; known %ss: %s"
+                % (label, _shown(raw), label, ", ".join(sorted(table)))
             )
         return table[raw]
 
@@ -340,9 +343,9 @@ def _ref(section: str, cls=None, what: str = ""):
         if name not in defined:
             if name in env.declared[section]:
                 raise _Unbuilt(section, name)
-            raise _BadField("unknown reference %r" % name)
+            raise _BadField("unknown reference %s" % _shown(name))
         if cls is not None and not isinstance(defined[name], cls):
-            raise _BadField("%r is not a %s" % (name, what))
+            raise _BadField("%s is not a %s" % (_shown(name), what))
         return defined[name]
 
     return read
@@ -447,12 +450,12 @@ def _c1_column(raw, env):
     if via is not None:
         if via.source_names != names:
             raise ValueError(
-                "map %r reads (%s), not the lattice (%s) of the bundle"
-                % (via.name, ", ".join(via.source_names), ", ".join(names))
+                "map %s reads (%s), not the lattice (%s) of the bundle"
+                % (_shown(via.name), ", ".join(via.source_names), ", ".join(names))
             )
         coords = via.apply(coords)
     if not all(x.is_constant() for x in coords):
-        raise ValueError("the c1 of bundle %r depends on n" % raw["c1"])
+        raise ValueError("the c1 of bundle %s depends on n" % _shown(raw["c1"]))
     return coords
 
 
@@ -548,14 +551,15 @@ def _make_env(doc) -> Env:
             entry = env.declared[section][name]
             try:
                 built[name] = _entry(
-                    "%s %r" % (section[:-1], name), lambda: _SECTIONS[section](entry, env)
+                    "%s %s" % (section[:-1], _shown(name)),
+                    lambda: _SECTIONS[section](entry, env),
                 )
             except _Unbuilt as wait:
                 if wait.args in stack:
                     cycle = stack[stack.index(wait.args):] + [wait.args]
                     raise ScenarioFileError(
                         "circular reference: "
-                        + " -> ".join("%s %r" % (s[:-1], n) for s, n in cycle)
+                        + " -> ".join("%s %s" % (s[:-1], _shown(n)) for s, n in cycle)
                     ) from None
                 stack.append(wait.args)
     return env
@@ -621,7 +625,8 @@ def _check_extremal_certificate(space, curves, face, height_bound):
     for name, c in zip(names, classes):
         if c.space.pic_names() != space.pic_names():
             raise ScenarioFileError(
-                "curve %r lives on %s, not on %s" % (name, c.space.name, space.name)
+                "curve %s lives on %s, not on %s"
+                % (_shown(name), c.space.name, space.name)
             )
     cone = Cone(
         dim=len(space.pic_names()),
@@ -989,12 +994,12 @@ def validate_doc(doc) -> None:
     name = doc.get("name")
     if not isinstance(name, str) or not name:
         raise ScenarioFileError("scenario document needs a nonempty string 'name'")
-    where = "scenario %r" % name
+    where = "scenario %s" % _shown(name)
     policy = doc.get("n_policy", POLICY_ANY)
     if policy not in (POLICY_ANY, POLICY_NUMERIC):
         raise ScenarioFileError(
-            "%s: n_policy %r is not one of %r or %r"
-            % (where, policy, POLICY_ANY, POLICY_NUMERIC)
+            "%s: n_policy %s is not one of %r or %r"
+            % (where, _shown(policy), POLICY_ANY, POLICY_NUMERIC)
         )
     for section in ("spaces", "bundles", "maps", "curves", "expect"):
         part = doc.get(section, [])
@@ -1018,13 +1023,13 @@ def validate_doc(doc) -> None:
                 )
             if ename in seen:
                 raise ScenarioFileError(
-                    "%s: duplicate %s name %r" % (where, section, ename)
+                    "%s: duplicate %s name %s" % (where, section, _shown(ename))
                 )
             seen.add(ename)
     _check_values(doc, where)
     for entry in doc.get("expect", []):
         ename = entry["name"]
-        ewhere = "%s check %r" % (where, ename)
+        ewhere = "%s check %s" % (where, _shown(ename))
         _entry(ewhere, lambda: _read(entry, {"check": _CHECK_KIND}, None))
         if "value" not in entry:
             raise ScenarioFileError("%s: missing expected value" % ewhere)
@@ -1032,8 +1037,8 @@ def validate_doc(doc) -> None:
             raise ScenarioFileError("%s: missing provenance tag" % ewhere)
         if entry["provenance"] not in PROVENANCE_TAGS:
             raise ScenarioFileError(
-                "%s: provenance %r is not one of %s"
-                % (ewhere, entry["provenance"], " | ".join(PROVENANCE_TAGS))
+                "%s: provenance %s is not one of %s"
+                % (ewhere, _shown(entry["provenance"]), " | ".join(PROVENANCE_TAGS))
             )
         if not isinstance(entry.get("anchor"), str) or not entry["anchor"]:
             raise ScenarioFileError("%s: missing anchor text" % ewhere)
@@ -1053,15 +1058,15 @@ def _evaluate_valid(doc, ns) -> list:
     and comparing happen per n."""
     if doc.get("n_policy", POLICY_ANY) == POLICY_NUMERIC and SYMBOLIC in ns:
         raise PolicyError(
-            "scenario %r computes finite ranks; run it at a numeric n >= %d"
-            % (doc["name"], exactnum.N_MIN)
+            "scenario %s computes finite ranks; run it at a numeric n >= %d"
+            % (_shown(doc["name"]), exactnum.N_MIN)
         )
     env = _make_env(doc)
     # Every check reads its fields before the first one runs, so that a bad
     # field fails the document before any expensive check starts.
     checks = []
     for entry in doc.get("expect", []):
-        what = "scenario %r check %r" % (doc["name"], entry["name"])
+        what = "scenario %s check %s" % (_shown(doc["name"]), _shown(entry["name"]))
         check = _entry(what, lambda: _row(entry, "check", _CHECK_KIND, env))
         checks.append((entry, what, check))
     results = [[] for _ in ns]
@@ -1083,12 +1088,33 @@ def _evaluate_valid(doc, ns) -> list:
 
 
 # ---------------------------------------------------------------------------
-# built-in scenarios: the documents packaged in ``towercalc/data``
+# built-in scenarios: ``towercalc/data`` joined with ``towercalc/tower.json``
 
-_DATA = resources.files(__package__) / "data"
+_PACKAGE = resources.files(__package__)
+_DATA = _PACKAGE / "data"
 _BUILTIN = tuple(
     sorted(p.name.removesuffix(".json") for p in _DATA.iterdir() if p.name.endswith(".json"))
 )
+
+
+@lru_cache(maxsize=None)
+def _tower() -> dict:
+    return json.loads((_PACKAGE / "tower.json").read_text(encoding="utf-8"))
+
+
+def _packaged(name: str) -> dict:
+    return json.loads((_DATA / (name + ".json")).read_text(encoding="utf-8"))
+
+
+@lru_cache(maxsize=None)
+def _scenario_text(name: str) -> str:
+    """The JSON text of a built-in scenario: its file with the ``uses`` list
+    replaced by the entries it names, in the order of the tower file."""
+    doc = _packaged(name)
+    uses = set(doc.pop("uses"))
+    for section in _SECTIONS:
+        doc[section] = [e for e in _tower()[section] if e["name"] in uses]
+    return json.dumps(doc, sort_keys=True)
 
 
 def _parse_doc(text: str, source: str) -> dict:
@@ -1116,7 +1142,7 @@ def _parse_doc(text: str, source: str) -> dict:
     fmt = doc.get("format")
     if fmt != FORMAT_TAG:
         raise ScenarioFileError(
-            "unsupported format %r (expected %r)" % (fmt, FORMAT_TAG)
+            "unsupported format %s (expected %r)" % (_shown(fmt), FORMAT_TAG)
         )
     validate_doc(doc)
     return doc
@@ -1127,29 +1153,21 @@ def _parse_doc(text: str, source: str) -> dict:
 
 
 def scenario_doc(name: str) -> dict:
-    """Fresh document for a built-in scenario."""
+    """Fresh, self-contained document for a built-in scenario."""
     if name not in _BUILTIN:
         raise UnknownScenarioError(
             "unknown scenario %r; known scenarios: %s" % (name, ", ".join(_BUILTIN))
         )
-    source = name + ".json"
-    return _parse_doc((_DATA / source).read_text(encoding="utf-8"), source)
+    return _parse_doc(_scenario_text(name), name + ".json")
 
 
 def list_scenarios() -> list:
     """Name, description, and parameter policy of every built-in scenario,
-    sorted by name."""
-    out = []
-    for name in _BUILTIN:
-        doc = scenario_doc(name)
-        out.append(
-            {
-                "name": name,
-                "description": doc["description"],
-                "n_policy": doc["n_policy"],
-            }
-        )
-    return out
+    sorted by name, read from its packaged file alone."""
+    return [
+        {key: doc[key] for key in ("name", "description", "n_policy")}
+        for doc in map(_packaged, _BUILTIN)
+    ]
 
 
 def run_scenario(name: str, n) -> VerificationReport:

@@ -35,15 +35,18 @@ class MissingCanonicalError(ValueError):
 
 
 class Space:
-    """Common behaviour of every node in a tower."""
+    """Common behaviour of every node in a tower.  Each constructor sets the
+    generator names ``_pic`` and the dimension ``_dim`` once."""
 
     name: str
+    _pic: tuple[str, ...]
+    _dim: ParamPoly
 
     def pic_names(self) -> tuple[str, ...]:
-        raise NotImplementedError
+        return self._pic
 
     def dim(self) -> ParamPoly:
-        raise NotImplementedError
+        return self._dim
 
     def canonical_coords(self) -> tuple[ParamPoly, ...]:
         raise NotImplementedError
@@ -181,12 +184,6 @@ class FormalBase(Space):
             raise LatticeError("canonical has wrong length")
         self._dim = aspoly(dim)
 
-    def pic_names(self):
-        return self._pic
-
-    def dim(self):
-        return self._dim
-
     def canonical_coords(self):
         if self._canonical is None:
             raise MissingCanonicalError("no canonical class declared on %s" % self.name)
@@ -227,15 +224,11 @@ class ProjBundle(Space):
         self.base = base
         self.bundle = bundle
         self.taut_name = taut_name
+        self._pic = base.pic_names() + (taut_name,)
+        self._dim = base.dim() + bundle.rank - 1
 
     def parents(self):
         return (self.base,)
-
-    def pic_names(self):
-        return self.base.pic_names() + (self.taut_name,)
-
-    def dim(self):
-        return self.base.dim() + self.bundle.rank - 1
 
     def canonical_coords(self):
         below = lift_coords(self.base, self, self.base.canonical_coords())
@@ -269,15 +262,11 @@ class BlowUp(Space):
         self.ambient = ambient
         self.exc_name = exc_name
         self.exc_degrees = dict(zip(exc_directions, map(aspoly, exc_degrees)))
+        self._pic = ambient.pic_names() + (exc_name,)
+        self._dim = ambient.dim()
 
     def parents(self):
         return (self.ambient,)
-
-    def pic_names(self):
-        return self.ambient.pic_names() + (self.exc_name,)
-
-    def dim(self):
-        return self.ambient.dim()
 
     def canonical_coords(self):
         below = lift_coords(self.ambient, self, self.ambient.canonical_coords())
@@ -287,12 +276,9 @@ class BlowUp(Space):
 
 class FiberProduct(Space):
     """Fiber product of two towers over a common ancestor; its lattice is the
-    base lattice plus both sides' extra generators.
-
-    The dimension is computed once, here, and the canonical class once, on
-    first use: each reads all three factors, so recomputing them would cost
-    3^depth on a chain of fiber products.
-    """
+    base lattice plus both sides' extra generators.  The canonical class is
+    computed once, on first use: it reads all three factors, so recomputing
+    it would cost 3^depth on a chain of fiber products."""
 
     def __init__(self, name: str, left: Space, right: Space, over: Space):
         for side in (left, right):
@@ -317,12 +303,6 @@ class FiberProduct(Space):
     def parents(self):
         return (self.left, self.right, self.over)
 
-    def pic_names(self):
-        return self._pic
-
-    def dim(self):
-        return self._dim
-
     def canonical_coords(self):
         if self._canonical is None:
             kl = lift_coords(self.left, self, self.left.canonical_coords())
@@ -342,15 +322,11 @@ class DivisorIn(Space):
         self.name = name
         self.ambient = ambient
         self.klass = klass
+        self._pic = ambient.pic_names()
+        self._dim = ambient.dim() - 1
 
     def parents(self):
         return (self.ambient,)
-
-    def pic_names(self):
-        return self.ambient.pic_names()
-
-    def dim(self):
-        return self.ambient.dim() - 1
 
     def canonical_coords(self):
         below = self.ambient.canonical_coords()

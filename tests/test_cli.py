@@ -571,26 +571,44 @@ def test_exponent_notation_is_not_a_number(
 
 
 @pytest.mark.parametrize(
-    "spelling, needle",
+    "field, literal, needle",
     [
-        ("string", "field 'rank': expected an exact number, got '111"),
-        ("bare", "parse error: an integer has more than"),
+        ("rank", '"%s"' % ("1" * 5000), "field 'rank': expected an exact number, got '111"),
+        ("rank", "1" * 5000, "parse error: an integer has more than"),
+        ("space", '"%s"' % ("x" * 5000), "field 'space': unknown reference 'xxx"),
+        ("space", json.dumps(["grass3"] * 2000), "field 'space': expected a name, got ['grass3'"),
     ],
-    ids=["string", "bare"],
+    ids=["string", "bare", "reference", "list"],
 )
-def test_a_five_thousand_digit_integer_is_a_short_named_error(capsys, tmp_path, spelling, needle):
+def test_a_five_thousand_digit_integer_is_a_short_named_error(capsys, tmp_path, field, literal, needle):
     # Past the interpreter's 4,300-digit limit json.loads raises a plain
-    # ValueError for a bare integer, and int() fails on the string form.
-    digits = "1" * 5000
+    # ValueError for a bare integer, and int() fails on the string form.  A
+    # long name or list in a reference field is cut in the message too.
     doc = scenario_doc("euler-convention")
-    next(e for e in doc["bundles"] if e["name"] == "rank_three_taut")["rank"] = "RANK"
-    literal = '"%s"' % digits if spelling == "string" else digits
-    path = tmp_path / "digits.json"
-    path.write_text(json.dumps(doc).replace('"RANK"', literal), encoding="utf-8")
+    next(e for e in doc["bundles"] if e["name"] == "rank_three_taut")[field] = "VALUE"
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc).replace('"VALUE"', literal), encoding="utf-8")
     got, out, err = run(capsys, ["verify", "--scenario-file", str(path), "--n", "3"])
     assert got == 2 and out == ""
     assert needle in err and "Traceback" not in err
     assert len(err.replace(str(path), "<path>")) < 200
+
+
+def test_a_singular_map_fails_both_inverse_checks(capsys, tmp_path):
+    # A zero first column makes psi and xi singular, so the checks that
+    # invert them must compute false where the document expects true.
+    doc = scenario_doc("picard-matrices")
+    for entry in doc["maps"]:
+        if entry["name"] in ("psi", "xi"):
+            entry["columns"][0] = ["0", "0", "0", "0"]
+    path = tmp_path / "singular.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    got, out, err = run(capsys, ["verify", "--scenario-file", str(path), "--format", "json"])
+    assert got == 1 and err == ""
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    for name in ("psi-invertible", "xi-inverse-recomputed"):
+        assert checks[name]["status"] == "FAIL", name
+        assert checks[name]["computed"] is False, name
 
 
 def test_certificate_curve_on_another_lattice_of_the_same_size_is_a_named_error(

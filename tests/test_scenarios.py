@@ -106,22 +106,33 @@ def test_expected_scenarios_are_present():
 # ---------------------------------------------------------------------------
 # packaged documents
 
-DATA = resources.files("towercalc") / "data"
+PACKAGE = resources.files("towercalc")
+DATA = PACKAGE / "data"
 DATA_FILES = sorted(p.name for p in DATA.iterdir() if p.name.endswith(".json"))
+ENTRY_SECTIONS = ("spaces", "bundles", "maps", "curves")
 
 
 @pytest.mark.parametrize("filename", DATA_FILES)
-def test_data_file_is_its_own_canonical_export(filename):
+def test_data_file_is_its_own_canonical_export(filename, tmp_path):
+    # A packaged file is canonical JSON; its export is a self-contained
+    # document, the tower entries named by `uses` in place of that list.
     text = (DATA / filename).read_text(encoding="utf-8")
     doc = json.loads(text)
     assert text == canonical_json(doc)
     assert filename == doc["name"] + ".json"
     assert doc["format"] == FORMAT_TAG
-    assert export_scenario(doc["name"]) == text
+    path = tmp_path / filename
+    path.write_text(export_scenario(doc["name"]), encoding="utf-8")
+    exported = load_scenario_file(path)
+    assert exported == scenario_doc(doc["name"])
+    assert set(exported) == set(doc) - {"uses"} | set(ENTRY_SECTIONS)
+    assert all(exported[key] == doc[key] for key in set(doc) - {"uses"})
+    used = [e["name"] for section in ENTRY_SECTIONS for e in exported[section]]
+    assert sorted(used) == sorted(doc["uses"])
 
 
 def test_every_kind_is_named_by_a_packaged_document():
-    docs = [json.loads((DATA / f).read_text(encoding="utf-8")) for f in DATA_FILES]
+    docs = [scenario_doc(name) for name in ALL_NAMES]
 
     def named(section, key="kind"):
         return {e[key] for doc in docs for e in doc.get(section, [])}
@@ -138,27 +149,51 @@ def test_every_kind_is_named_by_a_packaged_document():
         assert set(getattr(scenarios, table)) <= names, table
 
 
-def test_a_name_shared_by_two_documents_declares_the_same_entry():
-    # Documents repeat the towers they read, so an entry declared under one
-    # name in two documents must be the same entry in both.
-    declared = {}
+def test_each_tower_entry_is_declared_once_and_used():
+    # The packaged scenarios share one tower: no scenario file declares an
+    # entry, each name it uses is declared in the tower file exactly once
+    # (across all sections, since `uses` is one list), and each is used.
+    tower = json.loads((PACKAGE / "tower.json").read_text(encoding="utf-8"))
+    declared = [e["name"] for section in ENTRY_SECTIONS for e in tower[section]]
+    assert len(declared) == len(set(declared))
+    used = {}
     for filename in DATA_FILES:
         doc = json.loads((DATA / filename).read_text(encoding="utf-8"))
-        for section in ("spaces", "bundles", "maps", "curves"):
-            for entry in doc.get(section, []):
-                key = (section, entry["name"])
-                declared.setdefault(key, []).append((filename, entry))
-    for key, entries in declared.items():
-        first_file, first = entries[0]
-        for filename, entry in entries[1:]:
-            assert entry == first, (key, first_file, filename)
+        assert not set(doc) & set(ENTRY_SECTIONS), filename
+        assert len(doc["uses"]) == len(set(doc["uses"])), filename
+        for name in doc["uses"]:
+            used.setdefault(name, []).append(filename)
+    assert set(used) <= set(declared), set(used) - set(declared)
+    assert set(declared) <= set(used), set(declared) - set(used)
     # The comparison maps read the relative cotangent class whose c1
     # euler-convention pins as a reference value.
     assert {
         "euler-convention.json",
         "normal-bundle-transport.json",
         "picard-matrices.json",
-    } <= {filename for filename, _ in declared[("bundles", "curve_cotangent")]}
+    } <= set(used["curve_cotangent"])
+
+
+def test_every_non_python_file_of_the_package_is_shipped():
+    # Without tower.json in the package, every built-in scenario fails in an
+    # installed copy; package-data is what puts it there.
+    import tomllib
+
+    root = Path(__file__).resolve().parents[1]
+    config = tomllib.loads((root / "pyproject.toml").read_text(encoding="utf-8"))
+    package = root / "src" / "towercalc"
+    shipped = {
+        path
+        for pattern in config["tool"]["setuptools"]["package-data"]["towercalc"]
+        for path in package.glob(pattern)
+    }
+    data = {
+        path
+        for path in package.rglob("*")
+        if path.is_file() and path.suffix != ".py" and "__pycache__" not in path.parts
+    }
+    assert (PACKAGE / "tower.json").is_file()
+    assert data - shipped == set()
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +279,19 @@ def test_failing_check_is_reported_not_raised():
     assert failing[0].expected is False
     assert failing[0].computed is True
     assert "expected" in report.render_text()
+
+
+def test_a_bundle_of_the_wrong_rank_disagrees_with_the_conormal_bookkeeping():
+    # One more rank in the flat part makes the conormal model one rank too
+    # big for the ambient dimension minus the fiber dimension.
+    doc = scenario_doc("contraction-numerics")
+    flat = next(e for e in doc["bundles"] if e["name"] == "flat_correction")
+    flat["rank"] = {"0": "-11", "1": "8"}
+    report = evaluate_doc(doc, SYMBOLIC)
+    check = next(c for c in report.checks if c.name == "conormal-rank-bookkeeping")
+    assert check.status == "FAIL"
+    assert check.computed["agree"] is False
+    assert check.computed["bundle_rank"] != check.computed["expected_rank"]
 
 
 # ---------------------------------------------------------------------------
