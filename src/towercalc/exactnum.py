@@ -310,9 +310,6 @@ class ExactMatrix:
     def __repr__(self):
         return "ExactMatrix(%s)" % ([[str(x) for x in row] for row in self._const],)
 
-    def __neg__(self) -> "ExactMatrix":
-        return ExactMatrix([[-x for x in row] for row in self._const], cols=self.cols)
-
     def __mul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if not isinstance(other, ExactMatrix):
             return NotImplemented

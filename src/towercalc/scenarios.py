@@ -154,10 +154,13 @@ def serialize_value(value, n):
     raise TypeError("cannot serialize %r" % (value,))
 
 
-def _shown(raw) -> str:
-    """repr(raw), cut to its first 60 characters when it is over 100 long."""
-    text = repr(raw)
+def _cut(text: str) -> str:
+    """text, cut to its first 60 characters when it is over 100 long."""
     return text if len(text) <= 100 else "%s... (%d characters)" % (text[:60], len(text))
+
+
+def _shown(raw) -> str:
+    return _cut(repr(raw))
 
 
 def parse_value(value):
@@ -196,11 +199,13 @@ def canonical_json(data) -> str:
 # typed readers for document fields
 #
 # Each entry kind is one row of a kind table: the engine function it calls
-# and a reader for each of its fields.  A reader turns the raw JSON value into
-# an engine value, looking names up in the environment, or raises _BadField;
-# _read adds the field's path and _entry names the entry, so that a bad field
-# always ends as a ScenarioFileError such as
-# "space 'x': field 'pic[0]': expected a name, got 5".  Rows call engine
+# and a reader for each of its fields.  The document's own fields, its
+# sections and the metadata of each expected value are rows too.  A reader
+# turns the raw JSON value into an engine value, looking names up in the
+# environment, or raises _BadField; _read adds the field's path and _entry
+# names the entry, so that a bad field always ends as a ScenarioFileError
+# such as "space 'x': field 'pic[0]': expected a name, got 5".  An engine
+# message that _entry passes on is cut like a raw value.  Rows call engine
 # functions through their module-level names (hence the forwarding lambdas),
 # so that whatever rebinds those names, such as the span tracer in
 # perfbench/, sees the calls.
@@ -267,11 +272,12 @@ def _entry(what: str, build):
         where = " field %r:" % path.lstrip(".") if path else ""
         raise ScenarioFileError("%s:%s %s" % (what, where, exc.args[0])) from None
     except ValueError as exc:
-        raise ScenarioFileError("%s: %s" % (what, exc)) from exc
+        raise ScenarioFileError("%s: %s" % (what, _cut(str(exc)))) from exc
 
 
 def _name(raw, env) -> str:
-    if not isinstance(raw, str):
+    """A nonempty string."""
+    if not isinstance(raw, str) or not raw:
         raise _BadField("expected a name, got %s" % _shown(raw))
     return raw
 
@@ -300,14 +306,17 @@ def _flag(raw, env) -> bool:
     return raw
 
 
-def _list_of(read, length=None, nonempty=False):
-    """A list whose items all read with ``read``, as a tuple."""
+def _list_of(read, length=None, nonempty=False, most=None):
+    """A list whose items all read with ``read``, as a tuple.  A list over
+    ``most`` items is refused before any item is read."""
 
     def read_list(raw, env) -> tuple:
         if not isinstance(raw, list):
             raise _BadField("expected a list, got %s" % _shown(raw))
         if length is not None and len(raw) != length:
             raise _BadField("expected %d items, got %d" % (length, len(raw)))
+        if most is not None and len(raw) > most:
+            raise _BadField("has %d entries, over the budget of %d" % (len(raw), most))
         if nonempty and not raw:
             raise _BadField("expected at least one item")
         return tuple(_at(i, read, item, env) for i, item in enumerate(raw))
@@ -988,60 +997,50 @@ def _check_values(value, where: str, depth: int = 0):
             _check_values(v, where, depth + 1)
 
 
+_ENTRY_NAMES = _list_of(
+    _object(lambda name: name, {"name": _name}), most=MAX_SECTION_ENTRIES
+)
+
+
+def _section(raw, env):
+    """A section of a document: at most MAX_SECTION_ENTRIES objects with
+    distinct names.  Their other fields are read when the document runs."""
+    names = _ENTRY_NAMES(raw, env)
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise _BadField("duplicate name %s" % _shown(name), (i, "name"))
+    return raw
+
+
+_DOCUMENT = {
+    "name": _name,
+    "n_policy": (
+        _one_of({p: p for p in (POLICY_ANY, POLICY_NUMERIC)}, "n_policy value"),
+        POLICY_ANY,
+    ),
+    **{section: (_section, ()) for section in (*_SECTIONS, "expect")},
+}
+_EXPECT = {
+    "check": _CHECK_KIND,
+    "value": lambda raw, env: raw,
+    "provenance": _one_of({tag: tag for tag in PROVENANCE_TAGS}, "provenance"),
+    "anchor": _name,
+}
+
+
 def validate_doc(doc) -> None:
-    if not isinstance(doc, dict):
-        raise ScenarioFileError("scenario document must be a JSON object")
-    name = doc.get("name")
-    if not isinstance(name, str) or not name:
-        raise ScenarioFileError("scenario document needs a nonempty string 'name'")
-    where = "scenario %s" % _shown(name)
-    policy = doc.get("n_policy", POLICY_ANY)
-    if policy not in (POLICY_ANY, POLICY_NUMERIC):
-        raise ScenarioFileError(
-            "%s: n_policy %s is not one of %r or %r"
-            % (where, _shown(policy), POLICY_ANY, POLICY_NUMERIC)
+    """Check that ``doc`` holds only exact values, nested at most
+    MAX_NESTING deep, and read its own fields, its sections and the
+    metadata of each expected value."""
+    name = doc.get("name") if isinstance(doc, dict) else None
+    what = "scenario %s" % _shown(name) if isinstance(name, str) else "scenario document"
+    _check_values(doc, what)
+    *_, expect = _entry(what, lambda: _read(doc, _DOCUMENT, None))
+    for entry in expect:
+        _entry(
+            "%s check %s" % (what, _shown(entry["name"])),
+            lambda: _read(entry, _EXPECT, None),
         )
-    for section in ("spaces", "bundles", "maps", "curves", "expect"):
-        part = doc.get(section, [])
-        if not isinstance(part, list):
-            raise ScenarioFileError("%s: section %r must be a list" % (where, section))
-        if len(part) > MAX_SECTION_ENTRIES:
-            raise ScenarioFileError(
-                "%s: section %r has %d entries, over the budget of %d"
-                % (where, section, len(part), MAX_SECTION_ENTRIES)
-            )
-        seen = set()
-        for entry in part:
-            if not isinstance(entry, dict):
-                raise ScenarioFileError(
-                    "%s: every %s entry must be an object" % (where, section)
-                )
-            ename = entry.get("name")
-            if not isinstance(ename, str) or not ename:
-                raise ScenarioFileError(
-                    "%s: a %s entry is missing its name" % (where, section)
-                )
-            if ename in seen:
-                raise ScenarioFileError(
-                    "%s: duplicate %s name %s" % (where, section, _shown(ename))
-                )
-            seen.add(ename)
-    _check_values(doc, where)
-    for entry in doc.get("expect", []):
-        ename = entry["name"]
-        ewhere = "%s check %s" % (where, _shown(ename))
-        _entry(ewhere, lambda: _read(entry, {"check": _CHECK_KIND}, None))
-        if "value" not in entry:
-            raise ScenarioFileError("%s: missing expected value" % ewhere)
-        if "provenance" not in entry:
-            raise ScenarioFileError("%s: missing provenance tag" % ewhere)
-        if entry["provenance"] not in PROVENANCE_TAGS:
-            raise ScenarioFileError(
-                "%s: provenance %s is not one of %s"
-                % (ewhere, _shown(entry["provenance"]), " | ".join(PROVENANCE_TAGS))
-            )
-        if not isinstance(entry.get("anchor"), str) or not entry["anchor"]:
-            raise ScenarioFileError("%s: missing anchor text" % ewhere)
 
 
 def evaluate_doc(doc, n) -> VerificationReport:
@@ -1077,7 +1076,7 @@ def _evaluate_valid(doc, ns) -> list:
             wanted = parse_value(entry["value"])
             expected = [serialize_value(wanted, n) for n in ns]
         except (ValueError, ScenarioFileError) as exc:
-            raise ScenarioFileError("%s: %s" % (what, exc)) from exc
+            raise ScenarioFileError("%s: %s" % (what, _cut(str(exc)))) from exc
         for out, got, want in zip(results, computed, expected):
             status = "PASS" if got == want else "FAIL"
             out.append(CheckResult(entry["name"], status, want, got, entry["provenance"]))
@@ -1137,13 +1136,8 @@ def _parse_doc(text: str, source: str) -> dict:
             "%s: parse error: an integer has more than %d digits"
             % (source, sys.get_int_max_str_digits())
         ) from None
-    if not isinstance(doc, dict):
-        raise ScenarioFileError("scenario document must be a JSON object")
-    fmt = doc.get("format")
-    if fmt != FORMAT_TAG:
-        raise ScenarioFileError(
-            "unsupported format %s (expected %r)" % (_shown(fmt), FORMAT_TAG)
-        )
+    fmt = _one_of({FORMAT_TAG: FORMAT_TAG}, "format")
+    _entry(source, lambda: _read(doc, {"format": fmt}, None))
     validate_doc(doc)
     return doc
 

@@ -1,8 +1,10 @@
 """Command-line interface: exit codes, formats, and output routing."""
 
+import ast
 import contextlib
 import copy
 import hashlib
+import importlib
 import io
 import json
 import os
@@ -524,6 +526,92 @@ def test_bad_document_is_a_named_error(
     assert "Traceback" not in err
 
 
+MISSING = object()
+EULER = "scenario 'euler-convention'"
+
+
+@pytest.mark.parametrize(
+    "scenario, path, value, needles",
+    [
+        ("euler-convention", (), [1], ("object",)),
+        ("euler-convention", ("name",), MISSING, ("'name'",)),
+        (
+            "euler-convention",
+            ("n_policy",),
+            "bogus",
+            (EULER, "n_policy", "'bogus'"),
+        ),
+        ("euler-convention", ("spaces",), 5, (EULER, "'spaces'", "list")),
+        ("euler-convention", ("spaces", 0), 5, (EULER, "spaces", "object")),
+        ("euler-convention", ("bundles", 0, "name"), 5, (EULER, "bundles", "name")),
+        (
+            "euler-convention",
+            ("spaces", 1, "name"),
+            "grass3",
+            (EULER, "duplicate", "'grass3'"),
+        ),
+        (
+            "euler-convention",
+            ("expect", 0, "value"),
+            MISSING,
+            (EULER + " check 'curve-tangent'", "value", "missing"),
+        ),
+        (
+            "jz-canonical-class",
+            ("expect", 3, "ambient_center_codim"),
+            MISSING,
+            (
+                "scenario 'jz-canonical-class' check 'restricted-canonical-resolved'",
+                "ambient_center_codim",
+            ),
+        ),
+        (
+            "pushforward-iz1z2",
+            ("expect", 2, "coefficients"),
+            ["1", "0", "0"],
+            ("scenario 'pushforward-iz1z2' check 'tau-one-pairings'", "coefficient"),
+        ),
+    ],
+    ids=[
+        "list-as-document",
+        "no-name",
+        "unknown-policy",
+        "number-as-section",
+        "number-as-entry",
+        "number-as-entry-name",
+        "duplicate-entry-name",
+        "no-expected-value",
+        "blowup-without-center-codim",
+        "short-coefficients",
+    ],
+)
+def test_a_badly_shaped_document_is_a_named_error(
+    capsys, tmp_path, scenario, path, value, needles
+):
+    # The document's own fields, its sections and each expected value's
+    # metadata; an expect case names its check in the first needle.
+    doc = scenario_doc(scenario)
+    if path:
+        *parents, last = path
+        node = doc
+        for key in parents:
+            node = node[key]
+        if path[0] == "expect":
+            assert node["name"] in needles[0]
+        if value is MISSING:
+            del node[last]
+        else:
+            node[last] = value
+    else:
+        doc = value
+    doc_path = tmp_path / "shape.json"
+    doc_path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, ["verify", "--scenario-file", str(doc_path), "--n", "3"])
+    assert code == 2 and out == ""
+    assert all(needle in err for needle in needles), err
+    assert "Traceback" not in err
+
+
 EXPONENT = "1e10000000"
 
 
@@ -591,6 +679,41 @@ def test_a_five_thousand_digit_integer_is_a_short_named_error(capsys, tmp_path, 
     got, out, err = run(capsys, ["verify", "--scenario-file", str(path), "--n", "3"])
     assert got == 2 and out == ""
     assert needle in err and "Traceback" not in err
+    assert len(err.replace(str(path), "<path>")) < 200
+
+
+@pytest.mark.parametrize(
+    "section, entry, field, value, needle",
+    [
+        (
+            "expect",
+            "table",
+            "divisors",
+            ["x1", "x" * 5000, "x3", "x4"],
+            "scenario 'jz-intersection-table' check 'table': no generator 'xxx",
+        ),
+        (
+            "curves",
+            "eps_one",
+            "atomic",
+            {"kind": "line-in-proj-fiber", "taut": "x" * 5000},
+            "curve 'eps_one': 'xxx",
+        ),
+    ],
+    ids=["divisor", "taut"],
+)
+def test_a_long_name_in_an_engine_message_is_cut(
+    capsys, tmp_path, section, entry, field, value, needle
+):
+    # The engine formats the name it rejects; the scenario layer cuts the
+    # message, so that the entry it names stays readable.
+    doc = scenario_doc("jz-intersection-table")
+    next(e for e in doc[section] if e["name"] == entry)[field] = value
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    got, out, err = run(capsys, ["verify", "--scenario-file", str(path), "--n", "3"])
+    assert got == 2 and out == ""
+    assert needle in err and entry in err and "Traceback" not in err
     assert len(err.replace(str(path), "<path>")) < 200
 
 
@@ -738,6 +861,32 @@ def test_the_package_keeps_every_entry_point_the_benchmark_uses():
     used = set(re.findall(r"\btowercalc\.([A-Za-z_]\w*)", text)) - submodules
     assert {"run_scenario", "evaluate_doc", "list_scenarios", "scenario_doc"} <= used
     assert [name for name in sorted(used) if not hasattr(towercalc, name)] == []
+    # Each per-layer group of the tracer names functions by their dotted
+    # path; a renamed one would read 0 without an error.  The tracer is read
+    # as text too: its module name, trace, is also a standard module's.
+    tracer = (Path(__file__).parents[1] / "perfbench" / "trace.py").read_text(encoding="utf-8")
+    tree = ast.parse(tracer)
+    assigned = {
+        node.targets[0].id: node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+    }
+    members = {
+        (assigned[elt.id] if isinstance(elt, ast.Name) else elt).value
+        for group in assigned["GROUPS"].values
+        for elt in group.elts
+    }
+    assert {"scenarios.validate_doc", "census.isotropy_equivalence_f3"} <= members
+    assert len(members) == 16
+
+    def resolves(dotted):
+        module, *attributes = dotted.split(".")
+        obj = importlib.import_module("towercalc." + module)
+        for attribute in attributes:
+            obj = getattr(obj, attribute, None)
+        return obj is not None
+
+    assert [name for name in sorted(members) if not resolves(name)] == []
 
 
 def test_import_pulls_in_no_dataclass_machinery():

@@ -622,6 +622,12 @@ class TestRestrictionKernel:
         )
         assert len(report["kernel"]) == 4
 
+    def test_injective_map_has_no_kernel_and_an_identity_perp(self, setup):
+        _, jhat, ehat1, ehat2, sigma, _ = setup
+        identity = ExactMatrix([[int(i == j) for j in range(4)] for i in range(4)])
+        report = restriction_kernel(from_jhat(jhat, identity), (ehat1, ehat2, sigma))
+        assert report == {"kernel": (), "perp": ((1, 0, 0), (0, 1, 0), (0, 0, 1))}
+
     @pytest.mark.parametrize(
         "restriction",
         [

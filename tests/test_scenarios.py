@@ -386,6 +386,17 @@ def test_export_then_load_reproduces_the_report(tmp_path):
         assert evaluate_doc(doc, n).to_json_text() == run_scenario(name, n).to_json_text()
 
 
+def test_graded_ranks_fail_when_one_graded_rank_is_wrong(monkeypatch):
+    # Every k of the check must agree, not just one of them.
+    real = scenarios.coh_dim_product_proj
+    monkeypatch.setattr(
+        scenarios, "coh_dim_product_proj", lambda a, b, q: real(a, b, q) + (a == b == 2)
+    )
+    report = run_scenario("contraction-numerics", 3)
+    check = next(c for c in report.checks if c.name == "graded-ranks-square")
+    assert check.status == "FAIL" and check.computed is False
+
+
 def test_a_document_is_validated_once_per_request(monkeypatch, capsys):
     calls = []
     real = scenarios.validate_doc
@@ -443,6 +454,13 @@ def test_untagged_expected_value_is_rejected():
         evaluate_doc(doc, 3)
     assert "provenance" in str(err.value)
     assert doc["expect"][0]["name"] in str(err.value)
+
+
+@pytest.mark.parametrize("doc", [[1], "jz-intersection-table", None])
+def test_a_document_that_is_not_an_object_is_rejected(doc):
+    with pytest.raises(ScenarioFileError) as err:
+        evaluate_doc(doc, 3)
+    assert "object" in str(err.value)
 
 
 def test_unknown_provenance_tag_is_rejected():
