@@ -30,6 +30,7 @@ from .scenarios import (
     SYMBOLIC,
     ScenarioError,
     _evaluate_valid,
+    _shown,
     canonical_json,
     export_scenario,
     list_scenarios,
@@ -39,9 +40,9 @@ from .scenarios import (
 
 #: Most values of n that one ``range:A..B`` may ask for.
 MAX_RANGE_WIDTH = 1000
-# Bounds of more than nine digits are not read as a range, so int() never
-# meets a number too long to convert; they end as an invalid n.
-_RANGE_RE = re.compile(r"^range:(\d{1,9})\.\.(\d{1,9})$")
+# ASCII digits, as in documents.  A range bound of more than nine digits
+# ends as an invalid n, so int() never meets one too long to convert.
+_RANGE_RE = re.compile(r"range:([0-9]{1,9})\.\.([0-9]{1,9})")
 
 
 class UsageError(Exception):
@@ -51,7 +52,7 @@ class UsageError(Exception):
 def _parse_n_spec(text: str) -> list:
     if text == SYMBOLIC:
         return [SYMBOLIC]
-    match = _RANGE_RE.match(text)
+    match = _RANGE_RE.fullmatch(text)
     if match:
         lo, hi = int(match.group(1)), int(match.group(2))
         if lo < exactnum.N_MIN:
@@ -67,11 +68,13 @@ def _parse_n_spec(text: str) -> list:
             )
         return list(range(lo, hi + 1))
     try:
+        if not re.fullmatch(r"-?[0-9]+", text):
+            raise ValueError(text)
         n = int(text)
-    except ValueError:
+    except ValueError:  # not an integer, or too many digits to convert
         raise UsageError(
-            "invalid n %r: use an integer >= %d, %r, or range:A..B"
-            % (text, exactnum.N_MIN, SYMBOLIC)
+            "invalid n %s: use an integer >= %d, %r, or range:A..B"
+            % (_shown(text), exactnum.N_MIN, SYMBOLIC)
         )
     if n < exactnum.N_MIN:
         raise UsageError("n must be >= %d (got %d)" % (exactnum.N_MIN, n))
@@ -139,37 +142,22 @@ def _cmd_verify(args) -> int:
 
 def _tabular_blocks(doc, report):
     computed = {c.name: c.computed for c in report.checks}
-    tables = []
-    kernels = []
     maps_by_name = {m["name"]: m for m in doc.get("maps", ())}
+    tables, kernels = [], []
     for entry in doc.get("expect", ()):
-        kind = entry["check"]
+        name, kind = entry["name"], entry["check"]
+        if kind == "kernel-polynomials":
+            kernels.append({"check": name, "combinations": computed[name]})
+            continue
         if kind == "pairing-table":
-            tables.append(
-                {
-                    "check": entry["name"],
-                    "rows": list(entry["curves"]),
-                    "columns": list(entry["divisors"]),
-                    "entries": computed[entry["name"]],
-                }
-            )
+            rows, columns = entry["curves"], entry["divisors"]
         elif kind == "map-matrix":
             m = maps_by_name[entry["map"]]
-            tables.append(
-                {
-                    "check": entry["name"],
-                    "rows": list(m["target"]),
-                    "columns": list(m["source"]),
-                    "entries": computed[entry["name"]],
-                }
-            )
-        elif kind == "kernel-polynomials":
-            kernels.append(
-                {
-                    "check": entry["name"],
-                    "combinations": computed[entry["name"]],
-                }
-            )
+            rows, columns = m["target"], m["source"]
+        else:
+            continue
+        table = {"check": name, "rows": list(rows), "columns": list(columns)}
+        tables.append(dict(table, entries=computed[name]))
     return tables, kernels
 
 

@@ -9,6 +9,9 @@ share one tower: ``towercalc/tower.json`` declares each space, bundle, map
 and curve once, and ``towercalc/data/<name>.json`` holds a scenario's
 metadata and expected values, with a ``uses`` list naming the tower entries
 it reads.  `scenario_doc` joins the two into one self-contained document.
+The built objects depend on the entry sections alone, not on n, so a process
+builds them once per distinct set of sections and keeps the last
+``ENV_CACHE_SIZE`` sets (`_env`).
 
 Expected values carry a provenance tag:
 
@@ -101,6 +104,8 @@ MAX_NESTING = 32
 #: Most entries in one section of a document (the packaged ones list at
 #: most 13), which also bounds the depth of a tower.
 MAX_SECTION_ENTRIES = 128
+#: Most built environments one process keeps; the packaged scenarios use 7.
+ENV_CACHE_SIZE = 32
 
 
 class ScenarioError(Exception):
@@ -572,6 +577,22 @@ def _make_env(doc) -> Env:
                     ) from None
                 stack.append(wait.args)
     return env
+
+
+def _env(doc) -> Env:
+    """The environment of ``doc``, shared with each document whose entry
+    sections, the only part it reads, are equal JSON data."""
+    sections = {s: doc.get(s, []) for s in _SECTIONS}
+    try:
+        key = json.dumps(sections, sort_keys=True)
+    except (TypeError, ValueError):  # not JSON data
+        return _make_env(doc)
+    return _shared_env(key) if json.loads(key) == sections else _make_env(doc)
+
+
+@lru_cache(maxsize=ENV_CACHE_SIZE)
+def _shared_env(key: str) -> Env:
+    return _make_env(json.loads(key))
 
 
 # ---------------------------------------------------------------------------
@@ -1060,7 +1081,7 @@ def _evaluate_valid(doc, ns) -> list:
             "scenario %s computes finite ranks; run it at a numeric n >= %d"
             % (_shown(doc["name"]), exactnum.N_MIN)
         )
-    env = _make_env(doc)
+    env = _env(doc)
     # Every check reads its fields before the first one runs, so that a bad
     # field fails the document before any expensive check starts.
     checks = []
@@ -1150,7 +1171,8 @@ def scenario_doc(name: str) -> dict:
     """Fresh, self-contained document for a built-in scenario."""
     if name not in _BUILTIN:
         raise UnknownScenarioError(
-            "unknown scenario %r; known scenarios: %s" % (name, ", ".join(_BUILTIN))
+            "unknown scenario %s; known scenarios: %s"
+            % (_shown(name), ", ".join(_BUILTIN))
         )
     return _parse_doc(_scenario_text(name), name + ".json")
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from typing import Sequence
 
@@ -194,6 +195,7 @@ def _projective_points(dim: int) -> list[tuple[int, ...]]:
     return [v for v in _f3_vectors(dim) if next((x for x in v if x), 0) == 1]
 
 
+@lru_cache(maxsize=None)
 def fixed_locus_incidence(dim: int) -> dict:
     """Enumerate the incidence locus {([v],[w]) : omega(v, w) = 0} over F_3
     and intersect it with the fixed locus of the swap
@@ -202,7 +204,8 @@ def fixed_locus_incidence(dim: int) -> dict:
 
     The expected outcome, checked by the caller, is that the fixed pairs are
     exactly the diagonal ones; the diagonal always lies in the incidence
-    locus because omega is alternating.
+    locus because omega is alternating.  Memoized like the census functions:
+    every caller gets the same dict, which it must not mutate.
     """
     if dim % 2 != 0 or dim < 2 or dim > 6:
         raise ValueError("dim must be even with 2 <= dim <= 6")

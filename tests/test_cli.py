@@ -184,6 +184,39 @@ def test_usage_errors(capsys, argv):
     assert err.strip()
 
 
+@pytest.mark.parametrize(
+    "n", ["1_0", " 5 ", "٥", " ٥ ", "5\n", "+5", "range:٣..٥", "range:3..5\n"]
+)
+def test_n_is_read_in_ascii_digits_only(capsys, n):
+    # Documents write numbers as -?[0-9]+; --n reads the same digits, with
+    # no underscores, spaces, sign or non-ASCII digits that int() accepts.
+    code, out, err = run(capsys, ["verify", "--scenario", "picard-matrices", "--n", n])
+    assert code == 2 and out == ""
+    assert err.startswith("error: invalid n %r" % n)
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--scenario", "picard-matrices", "--n", "9" * 5000],
+        ["verify", "--scenario", "picard-matrices", "--n", "3" + "0" * 4999],
+        ["verify", "--scenario", "picard-matrices", "--n", "range:" + "3" * 5000],
+        ["verify", "--scenario", "x" * 5000],
+        ["export", "--scenario", "x" * 5000],
+    ],
+)
+def test_a_long_argument_is_cut_in_the_error(capsys, argv):
+    # The unknown-scenario message goes on to list every known scenario;
+    # only the echoed value is cut.
+    known = ", ".join(info["name"] for info in list_scenarios())
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert len(err.replace(known, "")) < 200
+    assert "(5002 characters)" in err or "(5008 characters)" in err
+    assert "Traceback" not in err
+
+
 def test_range_over_budget_is_rejected_before_any_scenario_runs(capsys, monkeypatch):
     def no_run(doc, n):
         raise AssertionError("ran a scenario")

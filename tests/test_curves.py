@@ -595,6 +595,49 @@ class TestIntegerFaceRows:
         assert rows == [(0, 3, (-3, 5, 0)), (1, 2, (1, 0, 0))]
 
 
+def assert_witness_holds(cone, face, witness):
+    """The dependency witness checked without `_dependency_witness`: a face
+    generator equals, as polynomials in n, a combination of non-face
+    generators whose coefficients are all >= 0 at n = 3..20."""
+    face_idx = _face_indices(cone, face)
+    combo = witness["combination"]
+    assert witness["face_generator"] in face_idx
+    assert combo and not set(combo) & set(face_idx)
+    for c in combo.values():
+        assert all(aspoly(c).eval(n) >= 0 for n in range(3, 21)), combo
+    total = [
+        sum((aspoly(c) * cone.generators[j][k] for j, c in combo.items()), ParamPoly())
+        for k in range(cone.dim)
+    ]
+    assert total == [aspoly(g) for g in cone.generators[witness["face_generator"]]]
+
+
+class TestDependencyWitness:
+    def test_every_witness_passes_the_oracle(self):
+        cases = [(named_cone(g), face, hb) for g, face, hb, _ in DESIGNED_CONES]
+        cases += [seeded_cone(seed) for seed in range(30)]
+        cases += [
+            (named_cone(((1, 0), (0, 1), (1, 1))), ("g2",), 4),
+            (named_cone(((1, 0), (0, 1), (N - 3, 1))), ("g2",), 2),
+            (named_cone(((1, 0, 0), (0, 1, 0), (2, HALF, 0))), ("g2",), 0),
+        ]
+        witnessed = 0
+        for cone, face, height_bound in cases:
+            witness = extremal_certificate(cone, face, height_bound)["witness"]
+            if witness is not None:
+                assert_witness_holds(cone, face, witness)
+                witnessed += 1
+        assert witnessed >= 3
+
+    def test_a_combination_with_mixed_signs_is_no_witness(self):
+        # g2 = g0 - g1 is the only way to write g2 in g0 and g1; height 0
+        # leaves the search inconclusive, so the witness is sought.
+        cone = named_cone(((1, 0), (0, 1), (1, -1)))
+        cert = extremal_certificate(cone, ("g2",), height_bound=0)
+        assert cert["status"] == "inconclusive"
+        assert cert["witness"] is None
+
+
 def from_jhat(jhat, matrix):
     """``matrix`` as a lattice map out of jhat's divisor lattice."""
     targets = tuple("t%d" % i for i in range(matrix.rows))
@@ -641,6 +684,14 @@ class TestRestrictionKernel:
         eps1 = line_in_proj_fiber("x2", jz)
         with pytest.raises(CurveSpaceError, match="not on the source lattice of r"):
             restriction_kernel(from_jhat(jhat, restriction), (ehat1, eps1))
+
+    def test_pushforward_of_a_square_restriction_reads_its_columns(self):
+        # Column j expresses ambient generator j in the curve's lattice, so
+        # the pushed curve pairs generator j with degrees . column_j; on a
+        # square matrix that is not symmetric, R^T d and R d differ.
+        restriction = ExactMatrix([[1, 4], [0, 2]])
+        assert push_from_sublattice(restriction, (3, N)) == (aspoly(3), 2 * N + 12)
+        assert push_from_sublattice(restriction, (0, 1)) == (aspoly(0), aspoly(2))
 
     def test_pushforward_consistency(self, setup):
         # Declared boundary classes push to the expected combinations.

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import random
 import time
 from fractions import Fraction
 from importlib import resources
@@ -12,11 +13,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from towercalc import exactnum, scenarios
+from towercalc import exactnum, scenarios, symplectic
 from towercalc.cli import main
 from towercalc.exactnum import N, ParamPoly, _signs_from
 from towercalc.scenarios import (
     BadParameterError,
+    ENV_CACHE_SIZE,
     FORMAT_TAG,
     MAX_SECTION_ENTRIES,
     POLICY_ANY,
@@ -692,6 +694,119 @@ def test_entries_may_be_listed_in_any_order():
     for n in (SYMBOLIC, 4):
         expected = run_scenario("contraction-numerics", n).to_json_text()
         assert evaluate_doc(doc, n).to_json_text() == expected
+
+
+# ---------------------------------------------------------------------------
+# one environment per distinct set of entry sections, one count per fixed locus
+
+
+def clear_caches():
+    scenarios._shared_env.cache_clear()
+    symplectic.fixed_locus_incidence.cache_clear()
+
+
+def tiny_doc(**fields):
+    """A document with no checks and one formal base, ``fields`` replacing
+    its defaults."""
+    space = dict({"name": "s", "kind": "formal-base", "pic": ["h"], "dim": "2"}, **fields)
+    return {"name": "tiny", "spaces": [space], "expect": []}
+
+
+def test_shared_environments_give_the_reports_of_fresh_ones():
+    # Every scenario at symbolic (where allowed) and at 3, run twice in one
+    # process in two seeded orders, against the report computed after
+    # clearing the caches.
+    requests = [
+        (name, n)
+        for name in ALL_NAMES
+        for n in ([3] if scenario_doc(name)["n_policy"] == POLICY_NUMERIC else [SYMBOLIC, 3])
+    ]
+    warm = {}
+    for seed in (26, 27):
+        order = list(requests)
+        random.Random(seed).shuffle(order)
+        for name, n in order:
+            warm.setdefault((name, n), set()).add(run_scenario(name, n).to_json_text())
+    for (name, n), texts in warm.items():
+        clear_caches()
+        assert texts == {run_scenario(name, n).to_json_text()}, (name, n)
+
+
+def test_a_changed_copy_of_a_packaged_scenario_builds_its_own_tower(tmp_path, capsys):
+    assert run_scenario("euler-convention", 3).passed
+    doc = scenario_doc("euler-convention")
+    bundle = next(b for b in doc["bundles"] if b["name"] == "rank_two_trivial")
+    bundle["rank"] = "3"
+    path = tmp_path / "changed.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["verify", "--scenario-file", str(path), "--n", "3"]) == 1
+    assert "result: FAIL" in capsys.readouterr().out
+    assert run_scenario("euler-convention", 3).passed
+
+
+def test_a_document_that_fails_to_build_fails_on_every_call(monkeypatch):
+    doc = scenario_doc("euler-convention")
+    doc["bundles"][0]["space"] = "nowhere"
+    calls, builds, errors = counted_builds(monkeypatch)
+    messages = set()
+    for _ in range(3):
+        with pytest.raises(ScenarioFileError, match="unknown reference 'nowhere'") as exc:
+            evaluate_doc(doc, 3)
+        messages.add(str(exc.value))
+    assert len(messages) == 1
+    assert errors == ["bundle 'rank_three_taut'"] * 3
+
+
+def test_the_environment_cache_stays_within_its_bound():
+    for k in range(ENV_CACHE_SIZE + 5):
+        evaluate_doc(tiny_doc(name="s%d" % k), 3)
+    info = scenarios._shared_env.cache_info()
+    assert info.maxsize == ENV_CACHE_SIZE
+    assert info.currsize == ENV_CACHE_SIZE
+
+
+def test_a_document_that_is_not_json_data_builds_its_own_tower():
+    # Sections equal as JSON text to a cached document's, but not as data,
+    # are read as they are: a tuple is not a list, an int key is not a
+    # string, and a Fraction has no JSON text at all.
+    evaluate_doc(tiny_doc(), 3)
+    evaluate_doc(tiny_doc(dim={"0": "2"}), 3)
+    for doc, message in [
+        (tiny_doc(pic=("h",)), "expected a list, got ('h',)"),
+        (tiny_doc(dim={0: "2"}), "expected an exact number, got {0: '2'}"),
+        (tiny_doc(dim=Fraction(2)), "cannot parse value Fraction(2, 1)"),
+    ]:
+        with pytest.raises(ScenarioFileError) as exc:
+            evaluate_doc(doc, 3)
+        assert message in str(exc.value)
+
+
+@pytest.mark.parametrize("name", ["jz-intersection-table", "mori-chain-ez", "picard-matrices"])
+def test_a_second_run_builds_no_entry(monkeypatch, name):
+    # A work guard that needs no clock: the labels of _entry name each
+    # space, bundle, map and curve it builds.
+    def entries(labels):
+        return [w for w in labels if w.split()[0] in ("space", "bundle", "map", "curve")]
+
+    clear_caches()
+    calls, builds, errors = counted_builds(monkeypatch)
+    run_scenario(name, SYMBOLIC)
+    assert entries(builds) and errors == []
+    del calls[:], builds[:]
+    run_scenario(name, 4)
+    assert entries(calls) == [] and builds
+
+
+def test_a_fixed_locus_is_counted_once(monkeypatch):
+    clear_caches()
+    dims = []
+    real = symplectic._projective_points
+    monkeypatch.setattr(
+        symplectic, "_projective_points", lambda dim: dims.append(dim) or real(dim)
+    )
+    assert run_scenario("incidence-fixed-locus", SYMBOLIC).passed
+    assert run_scenario("incidence-fixed-locus", 3).passed
+    assert sorted(dims) == [2, 4]
 
 
 # ---------------------------------------------------------------------------
