@@ -236,6 +236,8 @@ class _Unbuilt(Exception):
 
 
 _REQUIRED = object()
+#: Free text that any object read whole may carry; no reader reads it.
+_FREE_TEXT = ("description", "note")
 
 
 def _at(step, read, raw, env):
@@ -249,12 +251,22 @@ def _at(step, read, raw, env):
         raise _BadField(str(exc), (step,)) from None
 
 
-def _read(obj, fields: dict, env) -> list:
+def _read(obj, fields: dict, env, known=None) -> list:
     """The values of the fields of ``obj`` declared in ``fields``, in
     declaration order.  A field declared as ``(reader, default)`` is optional
-    and takes the default when it is missing."""
+    and takes the default when it is missing.  With ``known``, the keys read
+    elsewhere, any other key that is not a field or free text is an error."""
     if not isinstance(obj, dict):
         raise _BadField("expected an object, got %s" % _shown(obj))
+    if known is not None:
+        declared = {*fields, *known, *_FREE_TEXT}
+        for key in obj:
+            if key not in declared:
+                names = ", ".join(sorted(declared))
+                raise _BadField("unknown field %s; known: %s" % (_shown(key), names))
+        for key in _FREE_TEXT:
+            if not isinstance(obj.get(key, ""), str):
+                raise _BadField("expected text, got %s" % _shown(obj[key]), (key,))
     values = []
     for key, spec in fields.items():
         read, default = spec if isinstance(spec, tuple) else (spec, _REQUIRED)
@@ -365,23 +377,23 @@ def _ref(section: str, cls=None, what: str = ""):
     return read
 
 
-def _object(build, fields: dict):
-    """A nested object: ``build`` called with its declared fields."""
-    return lambda raw, env: build(*_read(raw, fields, env))
+def _object(build, fields: dict, known=()):
+    """A nested object: ``build`` called with its fields, read by `_read`."""
+    return lambda raw, env: build(*_read(raw, fields, env, known))
 
 
-def _row(entry, key: str, kind, env):
+def _row(entry, key: str, kind, env, known=()):
     """Read ``entry[key]`` with ``kind``, a `_one_of` reader of a kind table,
-    then the fields of the row it names.  Returns the row's function with
-    those fields bound."""
+    then the fields of the row it names; ``known`` are its other keys, read
+    elsewhere.  Returns the row's function with those fields bound."""
     build, fields = _read(entry, {key: kind}, env)[0]
-    return partial(build, *_read(entry, fields, env))
+    return partial(build, *_read(entry, fields, env, (key, *known)))
 
 
 def _kinded(kinds: dict, label: str):
-    """An object whose ``kind`` field names its row of ``kinds``."""
+    """An entry whose ``kind`` field names its row of ``kinds``."""
     kind = _one_of(kinds, label)
-    return lambda raw, env: _row(raw, "kind", kind, env)()
+    return lambda raw, env: _row(raw, "kind", kind, env, ("name",))()
 
 
 _space = _ref("spaces")
@@ -459,7 +471,7 @@ BUNDLE_KINDS = {
 def _c1_column(raw, env):
     """``{"c1": bundle, "via": map}``: the first Chern class of the bundle,
     carried through the map ``via`` when one is given."""
-    bundle, via = _read(raw, {"c1": _bundle, "via": (_map, None)}, env)
+    bundle, via = _read(raw, {"c1": _bundle, "via": (_map, None)}, env, ())
     coords, names = bundle.c1.coords, bundle.space.pic_names()
     if via is not None:
         if via.source_names != names:
@@ -506,7 +518,6 @@ MAP_KINDS = {
 
 #: Atomic curve constructors, read from a curve entry's ``atomic`` object.
 #: A row's function takes the declared fields in order, then the entry's space.
-#: A ``note`` in a document documents the entry; no reader declares it.
 CURVE_KINDS = {
     "line-in-proj-fiber": (
         lambda taut, space: line_in_proj_fiber(taut, space),
@@ -543,6 +554,7 @@ _SECTIONS = {
     "curves": _object(
         lambda space, curve: curve(space),
         {"space": _space, "atomic": lambda raw, env: _row(raw, "kind", _CURVE_KIND, env)},
+        ("name",),
     ),
 }
 
@@ -606,8 +618,9 @@ def _pairings(space, curves, divisors):
     return pairing_table(curves, [space.gen(d) for d in divisors])
 
 
-def _check_restricted_canonical(divisor, normal, blowup, ambient_center_codim):
-    restricted = canonical_class(divisor) - divisor.div(normal)
+def _check_canonical(space, normal, blowup, ambient_center_codim):
+    canonical = canonical_class(space)
+    restricted = canonical if normal is None else canonical - space.div(normal)
     if blowup is None:
         return list(restricted.coords)
     if ambient_center_codim is None:
@@ -635,19 +648,12 @@ def _check_vector_sum(terms):
     return acc
 
 
-def _check_map_inverse_equals(of, expected_map):
+def _check_map_inverse(m, expected_map):
     try:
-        return inverse(of.matrix) == expected_map.matrix
+        inverted = inverse(m.matrix)
     except LinearSolveError:
         return False
-
-
-def _check_map_invertible(m):
-    try:
-        inverse(m.matrix)
-        return True
-    except LinearSolveError:
-        return False
+    return expected_map is None or inverted == expected_map.matrix
 
 
 def _check_extremal_certificate(space, curves, face, height_bound):
@@ -782,18 +788,17 @@ _TABLE = {"space": _space, "curves": _curves, "divisors": _names}
 _KERNEL = {"matrix": _map, "curves": _curves}
 
 CHECK_KINDS = {
-    "dim": (lambda space: space.dim(), {"space": _space}),
+    "dim": (
+        lambda space, over: space.dim() if over is None else space.dim() - over.dim(),
+        {"space": _space, "over": (_space, None)},
+    ),
     "codim": (lambda space: space.codim, {"space": _blow_up}),
     "codim-in-ambient": (lambda space: space.codim + 1, {"space": _blow_up}),
     "canonical": (
-        lambda space: list(canonical_class(space).coords),
-        {"space": _space},
-    ),
-    "restricted-canonical": (
-        _check_restricted_canonical,
+        _check_canonical,
         {
-            "divisor": _space,
-            "normal": _vector,
+            "space": _space,
+            "normal": (_vector, None),
             "blowup": (_blow_up, None),
             "ambient_center_codim": (_number, None),
         },
@@ -832,11 +837,7 @@ CHECK_KINDS = {
         },
         {"left": _map, "right": _map},
     ),
-    "map-inverse-equals": (
-        _check_map_inverse_equals,
-        {"of": _map, "expected_map": _map},
-    ),
-    "map-invertible": (_check_map_invertible, {"map": _map}),
+    "map-inverse": (_check_map_inverse, {"map": _map, "expected_map": (_map, None)}),
     "transport": (
         lambda start, via, drop: transport_class(start, via, drop),
         {"start": _vector, "via": _list_of(_TRANSPORT_STEP), "drop": (_names, ())},
@@ -903,10 +904,6 @@ CHECK_KINDS = {
     "bundle-invariants": (
         lambda f: {"rank": f.rank, "c1": list(f.c1.coords)},
         {"bundle": _bundle},
-    ),
-    "fiber-dim": (
-        lambda total, base: total.dim() - base.dim(),
-        {"total": _space, "base": _space},
     ),
     "conormal-rank-consistency": (
         _check_conormal_rank_consistency,
@@ -1019,7 +1016,7 @@ def _check_values(value, where: str, depth: int = 0):
 
 
 _ENTRY_NAMES = _list_of(
-    _object(lambda name: name, {"name": _name}), most=MAX_SECTION_ENTRIES
+    _object(lambda name: name, {"name": _name}, None), most=MAX_SECTION_ENTRIES
 )
 
 
@@ -1056,7 +1053,7 @@ def validate_doc(doc) -> None:
     name = doc.get("name") if isinstance(doc, dict) else None
     what = "scenario %s" % _shown(name) if isinstance(name, str) else "scenario document"
     _check_values(doc, what)
-    *_, expect = _entry(what, lambda: _read(doc, _DOCUMENT, None))
+    *_, expect = _entry(what, lambda: _read(doc, _DOCUMENT, None, ("format",)))
     for entry in expect:
         _entry(
             "%s check %s" % (what, _shown(entry["name"])),
@@ -1087,7 +1084,7 @@ def _evaluate_valid(doc, ns) -> list:
     checks = []
     for entry in doc.get("expect", []):
         what = "scenario %s check %s" % (_shown(doc["name"]), _shown(entry["name"]))
-        check = _entry(what, lambda: _row(entry, "check", _CHECK_KIND, env))
+        check = _entry(what, lambda: _row(entry, "check", _CHECK_KIND, env, ("name", *_EXPECT)))
         checks.append((entry, what, check))
     results = [[] for _ in ns]
     for entry, what, check in checks:

@@ -364,6 +364,14 @@ PLUS_N = {"0": "1/2", "1": "1"}
             "expected 3 coordinates",
         ),
         (
+            "jz-canonical-class",
+            "expect",
+            "restricted-canonical",
+            "normal",
+            [],
+            "expected 3 coordinates",
+        ),
+        (
             "ez-kernel-x2-x3",
             "expect",
             "kernel",
@@ -496,6 +504,62 @@ PLUS_N = {"0": "1/2", "1": "1"}
             "circular reference: space 'resolved_incidence'"
             " -> space 'resolved_incidence'",
         ),
+        # Every key of an object read whole is declared by its reader, or is
+        # free text (description, note); any other key is named with the
+        # declared ones.
+        (
+            "extremal-sigma-ray",
+            "expect",
+            "certificate",
+            "height_boud",
+            "8",
+            "unknown field 'height_boud'; known: anchor, check, curves, description,"
+            " face, height_bound, name, note, provenance, space, value",
+        ),
+        (
+            "normal-bundle-transport",
+            "expect",
+            "stage-one",
+            "via.0.inverse",
+            True,
+            "field 'via[0]': unknown field 'inverse'; known: description, inverted,"
+            " map, note",
+        ),
+        (
+            "mori-chain-ez",
+            "expect",
+            "chain",
+            "chain.steps.0.contracts",
+            "x4",
+            "field 'chain.steps[0]': unknown field 'contracts'; known: cdouble,"
+            " contracted, cprime, description, generators, note, space",
+        ),
+        (
+            "picard-matrices",
+            "maps",
+            "cotangent_split",
+            "note",
+            5,
+            "map 'cotangent_split': field 'note': expected text, got 5",
+        ),
+        # A kind that a more general one absorbed is an unknown kind.
+        *(
+            (
+                scenario,
+                "expect",
+                check,
+                "check",
+                kind,
+                "field 'check': unknown check kind '%s'; known check kinds:"
+                " bundle-invariants, canonical," % kind,
+            )
+            for scenario, check, kind in (
+                ("picard-matrices", "psi-invertible", "map-invertible"),
+                ("picard-matrices", "xi-inverse-recomputed", "map-inverse-equals"),
+                ("jz-canonical-class", "restricted-canonical", "restricted-canonical"),
+                ("contraction-numerics", "ruling-fiber-dim", "fiber-dim"),
+            )
+        ),
     ],
     ids=[
         "zero-denominator",
@@ -523,6 +587,7 @@ PLUS_N = {"0": "1/2", "1": "1"}
         "string-as-directions",
         "ragged-terms",
         "long-normal",
+        "empty-normal",
         "kernel-curve-off-the-source",
         "kernel-polynomials-curve-off-the-source",
         "sym-power-bundle",
@@ -540,6 +605,14 @@ PLUS_N = {"0": "1/2", "1": "1"}
         "space-and-bundle-refer-to-each-other",
         "proj-bundle-over-itself",
         "blow-up-of-itself",
+        "misspelled-optional-field",
+        "extra-key-in-transport-step",
+        "extra-key-in-chain-step",
+        "number-as-note",
+        "map-invertible",
+        "map-inverse-equals",
+        "restricted-canonical",
+        "fiber-dim",
     ],
 )
 def test_bad_document_is_a_named_error(
@@ -604,6 +677,12 @@ EULER = "scenario 'euler-convention'"
             ["1", "0", "0"],
             ("scenario 'pushforward-iz1z2' check 'tau-one-pairings'", "coefficient"),
         ),
+        (
+            "euler-convention",
+            ("colour",),
+            "blue",
+            (EULER + ": unknown field 'colour'; known: bundles, curves, description,",),
+        ),
     ],
     ids=[
         "list-as-document",
@@ -616,6 +695,7 @@ EULER = "scenario 'euler-convention'"
         "no-expected-value",
         "blowup-without-center-codim",
         "short-coefficients",
+        "extra-top-level-key",
     ],
 )
 def test_a_badly_shaped_document_is_a_named_error(

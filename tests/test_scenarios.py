@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import random
+import re
 import time
 from fractions import Fraction
 from importlib import resources
@@ -174,6 +175,21 @@ def test_each_tower_entry_is_declared_once_and_used():
         "normal-bundle-transport.json",
         "picard-matrices.json",
     } <= set(used["curve_cotangent"])
+
+
+def test_every_used_entry_is_reached_by_the_checks():
+    # Without any one entry that its `uses` names, a packaged document ends
+    # in an unknown reference to it.  References cannot form cycles, so
+    # `uses` is exactly the closure of the entries that the checks reach.
+    for filename in DATA_FILES:
+        packaged = json.loads((DATA / filename).read_text(encoding="utf-8"))
+        doc = scenario_doc(packaged["name"])
+        for name in packaged["uses"]:
+            cut = dict(doc)
+            for section in ENTRY_SECTIONS:
+                cut[section] = [e for e in doc[section] if e["name"] != name]
+            with pytest.raises(ScenarioFileError, match=re.escape("unknown reference %r" % name)):
+                evaluate_doc(cut, 3)
 
 
 def test_every_non_python_file_of_the_package_is_shipped():
@@ -840,10 +856,119 @@ def test_recipe_matrices_match_their_recorded_forms():
         for name in ALL_NAMES
         if any(m["name"] == "boundary_restriction" for m in scenario_doc(name)["maps"])
     ]
-    assert len(restricting) == 7
+    assert len(restricting) == 6
     for name in restricting:
         maps = scenarios._make_env(scenario_doc(name)).maps
         assert maps["boundary_restriction"].matrix.const_entries() == restriction, name
+
+
+def test_dimension_values_follow_from_the_tower_ranks():
+    # Closed forms, derived by hand from the dimensions and ranks that
+    # tower.json declares, not with Space.dim: P(E) over B has dimension
+    # dim B + rank E - 1, the relative tangent bundle of P(E) has rank
+    # rank E - 1, a fiber product over B adds the relative dimensions, a
+    # divisor drops one, and a blow-up keeps the dimension.  A polynomial
+    # in n is written (constant, coefficient of n).
+    tower = json.loads((PACKAGE / "tower.json").read_text(encoding="utf-8"))
+    entries = {e["name"]: e for section in ENTRY_SECTIONS for e in tower[section]}
+
+    def poly(raw):
+        raw = raw if isinstance(raw, dict) else {"0": raw}
+        return int(raw.get("0", "0")), int(raw.get("1", "0"))
+
+    assert poly(entries["proj_base"]["dim"]) == (-1, 2)
+    assert poly(entries["pairing_perp"]["rank"]) == (-1, 2)
+    assert poly(entries["taut_line"]["rank"]) == (1, 0)
+    assert poly(entries["grass3"]["dim"]) == (-12, 6)
+    assert poly(entries["rank_three_taut"]["rank"]) == (3, 0)
+    ruling = {"kind": "proj-bundle", "base": "proj_base", "bundle": "middle_quotient"}
+    plane_ruling = {"kind": "proj-bundle", "base": "chi_plane", "bundle": "plane_tangent"}
+    shape = {
+        "middle_quotient": {"kind": "quotient", "of": "pairing_perp", "sub": "taut_line"},
+        "first_ruling": ruling,
+        "second_ruling": ruling,
+        "double_ruling_space": {
+            "kind": "fiber-product",
+            "left": "first_ruling",
+            "right": "second_ruling",
+            "over": "proj_base",
+        },
+        "incidence_divisor": {"kind": "divisor-in", "ambient": "double_ruling_space"},
+        "resolved_incidence": {"kind": "blow-up", "ambient": "incidence_divisor"},
+        "chi_plane": {"kind": "proj-bundle", "base": "grass3", "bundle": "rank_three_taut"},
+        "plane_tangent": {"kind": "relative-tangent", "space": "chi_plane"},
+        "ruling_one": plane_ruling,
+        "ruling_two": plane_ruling,
+        "ruling_product": {
+            "kind": "fiber-product",
+            "left": "ruling_one",
+            "right": "ruling_two",
+            "over": "chi_plane",
+        },
+    }
+    for name, fields in shape.items():
+        assert {key: entries[name][key] for key in fields} == fields, name
+
+    # middle_quotient has rank (2n - 1) - 1, so each ruling has dimension
+    # (2n - 1) + (2n - 2) - 1 = 4n - 4 and their product over proj_base
+    # 2(4n - 4) - (2n - 1) = 6n - 7; the divisor and its blow-up have 6n - 8.
+    # chi_plane has dimension (6n - 12) + 3 - 1 = 6n - 10 and plane_tangent
+    # rank 2, so each plane ruling has 6n - 9 and their product over chi_plane
+    # 2(6n - 9) - (6n - 10) = 6n - 8, whose fibers over grass3 have
+    # (6n - 8) - (6n - 12) = 4.
+    closed = {
+        "ambient-product-dim": ("double_ruling_space", None, (-7, 6)),
+        "incidence-dim": ("incidence_divisor", None, (-8, 6)),
+        "resolved-dim": ("resolved_incidence", None, (-8, 6)),
+        "product-dim": ("ruling_product", None, (-8, 6)),
+        "ruling-fiber-dim": ("ruling_product", "grass3", (4, 0)),
+    }
+    checks = {
+        e["name"]: (e["space"], e.get("over"), poly(e["value"]))
+        for name in ("jz-intersection-table", "contraction-numerics")
+        for e in scenario_doc(name)["expect"]
+        if e["check"] == "dim"
+    }
+    assert checks == closed
+
+
+def _determinant(rows):
+    """Laplace expansion along the first row, in plain integers."""
+    if not rows:
+        return 1
+    return sum(
+        (-1) ** j * a * _determinant([row[:j] + row[j + 1 :] for row in rows[1:]])
+        for j, a in enumerate(rows[0])
+    )
+
+
+def test_map_inverse_values_follow_from_plain_integer_arithmetic():
+    # psi-invertible: psi has a nonzero integer determinant.
+    # xi-inverse-recomputed: xi times the printed inverse is the identity on
+    # both sides, multiplied as plain lists.
+    picard = scenario_doc("picard-matrices")
+    expect = {e["name"]: e for e in picard["expect"]}
+    psi = [[int(x) for x in row] for row in expect["psi-matrix"]["value"]]
+    xi = [[int(x) for x in row] for row in expect["xi-matrix"]["value"]]
+    printed = next(m for m in picard["maps"] if m["name"] == "xi_inverse_printed")
+    inverse = [[int(x) for x in row] for row in printed["matrix"]]
+    assert _determinant(psi) == -1
+    assert expect["psi-invertible"]["value"] is True
+    assert "expected_map" not in expect["psi-invertible"]
+    identity = [[int(i == j) for j in range(4)] for i in range(4)]
+    product = lambda a, b: [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+    assert product(xi, inverse) == identity and product(inverse, xi) == identity
+    assert expect["xi-inverse-recomputed"]["value"] is True
+    assert expect["xi-inverse-recomputed"]["expected_map"] == "xi_inverse_printed"
+
+
+def test_map_inverse_reads_false_for_a_wrong_expected_map():
+    doc = scenario_doc("picard-matrices")
+    printed = next(m for m in doc["maps"] if m["name"] == "xi_inverse_printed")
+    printed["matrix"][0][0] = "2"
+    computed = {c.name: c.computed for c in evaluate_doc(doc, SYMBOLIC).checks}
+    assert computed["xi-inverse-recomputed"] is False
+    assert computed["psi-invertible"] is True
 
 
 def _fractions(rows):
