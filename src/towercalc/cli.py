@@ -19,7 +19,6 @@ instead of stdout.  Usage errors exit with 2.
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 
@@ -93,15 +92,9 @@ def _emit(text: str, args) -> None:
 
 
 def _pretty(entry) -> str:
-    """Compact text form of a serialized report value."""
-    if isinstance(entry, str):
-        return entry
-    if isinstance(entry, dict) and all(k.isdigit() for k in entry):
-        try:
-            return str(ParamPoly.from_coeff_strings(entry))
-        except (ValueError, ZeroDivisionError):
-            pass
-    return json.dumps(entry, sort_keys=True)
+    """Compact text form of a serialized report value: a string, or a
+    polynomial's coefficient map."""
+    return entry if isinstance(entry, str) else str(ParamPoly(entry))
 
 
 def _grid(row_labels, col_labels, entries) -> str:

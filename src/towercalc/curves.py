@@ -243,40 +243,22 @@ def _face_candidates(dim: int, h: int, face_rows: Sequence[tuple[int, ...]]):
             yield vec
 
 
-def _coefficient_rows(gen: Sequence[ParamPoly]) -> list[tuple[int, int, tuple]]:
-    """One (e, scale, row) per exponent e of n occurring in the generator.
-
-    row[k] is scale times the n^e coefficient of gen[k], where scale is the
-    lcm of those coefficients' denominators, so row is integral and
-    functional . row == scale * (n^e coefficient of functional . gen).
-    """
-    out = []
-    for e in sorted({e for x in gen for e in x.coeffs}):
-        coeffs = [x.coeff(e) for x in gen]
-        scale = lcm(*(c.denominator for c in coeffs))
-        out.append((e, scale, tuple(int(c * scale) for c in coeffs)))
-    return out
+def _coefficient_rows(gen: Sequence[ParamPoly]) -> tuple[int, list[tuple[int, ...]]]:
+    """(scale, rows): rows[e], for e = 0..degree, is scale times the n^e
+    coefficients of gen, and scale is the lcm of all their denominators, so
+    functional . rows[e] == scale * (n^e coefficient of functional . gen)."""
+    coeffs = [[x.coeff(e) for x in gen] for e in range(max(x.degree for x in gen) + 1)]
+    scale = lcm(*(c.denominator for row in coeffs for c in row))
+    return scale, [tuple(int(c * scale) for c in row) for row in coeffs]
 
 
 def _dot(u: Sequence[int], v: Sequence[int]) -> int:
     return sum(map(mul, u, v))
 
 
-def _integer_pairing_rows(rows, dim: int) -> list[tuple[int, ...]]:
-    """Rows per exponent 0..degree over a common denominator (zero rows where absent):
-    their dot products with f are the coefficients of a positive multiple of f . gen."""
-    common = lcm(*(scale for _, scale, _ in rows))
-    dense = [(0,) * dim] * (rows[-1][0] + 1)
-    for e, scale, row in rows:
-        dense[e] = tuple(x * (common // scale) for x in row)
-    return dense
-
-
-def _value(functional: Sequence[int], rows) -> ParamPoly:
+def _value(functional: Sequence[int], scale: int, rows) -> ParamPoly:
     """functional . gen as a ParamPoly, from the generator's coefficient rows."""
-    return ParamPoly(
-        {e: Fraction(_dot(functional, row), scale) for e, scale, row in rows}
-    )
+    return ParamPoly({e: Fraction(_dot(functional, row), scale) for e, row in enumerate(rows)})
 
 
 def extremal_certificate(
@@ -295,12 +277,12 @@ def extremal_certificate(
     witness is attached.
 
     Each generator is turned once into integer coefficient rows, one per
-    exponent of n occurring in it, scaled by the lcm of their denominators
+    exponent of n up to its degree, scaled by the lcm of its denominators
     (`_coefficient_rows`).  A candidate vanishes on the face exactly when its
-    integer dot product with every face row is zero; `_face_candidates` yields
-    those from (2 * h + 1) ** (dim - 1) prefixes per shell.  Their pairings with
-    the other generators are integer coefficient lists (`_integer_pairing_rows`)
-    signed by `_int_signs_from`; only the hit gets ParamPolys.
+    dot product with every nonzero face row is zero; `_face_candidates` yields
+    those from (2 * h + 1) ** (dim - 1) prefixes per shell.  Its products with
+    another generator's rows are the coefficients of a positive multiple of
+    its pairing with it, signed by `_int_signs_from`; only the hit gets ParamPolys.
 
     The search size (2 * height_bound + 1) ** dim is budgeted: a negative
     height_bound, or a size above MAX_SEARCH_SIZE, raises ValueError before
@@ -317,8 +299,8 @@ def extremal_certificate(
     face_idx = _face_indices(cone, face)
     others = [i for i in range(len(cone.generators)) if i not in face_idx]
     rows = [_coefficient_rows(g) for g in cone.generators]
-    face_rows = [row for i in face_idx for _, _, row in rows[i]]
-    pairings = [_integer_pairing_rows(rows[j], cone.dim) for j in others]
+    face_rows = [row for i in face_idx for row in rows[i][1] if any(row)]
+    pairings = [rows[j][1] for j in others]
     for h in range(height_bound + 1):
         for cand in _face_candidates(cone.dim, h, face_rows):
             if all(
@@ -329,7 +311,7 @@ def extremal_certificate(
                     "status": "certified",
                     "functional": cand,
                     "height": h,
-                    "values": tuple(_value(cand, r) for r in rows),
+                    "values": tuple(_value(cand, *r) for r in rows),
                     "witness": None,
                 }
     return {
@@ -461,6 +443,21 @@ def _vec_key(vec: Sequence[ParamPoly]) -> tuple[str, ...]:
     return tuple(str(x) for x in vec)
 
 
+def _contracting(step, contraction, condition: str, ci: int, marked: bool) -> list:
+    """The images of the step's generators under ``contraction``, which must
+    contract exactly the generator ``ci`` when ``marked``, and exactly the
+    others when not; the first generator that breaks this, ``ci`` first, is
+    a PropagationError under ``condition``."""
+    images = [contraction.image_of(i, g) for i, g in enumerate(step.generators)]
+    for i in sorted(range(len(images)), key=lambda i: i != ci):
+        contracted = all(x.is_zero() for x in images[i])
+        if contracted != ((i == ci) == marked):
+            state = "is" if contracted else "is not"
+            detail = "%s %s contracted by %s" % (step.generator_names[i], state, contraction.name)
+            raise PropagationError(step.space_name, condition, detail)
+    return images
+
+
 def mori_propagate(chain: ChainSpec) -> dict:
     """Propagate a known base cone up a chain of steps, verifying at each
     step: (a) the first morphism contracts exactly the marked generator;
@@ -475,45 +472,9 @@ def mori_propagate(chain: ChainSpec) -> dict:
     steps = []
     for step in chain.steps:
         ci = step.generator_names.index(step.contracted)
-        images_prime = [
-            step.cprime.image_of(i, g) for i, g in enumerate(step.generators)
-        ]
-        if not all(x.is_zero() for x in images_prime[ci]):
-            raise PropagationError(
-                step.space_name,
-                "a",
-                "%s is not contracted by %s" % (step.contracted, step.cprime.name),
-            )
-        for i, img in enumerate(images_prime):
-            if i != ci and all(x.is_zero() for x in img):
-                raise PropagationError(
-                    step.space_name,
-                    "a",
-                    "%s is also contracted by %s"
-                    % (step.generator_names[i], step.cprime.name),
-                )
-        images_double = [
-            step.cdouble.image_of(i, g) for i, g in enumerate(step.generators)
-        ]
-        if all(x.is_zero() for x in images_double[ci]):
-            raise PropagationError(
-                step.space_name,
-                "b",
-                "%s is contracted by %s too" % (step.contracted, step.cdouble.name),
-            )
-        for i, img in enumerate(images_double):
-            if i != ci and not all(x.is_zero() for x in img):
-                raise PropagationError(
-                    step.space_name,
-                    "b",
-                    "%s is not contracted by %s"
-                    % (step.generator_names[i], step.cdouble.name),
-                )
-        pushed = sorted(
-            _vec_key(images_prime[i])
-            for i in range(len(step.generators))
-            if i != ci
-        )
+        images_prime = _contracting(step, step.cprime, "a", ci, True)
+        _contracting(step, step.cdouble, "b", ci, False)
+        pushed = sorted(_vec_key(img) for i, img in enumerate(images_prime) if i != ci)
         expected = sorted(_vec_key(g) for g in prev_gens)
         if pushed != expected:
             raise PropagationError(

@@ -203,10 +203,6 @@ class ParamPoly:
         """Sparse JSON form: exponent string -> coefficient string."""
         return {str(e): _rat_str(c) for e, c in sorted(self.coeffs.items())}
 
-    @classmethod
-    def from_coeff_strings(cls, d: Mapping[str, str]) -> "ParamPoly":
-        return cls(d)
-
 
 #: The parameter itself, for writing polynomials as expressions: 2 * N - 4.
 N = ParamPoly.var()

@@ -165,7 +165,10 @@ def _cut(text: str) -> str:
 
 
 def _shown(raw) -> str:
-    return _cut(repr(raw))
+    try:
+        return _cut(repr(raw))
+    except ValueError:  # an integer over the interpreter's digit limit
+        return "<%s too long to print>" % type(raw).__name__
 
 
 def parse_value(value):
@@ -185,9 +188,7 @@ def parse_value(value):
             for k, v in value.items()
         ):
             try:
-                return ParamPoly.from_coeff_strings(
-                    {k: str(v) for k, v in value.items()}
-                )
+                return ParamPoly({k: str(v) for k, v in value.items()})
             except (ValueError, ZeroDivisionError):
                 pass
         return {k: parse_value(v) for k, v in value.items()}
@@ -293,9 +294,11 @@ def _entry(what: str, build):
 
 
 def _name(raw, env) -> str:
-    """A nonempty string."""
+    """A nonempty string with no lone surrogate, which UTF-8 cannot encode."""
     if not isinstance(raw, str) or not raw:
         raise _BadField("expected a name, got %s" % _shown(raw))
+    if not raw.isascii() and any("\ud800" <= c <= "\udfff" for c in raw):
+        raise _BadField("expected a name in UTF-8, got %s" % _shown(raw))
     return raw
 
 
@@ -479,7 +482,7 @@ def _c1_column(raw, env):
                 "map %s reads (%s), not the lattice (%s) of the bundle"
                 % (_shown(via.name), ", ".join(via.source_names), ", ".join(names))
             )
-        coords = via.apply(coords)
+        coords = via.matrix.apply(coords)
     if not all(x.is_constant() for x in coords):
         raise ValueError("the c1 of bundle %s depends on n" % _shown(raw["c1"]))
     return coords
@@ -592,14 +595,16 @@ def _make_env(doc) -> Env:
 
 
 def _env(doc) -> Env:
-    """The environment of ``doc``, shared with each document whose entry
-    sections, the only part it reads, are equal JSON data."""
+    """The environment of ``doc``, shared by documents with equal entry sections."""
     sections = {s: doc.get(s, []) for s in _SECTIONS}
     try:
         key = json.dumps(sections, sort_keys=True)
-    except (TypeError, ValueError):  # not JSON data
-        return _make_env(doc)
-    return _shared_env(key) if json.loads(key) == sections else _make_env(doc)
+    except ValueError:  # an integer over the interpreter's digit limit
+        raise ScenarioFileError(
+            "scenario %s: an integer has more than %d digits"
+            % (_shown(doc["name"]), sys.get_int_max_str_digits())
+        ) from None
+    return _shared_env(key)
 
 
 @lru_cache(maxsize=ENV_CACHE_SIZE)
@@ -1001,18 +1006,25 @@ def _validate_n(n):
 
 
 def _check_values(value, where: str, depth: int = 0):
-    """Reject floats and nesting deeper than MAX_NESTING anywhere in value."""
+    """Reject anything in value that is not JSON data with exact numbers: a
+    float, a value of another type, a key that is not a string, or nesting
+    deeper than MAX_NESTING."""
     if isinstance(value, float):
         raise ScenarioFileError(
             "%s: non-exact number %r (use strings of integers or p/q)" % (where, value)
         )
-    if isinstance(value, (dict, list, tuple)):
+    if isinstance(value, (dict, list)):
         if depth == MAX_NESTING:
             raise ScenarioFileError(
                 "%s: nested deeper than %d levels" % (where, MAX_NESTING)
             )
+        for key in value if isinstance(value, dict) else ():
+            if not isinstance(key, str):
+                raise ScenarioFileError("%s: key %s is not a string" % (where, _shown(key)))
         for v in value.values() if isinstance(value, dict) else value:
             _check_values(v, where, depth + 1)
+    elif value is not None and not isinstance(value, (int, str)):
+        raise ScenarioFileError("%s: %s is not JSON data" % (where, _shown(value)))
 
 
 _ENTRY_NAMES = _list_of(
@@ -1198,5 +1210,8 @@ def export_scenario(name: str) -> str:
 
 def load_scenario_file(path) -> dict:
     """Parse and validate a scenario document from a JSON file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return _parse_doc(fh.read(), str(path))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return _parse_doc(fh.read(), str(path))
+    except UnicodeDecodeError as exc:
+        raise ScenarioFileError("%s: parse error: not UTF-8: %s" % (path, exc.reason)) from None

@@ -358,21 +358,15 @@ def dual(f: FormalBundle) -> FormalBundle:
 
 
 def tensor_line(f: FormalBundle, line: DivClass) -> FormalBundle:
-    if line.space.pic_names() != f.space.pic_names():
-        raise LatticeError("twisting line on the wrong lattice")
     return FormalBundle(f.space, f.rank, f.c1 + line * f.rank)
 
 
 def extension(sub: FormalBundle, quot: FormalBundle) -> FormalBundle:
     """Middle term of an extension; rank and c1 are additive."""
-    if sub.space.pic_names() != quot.space.pic_names():
-        raise LatticeError("summands on different spaces")
     return FormalBundle(sub.space, sub.rank + quot.rank, sub.c1 + quot.c1)
 
 
 def quotient(total: FormalBundle, sub: FormalBundle) -> FormalBundle:
-    if total.space.pic_names() != sub.space.pic_names():
-        raise LatticeError("quotient on different spaces")
     return FormalBundle(total.space, total.rank - sub.rank, total.c1 - sub.c1)
 
 
@@ -405,13 +399,6 @@ class PullbackMap:
         self.target_names = target_names
         self.matrix = matrix
 
-    def apply(self, coords: Sequence) -> tuple[ParamPoly, ...]:
-        if len(coords) != len(self.source_names):
-            raise LatticeError(
-                "expected %d source coordinates" % len(self.source_names)
-            )
-        return self.matrix.apply(coords)
-
     def inverted(self) -> "PullbackMap":
         return PullbackMap(
             name="%s^-1" % self.name,
@@ -432,7 +419,7 @@ def transport_class(
     for step in via:
         if names is not None and names != step.source_names:
             raise LatticeError("chain bases do not line up")
-        current = step.apply(current)
+        current = step.matrix.apply(current)
         names = step.target_names
     if names is None:
         raise ValueError("empty transport chain")

@@ -542,6 +542,73 @@ PLUS_N = {"0": "1/2", "1": "1"}
             5,
             "map 'cotangent_split': field 'note': expected text, got 5",
         ),
+        # Refusals of the engine beneath the readers: lattices that differ,
+        # a vector of the wrong length, a step that breaks its own record.
+        (
+            "contraction-numerics",
+            "bundles",
+            "middle_quotient",
+            "sub",
+            "rank_three_taut",
+            "classes on different lattices: proj_base vs grass3",
+        ),
+        (
+            "contraction-numerics",
+            "bundles",
+            "conormal_model",
+            "quot",
+            "rank_three_taut",
+            "classes on different lattices: plane_product vs grass3",
+        ),
+        (
+            "normal-bundle-transport",
+            "expect",
+            "stage-one",
+            "start",
+            ["-1", "0", "0"],
+            "check 'stage-one': vector length 3, expected 4",
+        ),
+        (
+            "mori-chain-ez",
+            "expect",
+            "chain",
+            "chain.steps.0.contracted",
+            "nowhere",
+            "field 'chain.steps[0]': contracted curve 'nowhere' not among the generators",
+        ),
+        (
+            "mori-chain-ez",
+            "expect",
+            "chain",
+            "chain.steps.0.cdouble.images",
+            [["1"]],
+            "field 'chain.steps[0]': fiber_direction declares 1 images for 2 generators",
+        ),
+        (
+            "contraction-numerics",
+            "spaces",
+            "first_ruling",
+            "bundle",
+            "rank_three_taut",
+            "space 'first_ruling': bundle does not live on the base",
+        ),
+        (
+            "extremal-sigma-ray",
+            "curves",
+            "ehat_one",
+            "atomic.ambient_curve",
+            "gamma_exc",
+            "ambient curve lives on resolved_incidence, not on the blow-up's ambient"
+            " incidence_divisor",
+        ),
+        (
+            "jz-intersection-table",
+            "expect",
+            "center-codim",
+            "space",
+            "incidence_divisor",
+            "field 'space': 'incidence_divisor' is not a blow-up",
+        ),
         # A kind that a more general one absorbed is an unknown kind.
         *(
             (
@@ -609,6 +676,14 @@ PLUS_N = {"0": "1/2", "1": "1"}
         "extra-key-in-transport-step",
         "extra-key-in-chain-step",
         "number-as-note",
+        "quotient-across-lattices",
+        "extension-across-lattices",
+        "short-transport-start",
+        "contracted-not-a-generator",
+        "too-few-cdouble-images",
+        "proj-bundle-of-a-bundle-elsewhere",
+        "strict-transform-from-another-ambient",
+        "codim-of-a-divisor",
         "map-invertible",
         "map-inverse-equals",
         "restricted-canonical",
@@ -1118,6 +1193,87 @@ def test_a_file_too_deep_to_parse_is_a_named_error(tmp_path):
     code, _, err = run_cold(path)
     assert code == 2
     assert str(path) in err and "nested deeper than the parser" in err
+    assert "Traceback" not in err
+
+
+def test_a_file_that_is_not_utf8_is_a_named_error(capsys, tmp_path):
+    path = tmp_path / "latin.json"
+    path.write_bytes(b"\xff\xfe{}")
+    code, out, err = run(capsys, ["verify", "--scenario-file", str(path)])
+    assert code == 2 and out == ""
+    assert str(path) in err and "not UTF-8" in err
+    assert "Traceback" not in err
+
+
+LONE_SURROGATE = "\ud800x"
+
+
+@pytest.mark.parametrize(
+    "section, index, needle",
+    [
+        (None, None, "scenario '\\ud800x': field 'name'"),
+        ("expect", 0, "field 'expect[0].name'"),
+        ("spaces", 1, "field 'spaces[1].name'"),
+    ],
+    ids=["scenario-name", "check-name", "entry-name"],
+)
+def test_a_name_that_utf8_cannot_encode_is_a_named_error(
+    capsys, tmp_path, section, index, needle
+):
+    # The JSON escape \ud800 reads as a lone surrogate, which no text report
+    # can print; the name is refused before any report is written.
+    doc = scenario_doc("euler-convention")
+    (doc if section is None else doc[section][index])["name"] = LONE_SURROGATE
+    path = tmp_path / "surrogate.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, ["verify", "--scenario-file", str(path)])
+    assert code == 2 and out == ""
+    assert needle in err and "expected a name in UTF-8" in err
+    assert "Traceback" not in err
+
+
+def test_a_restriction_kernel_whose_pairings_depend_on_n_is_a_named_error(
+    capsys, tmp_path
+):
+    # The kernel of (a, b) -> (a) is spanned by b, which pairs with the curve
+    # to n: no kernel analysis over the integers stands for every n.
+    doc = {
+        "format": "towercalc-scenario/1",
+        "name": "kernel-in-n",
+        "spaces": [{"name": "base", "kind": "formal-base", "pic": ["a", "b"]}],
+        "maps": [
+            {
+                "name": "r",
+                "kind": "declared",
+                "source": ["a", "b"],
+                "target": ["t"],
+                "matrix": [["1", "0"]],
+            }
+        ],
+        "curves": [
+            {
+                "name": "c",
+                "space": "base",
+                "atomic": {"kind": "declared", "vector": ["0", {"1": "1"}]},
+            }
+        ],
+        "expect": [
+            {
+                "name": "kernel",
+                "check": "restriction-kernel",
+                "matrix": "r",
+                "curves": ["c"],
+                "value": {"kernel": [["0", "1"]], "perp": []},
+                "provenance": "derived",
+                "anchor": "the kernel of r",
+            }
+        ],
+    }
+    path = tmp_path / "kernel.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, ["verify", "--scenario-file", str(path)])
+    assert code == 2 and out == ""
+    assert "'kernel-in-n' check 'kernel': curve pairings must be constant" in err
     assert "Traceback" not in err
 
 

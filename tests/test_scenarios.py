@@ -5,9 +5,11 @@ import json
 import math
 import random
 import re
+import sys
 import time
 from fractions import Fraction
 from importlib import resources
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -783,18 +785,53 @@ def test_the_environment_cache_stays_within_its_bound():
 
 def test_a_document_that_is_not_json_data_builds_its_own_tower():
     # Sections equal as JSON text to a cached document's, but not as data,
-    # are read as they are: a tuple is not a list, an int key is not a
-    # string, and a Fraction has no JSON text at all.
+    # never reach the shared tower: a document must be JSON data, and a
+    # tuple, an int key and a Fraction are not.
     evaluate_doc(tiny_doc(), 3)
     evaluate_doc(tiny_doc(dim={"0": "2"}), 3)
     for doc, message in [
-        (tiny_doc(pic=("h",)), "expected a list, got ('h',)"),
-        (tiny_doc(dim={0: "2"}), "expected an exact number, got {0: '2'}"),
-        (tiny_doc(dim=Fraction(2)), "cannot parse value Fraction(2, 1)"),
+        (tiny_doc(pic=("h",)), "scenario 'tiny': ('h',) is not JSON data"),
+        (tiny_doc(dim={0: "2"}), "scenario 'tiny': key 0 is not a string"),
+        (tiny_doc(dim=Fraction(2)), "scenario 'tiny': Fraction(2, 1) is not JSON data"),
     ]:
         with pytest.raises(ScenarioFileError) as exc:
             evaluate_doc(doc, 3)
         assert message in str(exc.value)
+
+
+def test_equal_sections_share_a_tower_whatever_their_key_order(monkeypatch):
+    # Sections are equal as data whatever order their keys were written in,
+    # so a document whose objects list their keys backwards builds nothing.
+    def backwards(node):
+        if isinstance(node, dict):
+            return {k: backwards(node[k]) for k in reversed(list(node))}
+        return [backwards(v) for v in node] if isinstance(node, list) else node
+
+    clear_caches()
+    doc = scenario_doc("picard-matrices")
+    evaluate_doc(doc, SYMBOLIC)
+    calls, _, _ = counted_builds(monkeypatch)
+    report = evaluate_doc(backwards(doc), SYMBOLIC)
+    assert report.passed and calls
+    assert [w for w in calls if w.split()[0] in ("space", "bundle", "map", "curve")] == []
+
+
+@pytest.mark.parametrize(
+    "dim, message",
+    [
+        # Its section has no JSON text to share a tower by, even where no
+        # check reports the integer, as here the dimension of a space.
+        ("big", "scenario 'tiny': an integer has more than"),
+        # repr cannot print these either, so the error shows their type.
+        ("big-key", r"scenario 'tiny': key <int too long to print> is not a string"),
+        ("big-fraction", r"scenario 'tiny': <Fraction too long to print> is not JSON data"),
+    ],
+)
+def test_an_entry_integer_over_the_digit_limit_is_a_named_error(dim, message):
+    big = 10 ** sys.get_int_max_str_digits()
+    dim = {"big": big, "big-key": {big: "2"}, "big-fraction": Fraction(big)}[dim]
+    with pytest.raises(ScenarioFileError, match=message):
+        evaluate_doc(tiny_doc(dim=dim), 3)
 
 
 @pytest.mark.parametrize("name", ["jz-intersection-table", "mori-chain-ez", "picard-matrices"])
@@ -969,6 +1006,49 @@ def test_map_inverse_reads_false_for_a_wrong_expected_map():
     computed = {c.name: c.computed for c in evaluate_doc(doc, SYMBOLIC).checks}
     assert computed["xi-inverse-recomputed"] is False
     assert computed["psi-invertible"] is True
+
+
+#: The four curves of extremal-sigma-ray, paired with x1..x4 on the resolved
+#: incidence: the strict transforms of the two ruling lines, the section
+#: pushed from the boundary, and a line along the exceptional ruling w.
+SIGMA_RAY_CURVES = {
+    "ehat_one": (0, 1, 0, 1),
+    "ehat_two": (0, 0, 1, 1),
+    "sigma_push": (1, -1, -1, -1),
+    "gamma_exc": (0, 0, 0, -1),
+}
+
+
+def test_extremal_sigma_ray_values_follow_from_a_plain_shell_search():
+    # The first integral functional, shell by shell in lexicographic order,
+    # that vanishes on sigma_push and is at least 1 on each other curve,
+    # found with plain integer dot products, not with the engine's search.
+    def dot(f, v):
+        return sum(a * b for a, b in zip(f, v))
+
+    functional, height = next(
+        (f, h)
+        for h in range(9)
+        for f in product(range(-h, h + 1), repeat=4)
+        if max(map(abs, f)) == h
+        and dot(f, SIGMA_RAY_CURVES["sigma_push"]) == 0
+        and all(dot(f, v) >= 1 for name, v in SIGMA_RAY_CURVES.items() if name != "sigma_push")
+    )
+    values = [str(dot(functional, v)) for v in SIGMA_RAY_CURVES.values()]
+    assert (functional, height, values) == ((3, 2, 2, -1), 3, ["1", "1", "0", "1"])
+    for n in (SYMBOLIC, 3):
+        computed = {c.name: c.computed for c in run_scenario("extremal-sigma-ray", n).checks}
+        assert computed["certificate"] == {
+            "status": "certified",
+            "functional": [str(x) for x in functional],
+            "height": str(height),
+            "values": values,
+            "witness": None,
+        }
+        assert computed["functional-values"] == values
+    expect = {e["name"]: e for e in scenario_doc("extremal-sigma-ray")["expect"]}
+    assert expect["certificate"]["curves"] == list(SIGMA_RAY_CURVES)
+    assert expect["functional-values"]["functional"] == [str(x) for x in functional]
 
 
 def _fractions(rows):

@@ -1,10 +1,8 @@
 """Tests for the bundle-tower and divisor-class engine."""
 
-from fractions import Fraction
-
 import pytest
 
-from towercalc.exactnum import ExactMatrix, N, ParamPoly, aspoly
+from towercalc.exactnum import ExactMatrix, N, aspoly
 from towercalc.towers import (
     BlowUp,
     DivisorIn,
