@@ -17,6 +17,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Sequence
 
+from . import exactnum
 from .exactnum import (
     ExactMatrix,
     NoSolutionError,
@@ -217,30 +218,50 @@ class Cone:
         self.names = names
 
 
-def _face_candidates(dim: int, h: int, face_rows: Sequence[tuple[int, ...]]):
-    """The vectors of sup-height exactly h that every face row pairs to zero,
-    lexicographically.  Only the first dim - 1 coordinates are walked: a face
-    row with a nonzero last coefficient is solved for the last coordinate and
-    the other rows are checked on that one vector; with no such row, a prefix
-    zeroing every row takes each last coordinate on the shell."""
-    if dim == 0:
-        yield from [()] if h == 0 else []
-        return
+def _interval(h: int, bounds) -> range:
+    """The integers x in [-h, h] with p + q * x >= b for every (p, q, b)."""
+    lo, hi = -h, h
+    for p, q, b in bounds:
+        if q > 0:
+            lo = max(lo, -((p - b) // q))
+        elif q < 0:
+            hi = min(hi, (p - b) // -q)
+        elif p < b:
+            lo = h + 1
+        if lo > hi:
+            break
+    return range(lo, hi + 1)
+
+
+def _face_candidates(dim: int, h: int, face_rows: Sequence[tuple[int, ...]], positive):
+    """The vectors v of sup-height exactly h that every face row pairs to
+    zero and every positive form r to v . r >= 1, lexicographically.  A face
+    row with a nonzero last coefficient, the pivot, signed so that it is c > 0,
+    solves for the last coordinate, and each form and the box |last| <= h
+    become bounds on the one before, rewritten as c * r - r[-1] * pivot.  So
+    dim - 2 coordinates are walked, and the next runs through the integer
+    interval of its bounds where c divides; with no pivot, dim - 1 coordinates
+    that zero every face row are walked, and the forms bound the last."""
     pivot = next((row for row in face_rows if row[-1]), None)
-    rest = [row for row in face_rows if row is not pivot]
-    span = range(-h, h + 1)
-    for prefix in product(span, repeat=dim - 1):  # _dot(prefix, row) drops row[-1]
-        edge = h == 0 or h in prefix or -h in prefix
-        if pivot is None:
-            if not any(_dot(prefix, row) for row in face_rows):
-                yield from (prefix + (last,) for last in (span if edge else (-h, h)))
+    forms = [(r, 1) for r in positive]
+    if pivot is not None:
+        pivot = pivot if pivot[-1] > 0 else tuple(-x for x in pivot)
+        c = pivot[-1]
+        forms += [((0,) * (dim - 1) + (sign,), -h) for sign in (1, -1)]
+        forms = [(tuple(c * x - r[-1] * p for x, p in zip(r, pivot)), c * b) for r, b in forms]
+    walked = dim - 1 - (pivot is not None)
+    if walked < 0:
+        yield from [(0,) * dim] if h == 0 and not positive else []
+        return
+    for prefix in product(range(-h, h + 1), repeat=walked):
+        if pivot is None and any(_dot(prefix, row) for row in face_rows):
             continue
-        last, remainder = divmod(-_dot(prefix, pivot), pivot[-1])
-        if remainder or abs(last) > h or not (edge or abs(last) == h):
-            continue
-        vec = prefix + (last,)
-        if not any(_dot(vec, row) for row in rest):
-            yield vec
+        for x in _interval(h, ((_dot(prefix, w), w[walked], b) for w, b in forms)):
+            vec = prefix + (x,)
+            if pivot is not None:  # the pivot's check below keeps the x that c divides
+                vec += (-_dot(vec, pivot) // c,)
+            if max(map(abs, vec)) == h and not any(_dot(vec, row) for row in face_rows):
+                yield vec
 
 
 def _coefficient_rows(gen: Sequence[ParamPoly]) -> tuple[int, list[tuple[int, ...]]]:
@@ -279,10 +300,13 @@ def extremal_certificate(
     Each generator is turned once into integer coefficient rows, one per
     exponent of n up to its degree, scaled by the lcm of its denominators
     (`_coefficient_rows`).  A candidate vanishes on the face exactly when its
-    dot product with every nonzero face row is zero; `_face_candidates` yields
-    those from (2 * h + 1) ** (dim - 1) prefixes per shell.  Its products with
+    dot product with every nonzero face row is zero.  Its products with
     another generator's rows are the coefficients of a positive multiple of
-    its pairing with it, signed by `_int_signs_from`; only the hit gets ParamPolys.
+    its pairing with it, signed by `_int_signs_from`; only the hit gets
+    ParamPolys.  That multiple is at least 1 at n = N_MIN (read at each call)
+    for a hit, so `_face_candidates` yields only the candidates that meet this
+    for every other generator: it walks (2 * h + 1) ** (dim - 2) prefixes per
+    shell and takes the last two coordinates from integer intervals.
 
     The search size (2 * height_bound + 1) ** dim is budgeted: a negative
     height_bound, or a size above MAX_SEARCH_SIZE, raises ValueError before
@@ -301,8 +325,10 @@ def extremal_certificate(
     rows = [_coefficient_rows(g) for g in cone.generators]
     face_rows = [row for i in face_idx for row in rows[i][1] if any(row)]
     pairings = [rows[j][1] for j in others]
+    powers = [exactnum.N_MIN**e for e in range(max(map(len, pairings), default=0))]
+    positive = [tuple(_dot(col, powers) for col in zip(*dense)) for dense in pairings]
     for h in range(height_bound + 1):
-        for cand in _face_candidates(cone.dim, h, face_rows):
+        for cand in _face_candidates(cone.dim, h, face_rows, positive):
             if all(
                 _int_signs_from([_dot(cand, row) for row in dense]) == {1}
                 for dense in pairings

@@ -151,8 +151,6 @@ class FormalBundle:
 
     def __init__(self, space: Space, rank: ParamPoly, c1: DivClass):
         rank = aspoly(rank)
-        if c1.space.pic_names() != space.pic_names():
-            raise LatticeError("c1 lives on the wrong lattice")
         if not nonnegative_on_integers_from(rank - 1):
             raise ValueError(
                 "rank %s is below 1 for some n >= %d" % (rank, exactnum.N_MIN)
@@ -317,8 +315,6 @@ class DivisorIn(Space):
     along it (same generator names).  Canonical class by adjunction."""
 
     def __init__(self, name: str, ambient: Space, klass: DivClass):
-        if klass.space.pic_names() != ambient.pic_names():
-            raise LatticeError("divisor class lives on the wrong lattice")
         self.name = name
         self.ambient = ambient
         self.klass = klass
@@ -329,8 +325,7 @@ class DivisorIn(Space):
         return (self.ambient,)
 
     def canonical_coords(self):
-        below = self.ambient.canonical_coords()
-        return tuple(b + d for b, d in zip(below, self.klass.coords))
+        return (canonical_class(self.ambient) + self.klass).coords
 
 
 def relative_tangent(pb: ProjBundle) -> FormalBundle:

@@ -5,7 +5,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from towercalc.exactnum import (
     ExactMatrix,
@@ -29,7 +29,7 @@ from towercalc.towers import (
     lift_class,
     quotient,
 )
-from towercalc import curves
+from towercalc import curves, exactnum
 from towercalc.curves import (
     ChainSpec,
     ChainStep,
@@ -421,7 +421,7 @@ class TestExtremalCertificate:
         )
         assert 33**4 > curves.MAX_SEARCH_SIZE >= 31**4
 
-        def unreachable(dim, h, face_rows):
+        def unreachable(dim, h, face_rows, positive):
             raise AssertionError("the search started")
 
         monkeypatch.setattr(curves, "_face_candidates", unreachable)
@@ -553,13 +553,13 @@ class TestIntegerFaceRows:
         assert cert == reference_certificate(cone, face, height_bound)
         assert cert["status"] == status
 
-    @pytest.mark.parametrize("seed", range(30))
+    @pytest.mark.parametrize("seed", range(100))
     def test_seeded_cone_matches_the_reference(self, seed):
         cone, face, height_bound = seeded_cone(seed)
         cert = extremal_certificate(cone, face, height_bound=height_bound)
         assert cert == reference_certificate(cone, face, height_bound)
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(
         st.integers(1, 4).flatmap(
             lambda dim: st.tuples(
@@ -573,20 +573,70 @@ class TestIntegerFaceRows:
                     min_size=1,
                     max_size=3,
                 ),
+                st.lists(
+                    st.lists(st.integers(-4, 4), min_size=dim, max_size=dim).map(tuple),
+                    max_size=3,
+                ),
             )
         )
     )
+    # A pivot whose second-to-last coefficient is 0, or negative, with a last
+    # coefficient of size above 1 or negative; no pivot; dims 1 and 2.
+    @example((3, 2, [([1, 0, 2], False)], [(1, 1, 0), (0, -1, 3)]))
+    @example((3, 3, [([2, -3, -3], False), ([0, 1, 1], True)], [(1, 1, 1)]))
+    @example((4, 2, [([1, -1, 2, 0], False)], [(0, 0, 1, -1), (1, 0, 0, 2)]))
+    @example((1, 0, [([3], False)], []))
+    @example((1, 2, [([0], False)], [(-2,)]))
+    @example((2, 3, [([2, 4], False)], [(-1, 2), (3, 0)]))
+    @example((2, 3, [([1, -2], True)], [(1, 1)]))
     def test_face_candidates_are_the_filtered_shell(self, case):
-        dim, h, drawn = case
+        dim, h, drawn, positive = case
         # A row drawn with the flag set gets last coefficient 0.
         face_rows = [tuple(row[:-1]) + (0 if flat else row[-1],) for row, flat in drawn]
+
+        def dot(v, row):
+            return sum(a * b for a, b in zip(v, row))
+
         shell = [
             v
             for v in product(range(-h, h + 1), repeat=dim)
             if max(map(abs, v)) == h
-            and all(sum(a * b for a, b in zip(v, row)) == 0 for row in face_rows)
+            and all(dot(v, row) == 0 for row in face_rows)
+            and all(dot(v, r) >= 1 for r in positive)
         ]
-        assert list(curves._face_candidates(dim, h, face_rows)) == shell
+        assert list(curves._face_candidates(dim, h, face_rows, positive)) == shell
+
+    def test_pruning_keeps_a_candidate_that_only_the_exact_test_rejects(
+        self, monkeypatch
+    ):
+        # g1 pairs (1, -1, 0) to 7 - 2n and (1, 0, 0) to 4 - n: both are 1 at
+        # n = 3, so the forms at N_MIN keep them, and both turn negative
+        # later, so the sign test rejects them.  (1, 1, 0) pairs g1 to 1.
+        cone = named_cone(((0, 0, 1), (4 - N, N - 3, 0), (1, 0, 0)))
+        walked, search = [], curves._face_candidates
+
+        def recorded(*args):
+            for cand in search(*args):
+                walked.append(cand)
+                yield cand
+
+        monkeypatch.setattr(curves, "_face_candidates", recorded)
+        cert = extremal_certificate(cone, ("g0",), height_bound=1)
+        assert walked == [(1, -1, 0), (1, 0, 0), (1, 1, 0)]
+        assert cert == reference_certificate(cone, ("g0",), 1)
+        assert cert["functional"] == (1, 1, 0)
+
+    def test_the_forms_read_n_min_at_each_call(self, monkeypatch):
+        # (1, 0) pairs g1 to n - 3: 0 at n = 3, so it is certified only when
+        # the integers start at 4.
+        cone = named_cone(((0, 1), (N - 3, 0)))
+        cert = extremal_certificate(cone, ("g0",), height_bound=1)
+        assert cert == reference_certificate(cone, ("g0",), 1)
+        assert cert["status"] == "inconclusive"
+        monkeypatch.setattr(exactnum, "N_MIN", 4)
+        cert = extremal_certificate(cone, ("g0",), height_bound=1)
+        assert cert == reference_certificate(cone, ("g0",), 1)
+        assert (cert["functional"], cert["values"]) == ((1, 0), (aspoly(0), N - 3))
 
     def test_coefficient_rows_are_scaled_to_integers(self):
         gen = tuple(aspoly(x) for x in (N * HALF - 1, FIVE_THIRDS, 0))

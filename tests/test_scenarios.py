@@ -368,6 +368,47 @@ def test_the_domain_start_is_one_constant(monkeypatch, capsys):
     assert run_scenario("picard-matrices", 4).passed
 
 
+# The scenarios that build resolved_incidence, the blow-up of x4 along a
+# center of codimension 2n - 4: the one place where the engine needs n >= 3.
+BUILDS_RESOLVED_INCIDENCE = {
+    "contraction-numerics",
+    "extremal-sigma-ray",
+    "ez-kernel-x2-x3",
+    "jz-canonical-class",
+    "jz-intersection-table",
+    "pushforward-iz1z2",
+}
+
+
+@pytest.mark.parametrize(
+    "n_min, refusal",
+    [
+        (2, "space 'resolved_incidence': codimension 2n - 4 is below 1 for some n >= 2"),
+        (1, "bundle 'middle_quotient': rank 2n - 2 is below 1 for some n >= 1"),
+    ],
+    ids=("2", "1"),
+)
+def test_only_the_resolved_incidence_needs_n_at_least_3(monkeypatch, n_min, refusal):
+    # Below 3, the six scenarios that build resolved_incidence are refused,
+    # and every check of the other eight still passes, at symbolic (where
+    # the policy allows it) and at the lowered start.
+    assert set(ALL_NAMES) > BUILDS_RESOLVED_INCIDENCE
+    scenarios._shared_env.cache_clear()
+    monkeypatch.setattr(exactnum, "N_MIN", n_min)
+    try:
+        for name in ALL_NAMES:
+            numeric = scenario_doc(name)["n_policy"] == POLICY_NUMERIC
+            for n in (n_min,) if numeric else (SYMBOLIC, n_min):
+                if name in BUILDS_RESOLVED_INCIDENCE:
+                    with pytest.raises(ScenarioFileError, match=re.escape(refusal)):
+                        run_scenario(name, n)
+                else:
+                    report = run_scenario(name, n)
+                    assert report.passed, (name, n)
+    finally:
+        scenarios._shared_env.cache_clear()
+
+
 def test_unknown_scenario_names_the_known_ones():
     for name in ("no-such-scenario", "../pyproject", "jz-intersection-table.json"):
         with pytest.raises(UnknownScenarioError) as err:
@@ -783,10 +824,10 @@ def test_the_environment_cache_stays_within_its_bound():
     assert info.currsize == ENV_CACHE_SIZE
 
 
-def test_a_document_that_is_not_json_data_builds_its_own_tower():
+def test_a_document_that_is_not_json_data_is_refused():
     # Sections equal as JSON text to a cached document's, but not as data,
-    # never reach the shared tower: a document must be JSON data, and a
-    # tuple, an int key and a Fraction are not.
+    # are refused before any tower is built or shared: a document must be
+    # JSON data, and a tuple, an int key and a Fraction are not.
     evaluate_doc(tiny_doc(), 3)
     evaluate_doc(tiny_doc(dim={"0": "2"}), 3)
     for doc, message in [

@@ -155,6 +155,20 @@ class TestCanonicalClasses:
             2 * N - 4,
         )
 
+    def test_a_class_on_another_lattice_is_refused_where_it_is_used(self):
+        # Neither constructor compares lattices: the class arithmetic that
+        # first combines the stray class with one of its space refuses it.
+        base = FormalBase("B", ("h",), canonical=(-3,), dim=2)
+        other = FormalBase("O", ("g",), canonical=(0,), dim=2)
+        divisor = DivisorIn("D", base, other.div((1,)))
+        with pytest.raises(LatticeError, match="classes on different lattices: B vs O"):
+            canonical_class(divisor)
+        bundle = FormalBundle(base, 2, other.gen("g"))
+        with pytest.raises(LatticeError, match="generator 'g' of O not present on P"):
+            canonical_class(ProjBundle("P", base, bundle, "t"))
+        with pytest.raises(LatticeError, match="classes on different lattices: O vs B"):
+            tensor_line(bundle, base.gen("h"))
+
     def test_missing_canonical_raises(self):
         base = FormalBase("nocanon", ("x",))
         with pytest.raises(MissingCanonicalError):
