@@ -53,7 +53,7 @@ def _as_rat(x) -> Fraction:
     """x, an int, a Fraction or a string read by `_const_value`, as a
     Fraction."""
     if isinstance(x, ParamPoly):
-        raise TypeError("expected an exact rational, got %r" % (x,))
+        raise TypeError("expected an exact rational, got the polynomial %s" % x)
     return Fraction(_const_value(x))
 
 
@@ -174,12 +174,6 @@ class ParamPoly:
         if not isinstance(other, ParamPoly):
             return NotImplemented
         return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.coeffs.items())))
-
-    def __repr__(self):
-        return "ParamPoly(%r)" % (self.coeffs,)
 
     def __str__(self):
         if not self.coeffs:
@@ -302,9 +296,6 @@ class ExactMatrix:
 
     def __hash__(self):
         return hash((self.cols, self._const))
-
-    def __repr__(self):
-        return "ExactMatrix(%s)" % ([[str(x) for x in row] for row in self._const],)
 
     def __mul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if not isinstance(other, ExactMatrix):

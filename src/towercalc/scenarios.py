@@ -172,7 +172,8 @@ def _shown(raw) -> str:
 
 
 def parse_value(value):
-    """Inverse of :func:`serialize_value` on the symbolic form."""
+    """Inverse of :func:`serialize_value` on the symbolic form, for JSON data
+    that `validate_doc` has accepted."""
     if value is None or isinstance(value, bool):
         return value
     if isinstance(value, (int, str)):
@@ -192,9 +193,7 @@ def parse_value(value):
             except (ValueError, ZeroDivisionError):
                 pass
         return {k: parse_value(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [parse_value(v) for v in value]
-    raise ScenarioFileError("cannot parse value %s" % _shown(value))
+    return [parse_value(v) for v in value]
 
 
 def canonical_json(data) -> str:

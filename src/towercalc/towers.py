@@ -36,7 +36,8 @@ class MissingCanonicalError(ValueError):
 
 class Space:
     """Common behaviour of every node in a tower.  Each constructor sets the
-    generator names ``_pic`` and the dimension ``_dim`` once."""
+    generator names ``_pic`` and the dimension ``_dim`` once, and each kind
+    of space defines ``canonical_coords``."""
 
     name: str
     _pic: tuple[str, ...]
@@ -47,9 +48,6 @@ class Space:
 
     def dim(self) -> ParamPoly:
         return self._dim
-
-    def canonical_coords(self) -> tuple[ParamPoly, ...]:
-        raise NotImplementedError
 
     def parents(self) -> tuple["Space", ...]:
         return ()
@@ -84,9 +82,6 @@ class Space:
                 % (self.pic_rank, self.name, len(coords))
             )
         return DivClass(self, coords)
-
-    def __repr__(self):
-        return "<%s %s>" % (type(self).__name__, self.name)
 
 
 class LatticeVector:
@@ -136,9 +131,6 @@ class LatticeVector:
             self.space.pic_names() == other.space.pic_names()
             and self.coords == other.coords
         )
-
-    def __hash__(self):
-        return hash((self.space.pic_names(), self.coords))
 
 
 class DivClass(LatticeVector):

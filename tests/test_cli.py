@@ -627,6 +627,47 @@ PLUS_N = {"0": "1/2", "1": "1"}
                 ("contraction-numerics", "ruling-fiber-dim", "fiber-dim"),
             )
         ),
+        # Each reader and engine refusal that no other row reaches.
+        (
+            "normal-bundle-transport",
+            "expect",
+            "stage-one",
+            "via.0.inverted",
+            "yes",
+            "field 'via[0].inverted': expected true or false, got 'yes'",
+        ),
+        (
+            "contraction-numerics",
+            "expect",
+            "higher-cohomology",
+            "cases",
+            [["1/2", "0", "0"]],
+            "field 'cases[0][0]': expected an integer, got '1/2'",
+        ),
+        (
+            "euler-convention",
+            "bundles",
+            "rank_three_taut",
+            "rank",
+            "1/0",
+            "field 'rank': zero denominator in '1/0'",
+        ),
+        (
+            "contraction-numerics",
+            "expect",
+            "graded-ranks-square",
+            "ks",
+            ["-1"],
+            "check 'graded-ranks-square': bad symmetric power arguments",
+        ),
+        (
+            "contraction-numerics",
+            "expect",
+            "higher-cohomology",
+            "cases",
+            [["11", "0", "0"]],
+            "check 'higher-cohomology': twist outside supported range",
+        ),
     ],
     ids=[
         "zero-denominator",
@@ -688,6 +729,11 @@ PLUS_N = {"0": "1/2", "1": "1"}
         "map-inverse-equals",
         "restricted-canonical",
         "fiber-dim",
+        "string-as-flag",
+        "fraction-as-integer",
+        "zero-denominator-in-a-number",
+        "negative-symmetric-power",
+        "twist-over-the-bound",
     ],
 )
 def test_bad_document_is_a_named_error(
@@ -1384,6 +1430,15 @@ def test_cone_without_cone_checks_is_a_usage_error(capsys):
     code, _, err = run(capsys, ["cone", "--scenario", "euler-convention"])
     assert code == 2
     assert "no cone checks" in err
+
+
+@pytest.mark.parametrize(
+    "command, scenario", [("table", "jz-intersection-table"), ("cone", "extremal-sigma-ray")]
+)
+def test_table_and_cone_take_a_single_n(capsys, command, scenario):
+    code, out, err = run(capsys, [command, "--scenario", scenario, "--n", "range:3..4"])
+    assert code == 2 and out == ""
+    assert err == "error: %s prints a single parameter value at a time\n" % command
 
 
 # ---------------------------------------------------------------------------

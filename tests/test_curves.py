@@ -857,3 +857,17 @@ _MODULE_TABLE = ExactMatrix(
         [_MODULE_JHAT.gen(g) for g in _MODULE_JHAT.pic_names()],
     )
 )
+
+
+def test_the_library_refuses_misaligned_curve_data():
+    base = FormalBase("P3", ("h",), canonical=(-4,), dim=3)
+    up = BlowUp("up", base, 3, "e", exc_directions=("f",), exc_degrees=(-1,))
+    twice = BlowUp("twice", up, 2, "e2", exc_directions=("f",), exc_degrees=(-1,))
+    with pytest.raises(CurveSpaceError, match="^ruling 'f' is declared by more than one blow-up$"):
+        line_in_exceptional_fiber("f", twice)
+    with pytest.raises(ValueError, match="^generator length does not match the lattice$"):
+        Cone(dim=2, generators=((1, 0, 0),))
+    with pytest.raises(ValueError, match="^names do not match the generators$"):
+        Cone(dim=2, generators=((1, 0),), names=("a", "b"))
+    with pytest.raises(ValueError, match="^generator names and vectors must align$"):
+        ChainStep("step", ("a",), ((1,), (0, 1)), "a", None, None)

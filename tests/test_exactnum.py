@@ -523,3 +523,33 @@ def test_integral_arithmetic_builds_no_fraction(monkeypatch) -> None:
     assert results[3].coeffs == {0: 5, 1: -16, 2: 13, 3: -2}
     Fraction(1, 2)  # the guard does see a Fraction being made
     assert built == [(1, 2)]
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: ParamPoly({0: 1.5}), TypeError, "expected an exact rational, got 1.5"),
+        (lambda: ParamPoly({-1: 1}), ValueError, "negative exponent -1"),
+        (lambda: (N - 3).constant_value(), ValueError, "polynomial n - 3 is not constant"),
+        (
+            lambda: solve_linear(ExactMatrix([[1]]), [N]),
+            TypeError,
+            "expected an exact rational, got the polynomial n",
+        ),
+        (
+            lambda: ExactMatrix([[1, 2]]) * ExactMatrix([[1, 2]]),
+            ValueError,
+            "shape mismatch 1x2 \\* 1x2",
+        ),
+        (lambda: inverse(ExactMatrix([[1, 2]])), ValueError, "not square"),
+    ],
+    ids=["float", "negative-exponent", "not-constant", "polynomial-rhs", "shapes", "not-square"],
+)
+def test_the_library_refuses_what_it_cannot_compute(call, error, message) -> None:
+    with pytest.raises(error, match="^%s$" % message):
+        call()
+
+
+def test_only_a_square_matrix_is_the_identity() -> None:
+    assert ExactMatrix([[1, 0]]).is_identity() is False
+    assert ExactMatrix([[1, 0], [0, 1]]).is_identity() is True

@@ -393,3 +393,8 @@ class TestFixedLocus:
         assert "  [FAIL] plane-fixed (reference)" in out
         assert err == ""
 
+
+@pytest.mark.parametrize("e12, e21", [((1,), (1, 2)), ((), ())])
+def test_an_ext_pair_needs_two_vectors_of_one_nonzero_length(e12, e21) -> None:
+    with pytest.raises(ValueError, match="^e12 and e21 must be nonempty of equal length$"):
+        ExtPair(e12, e21)

@@ -284,3 +284,16 @@ class TestPullbackMaps:
     def test_transport_empty_chain(self):
         with pytest.raises(ValueError):
             transport_class((1,), via=[])
+
+
+def test_the_library_refuses_a_malformed_base_bundle_or_chain():
+    with pytest.raises(LatticeError, match="^duplicate generator names$"):
+        FormalBase("bad", ("x", "x"))
+    with pytest.raises(LatticeError, match="^canonical has wrong length$"):
+        FormalBase("bad", ("x",), canonical=(1, 2))
+    with pytest.raises(TypeError, match="^relative tangent needs a projective bundle$"):
+        relative_tangent(FormalBase("pt"))
+    f = PullbackMap("f", ("a",), ("b",), ExactMatrix([[1]]))
+    g = PullbackMap("g", ("c",), ("d",), ExactMatrix([[1]]))
+    with pytest.raises(LatticeError, match="^chain bases do not line up$"):
+        transport_class((1,), via=[f, g])
