@@ -28,12 +28,13 @@ from .scenarios import (
     POLICY_NUMERIC,
     SYMBOLIC,
     ScenarioError,
-    _evaluate_valid,
     _shown,
     canonical_json,
+    evaluate_doc_at,
     export_scenario,
     list_scenarios,
     load_scenario_file,
+    run_scenario_at,
     scenario_doc,
 )
 
@@ -118,10 +119,9 @@ def _vector(coords) -> str:
 def _cmd_verify(args) -> int:
     ns = _parse_n_spec(args.n)
     if args.scenario_file:
-        doc = load_scenario_file(args.scenario_file)
+        reports = evaluate_doc_at(load_scenario_file(args.scenario_file), ns)
     else:
-        doc = scenario_doc(args.scenario)
-    reports = _evaluate_valid(doc, ns)
+        reports = run_scenario_at(args.scenario, ns)
     if args.format == "json":
         if len(reports) == 1:
             text = reports[0].to_json_text()
@@ -160,8 +160,7 @@ def _single_report(args):
     ns = _parse_n_spec(args.n)
     if len(ns) != 1:
         raise UsageError("%s prints a single parameter value at a time" % args.command)
-    doc = scenario_doc(args.scenario)
-    return doc, _evaluate_valid(doc, ns)[0]
+    return scenario_doc(args.scenario), run_scenario_at(args.scenario, ns)[0]
 
 
 def _cmd_table(args) -> int:

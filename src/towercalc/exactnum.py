@@ -294,9 +294,6 @@ class ExactMatrix:
             return NotImplemented
         return self.cols == other.cols and self._const == other._const
 
-    def __hash__(self):
-        return hash((self.cols, self._const))
-
     def __mul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if not isinstance(other, ExactMatrix):
             return NotImplemented

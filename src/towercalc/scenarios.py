@@ -9,9 +9,9 @@ share one tower: ``towercalc/tower.json`` declares each space, bundle, map
 and curve once, and ``towercalc/data/<name>.json`` holds a scenario's
 metadata and expected values, with a ``uses`` list naming the tower entries
 it reads.  `scenario_doc` joins the two into one self-contained document.
-The built objects depend on the entry sections alone, not on n, so a process
-builds them once per distinct set of sections and keeps the last
-``ENV_CACHE_SIZE`` sets (`_env`).
+Nothing a document builds depends on n, so a process compiles each distinct
+document once (parses and validates it, builds its entries, binds its checks)
+and keeps the last ``ENV_CACHE_SIZE`` (`_compiled`); equal documents share one.
 
 Expected values carry a provenance tag:
 
@@ -104,7 +104,7 @@ MAX_NESTING = 32
 #: Most entries in one section of a document (the packaged ones list at
 #: most 13), which also bounds the depth of a tower.
 MAX_SECTION_ENTRIES = 128
-#: Most built environments one process keeps; the packaged scenarios use 7.
+#: Most compiled documents one process keeps; there are 14 packaged ones.
 ENV_CACHE_SIZE = 32
 
 
@@ -593,24 +593,6 @@ def _make_env(doc) -> Env:
     return env
 
 
-def _env(doc) -> Env:
-    """The environment of ``doc``, shared by documents with equal entry sections."""
-    sections = {s: doc.get(s, []) for s in _SECTIONS}
-    try:
-        key = json.dumps(sections, sort_keys=True)
-    except ValueError:  # an integer over the interpreter's digit limit
-        raise ScenarioFileError(
-            "scenario %s: an integer has more than %d digits"
-            % (_shown(doc["name"]), sys.get_int_max_str_digits())
-        ) from None
-    return _shared_env(key)
-
-
-@lru_cache(maxsize=ENV_CACHE_SIZE)
-def _shared_env(key: str) -> Env:
-    return _make_env(json.loads(key))
-
-
 # ---------------------------------------------------------------------------
 # check kinds
 #
@@ -993,21 +975,22 @@ class VerificationReport:
 # document validation and evaluation
 
 
-def _validate_n(n):
-    if n == SYMBOLIC:
-        return
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise BadParameterError(
-            "n must be an integer >= %d or %r" % (exactnum.N_MIN, SYMBOLIC)
-        )
-    if n < exactnum.N_MIN:
-        raise BadParameterError("n must be >= %d (got %d)" % (exactnum.N_MIN, n))
+def _validate_ns(ns):
+    for n in ns:
+        if n == SYMBOLIC:
+            continue
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise BadParameterError(
+                "n must be an integer >= %d or %r" % (exactnum.N_MIN, SYMBOLIC)
+            )
+        if n < exactnum.N_MIN:
+            raise BadParameterError("n must be >= %d (got %d)" % (exactnum.N_MIN, n))
 
 
 def _check_values(value, where: str, depth: int = 0):
     """Reject anything in value that is not JSON data with exact numbers: a
-    float, a value of another type, a key that is not a string, or nesting
-    deeper than MAX_NESTING."""
+    float, a value of another type, a key that is not a string, an integer
+    too long to print, or nesting deeper than MAX_NESTING."""
     if isinstance(value, float):
         raise ScenarioFileError(
             "%s: non-exact number %r (use strings of integers or p/q)" % (where, value)
@@ -1024,6 +1007,12 @@ def _check_values(value, where: str, depth: int = 0):
             _check_values(v, where, depth + 1)
     elif value is not None and not isinstance(value, (int, str)):
         raise ScenarioFileError("%s: %s is not JSON data" % (where, _shown(value)))
+    elif isinstance(value, int):
+        try:
+            str(value)
+        except ValueError:  # over the interpreter's digit limit
+            message = "%s: an integer has more than %d digits"
+            raise ScenarioFileError(message % (where, sys.get_int_max_str_digits())) from None
 
 
 _ENTRY_NAMES = _list_of(
@@ -1072,47 +1061,66 @@ def validate_doc(doc) -> None:
         )
 
 
+class _Compiled:
+    """A document parsed from its JSON text and accepted by `validate_doc`.
+    Its environment is built and its checks are bound on the first request
+    that passes the policy; `_compiled` shares one per document text."""
+
+    def __init__(self, text: str):
+        self.doc = json.loads(text)
+        validate_doc(self.doc)
+        self.checks = None
+
+    def reports(self, ns) -> list:
+        """One report per valid n of ``ns``.  No check depends on n, so each
+        check runs once; only serializing and comparing happen per n."""
+        doc = self.doc
+        if doc.get("n_policy", POLICY_ANY) == POLICY_NUMERIC and SYMBOLIC in ns:
+            raise PolicyError(
+                "scenario %s computes finite ranks; run it at a numeric n >= %d"
+                % (_shown(doc["name"]), exactnum.N_MIN)
+            )
+        if self.checks is None:
+            env = _make_env(doc)
+            # Every check reads its fields before the first one runs, so that
+            # a bad field fails the document before any expensive check starts.
+            checks = []
+            for entry in doc.get("expect", []):
+                what = "scenario %s check %s" % (_shown(doc["name"]), _shown(entry["name"]))
+                read = lambda: _row(entry, "check", _CHECK_KIND, env, ("name", *_EXPECT))
+                checks.append((entry, what, _entry(what, read)))
+            self.checks = checks
+        results = [[] for _ in ns]
+        for entry, what, check in self.checks:
+            try:
+                value = check()
+                computed = [serialize_value(value, n) for n in ns]
+                wanted = parse_value(entry["value"])
+                expected = [serialize_value(wanted, n) for n in ns]
+            except (ValueError, ScenarioFileError) as exc:
+                raise ScenarioFileError("%s: %s" % (what, _cut(str(exc)))) from exc
+            for out, got, want in zip(results, computed, expected):
+                status = "PASS" if got == want else "FAIL"
+                out.append(CheckResult(entry["name"], status, want, got, entry["provenance"]))
+        return [
+            VerificationReport(doc["name"], n, tuple(sorted(out, key=lambda c: c.name)))
+            for n, out in zip(ns, results)
+        ]
+
+
+_compiled = lru_cache(maxsize=ENV_CACHE_SIZE)(_Compiled)
+
+
 def evaluate_doc(doc, n) -> VerificationReport:
-    _validate_n(n)
+    """Evaluate the scenario document ``doc`` at ``n``."""
+    return evaluate_doc_at(doc, [n])[0]
+
+
+def evaluate_doc_at(doc, ns) -> list:
+    """`evaluate_doc` at each n of ``ns``, one report per n."""
+    _validate_ns(ns)
     validate_doc(doc)
-    return _evaluate_valid(doc, [n])[0]
-
-
-def _evaluate_valid(doc, ns) -> list:
-    """`evaluate_doc` at each valid ``n`` of ``ns``, one report per n, on a
-    document that `validate_doc` has accepted, as every document from
-    `scenario_doc` or `load_scenario_file` has been.  No check depends on n,
-    so the environment is built and each check run once; only serializing
-    and comparing happen per n."""
-    if doc.get("n_policy", POLICY_ANY) == POLICY_NUMERIC and SYMBOLIC in ns:
-        raise PolicyError(
-            "scenario %s computes finite ranks; run it at a numeric n >= %d"
-            % (_shown(doc["name"]), exactnum.N_MIN)
-        )
-    env = _env(doc)
-    # Every check reads its fields before the first one runs, so that a bad
-    # field fails the document before any expensive check starts.
-    checks = []
-    for entry in doc.get("expect", []):
-        what = "scenario %s check %s" % (_shown(doc["name"]), _shown(entry["name"]))
-        check = _entry(what, lambda: _row(entry, "check", _CHECK_KIND, env, ("name", *_EXPECT)))
-        checks.append((entry, what, check))
-    results = [[] for _ in ns]
-    for entry, what, check in checks:
-        try:
-            value = check()
-            computed = [serialize_value(value, n) for n in ns]
-            wanted = parse_value(entry["value"])
-            expected = [serialize_value(wanted, n) for n in ns]
-        except (ValueError, ScenarioFileError) as exc:
-            raise ScenarioFileError("%s: %s" % (what, _cut(str(exc)))) from exc
-        for out, got, want in zip(results, computed, expected):
-            status = "PASS" if got == want else "FAIL"
-            out.append(CheckResult(entry["name"], status, want, got, entry["provenance"]))
-    return [
-        VerificationReport(doc["name"], n, tuple(sorted(out, key=lambda c: c.name)))
-        for n, out in zip(ns, results)
-    ]
+    return _compiled(json.dumps(doc, sort_keys=True)).reports(ns)
 
 
 # ---------------------------------------------------------------------------
@@ -1138,6 +1146,11 @@ def _packaged(name: str) -> dict:
 def _scenario_text(name: str) -> str:
     """The JSON text of a built-in scenario: its file with the ``uses`` list
     replaced by the entries it names, in the order of the tower file."""
+    if name not in _BUILTIN:
+        raise UnknownScenarioError(
+            "unknown scenario %s; known scenarios: %s"
+            % (_shown(name), ", ".join(_BUILTIN))
+        )
     doc = _packaged(name)
     uses = set(doc.pop("uses"))
     for section in _SECTIONS:
@@ -1177,11 +1190,6 @@ def _parse_doc(text: str, source: str) -> dict:
 
 def scenario_doc(name: str) -> dict:
     """Fresh, self-contained document for a built-in scenario."""
-    if name not in _BUILTIN:
-        raise UnknownScenarioError(
-            "unknown scenario %s; known scenarios: %s"
-            % (_shown(name), ", ".join(_BUILTIN))
-        )
     return _parse_doc(_scenario_text(name), name + ".json")
 
 
@@ -1197,9 +1205,14 @@ def list_scenarios() -> list:
 def run_scenario(name: str, n) -> VerificationReport:
     """Evaluate a built-in scenario at ``n`` (an integer >= 3 or
     ``"symbolic"``)."""
-    doc = scenario_doc(name)
-    _validate_n(n)
-    return _evaluate_valid(doc, [n])[0]
+    return run_scenario_at(name, [n])[0]
+
+
+def run_scenario_at(name: str, ns) -> list:
+    """`run_scenario` at each n of ``ns``, one report per n."""
+    text = _scenario_text(name)
+    _validate_ns(ns)
+    return _compiled(text).reports(ns)
 
 
 def export_scenario(name: str) -> str:

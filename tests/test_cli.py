@@ -218,10 +218,10 @@ def test_a_long_argument_is_cut_in_the_error(capsys, argv):
 
 
 def test_range_over_budget_is_rejected_before_any_scenario_runs(capsys, monkeypatch):
-    def no_run(doc, n):
+    def no_run(name, ns):
         raise AssertionError("ran a scenario")
 
-    monkeypatch.setattr(cli, "_evaluate_valid", no_run)
+    monkeypatch.setattr(cli, "run_scenario_at", no_run)
     too_wide = "range:3..%d" % (3 + MAX_RANGE_WIDTH)
     code, _, err = run(
         capsys, ["verify", "--scenario", "euler-convention", "--n", too_wide]

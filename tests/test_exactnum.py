@@ -236,7 +236,8 @@ class TestConstantStorage:
 
     def test_const_poly_equals_int(self) -> None:
         assert ExactMatrix([[ParamPoly.const(1)]]) == ExactMatrix([[1]])
-        assert hash(ExactMatrix([[ParamPoly.const(1)]])) == hash(ExactMatrix([[1]]))
+        with pytest.raises(TypeError):
+            hash(ExactMatrix([[1]]))
         assert ExactMatrix([[Fraction(4, 2), "3/6"]]).const_entries() == [
             [2, Fraction(1, 2)]
         ]
@@ -252,7 +253,7 @@ class TestConstantStorage:
         ref = ref_entries(cells)
         plain, as_polys = ExactMatrix(cells), ExactMatrix(as_const_polys(cells))
         for m in (plain, as_polys):
-            assert m == plain and hash(m) == hash(plain)
+            assert m == plain
             assert ref_entries(m.const_entries()) == ref
             assert ref_entries(m.transpose().const_entries()) == tuple(zip(*ref))
             for b in (ExactMatrix(other), ExactMatrix(as_const_polys(other))):
@@ -381,9 +382,7 @@ class TestEmptyShapes:
 
     def test_empty_matrices_of_different_widths_differ(self) -> None:
         assert ExactMatrix([], cols=3) != ExactMatrix([], cols=2)
-        assert hash(ExactMatrix([], cols=3)) != hash(ExactMatrix([], cols=2))
         assert ExactMatrix([], cols=3) == ExactMatrix([], cols=3)
-        assert hash(ExactMatrix([], cols=3)) == hash(ExactMatrix([], cols=3))
         assert ExactMatrix([], cols=3).transpose() == ExactMatrix([[]] * 3)
 
     def test_declared_cols_must_match(self) -> None:

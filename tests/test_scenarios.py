@@ -393,7 +393,7 @@ def test_only_the_resolved_incidence_needs_n_at_least_3(monkeypatch, n_min, refu
     # and every check of the other eight still passes, at symbolic (where
     # the policy allows it) and at the lowered start.
     assert set(ALL_NAMES) > BUILDS_RESOLVED_INCIDENCE
-    scenarios._shared_env.cache_clear()
+    scenarios._compiled.cache_clear()
     monkeypatch.setattr(exactnum, "N_MIN", n_min)
     try:
         for name in ALL_NAMES:
@@ -406,7 +406,7 @@ def test_only_the_resolved_incidence_needs_n_at_least_3(monkeypatch, n_min, refu
                     report = run_scenario(name, n)
                     assert report.passed, (name, n)
     finally:
-        scenarios._shared_env.cache_clear()
+        scenarios._compiled.cache_clear()
 
 
 def test_unknown_scenario_names_the_known_ones():
@@ -421,6 +421,13 @@ def test_numeric_only_policy_is_enforced():
         run_scenario("normal-cone-quadric", SYMBOLIC)
     assert "numeric" in str(err.value)
     assert run_scenario("normal-cone-quadric", 3).passed
+    # The policy is refused before any check is bound, even a bad one.
+    doc = scenario_doc("normal-cone-quadric")
+    doc["expect"][0]["bogus"] = "1"
+    with pytest.raises(PolicyError):
+        evaluate_doc(doc, SYMBOLIC)
+    with pytest.raises(ScenarioFileError, match="unknown field 'bogus'"):
+        evaluate_doc(doc, 3)
 
 
 def test_quadric_passes_at_symbolic_once_its_document_allows_it():
@@ -448,7 +455,10 @@ def test_export_then_load_reproduces_the_report(tmp_path):
 
 
 def test_graded_ranks_fail_when_one_graded_rank_is_wrong(monkeypatch):
-    # Every k of the check must agree, not just one of them.
+    # Every k of the check must agree, not just one of them.  The document
+    # is compiled first: nothing caches a check's value, so a warm request
+    # still runs the check.
+    assert run_scenario("contraction-numerics", 3).passed
     real = scenarios.coh_dim_product_proj
     monkeypatch.setattr(
         scenarios, "coh_dim_product_proj", lambda a, b, q: real(a, b, q) + (a == b == 2)
@@ -458,16 +468,18 @@ def test_graded_ranks_fail_when_one_graded_rank_is_wrong(monkeypatch):
     assert check.status == "FAIL" and check.computed is False
 
 
-def test_a_document_is_validated_once_per_request(monkeypatch, capsys):
+def test_a_document_is_validated_once_per_document_text(monkeypatch, capsys):
     calls = []
     real = scenarios.validate_doc
     monkeypatch.setattr(
         scenarios, "validate_doc", lambda doc: calls.append(1) or real(doc)
     )
+    scenarios._compiled.cache_clear()
     run_scenario("jz-intersection-table", 3)
     assert len(calls) == 1
+    run_scenario("jz-intersection-table", SYMBOLIC)
     assert main(["verify", "--scenario", "jz-intersection-table", "--n", "3"]) == 0
-    assert len(calls) == 2
+    assert len(calls) == 1
     capsys.readouterr()
 
 
@@ -756,11 +768,11 @@ def test_entries_may_be_listed_in_any_order():
 
 
 # ---------------------------------------------------------------------------
-# one environment per distinct set of entry sections, one count per fixed locus
+# one compiled entry per distinct document, one count per fixed locus
 
 
 def clear_caches():
-    scenarios._shared_env.cache_clear()
+    scenarios._compiled.cache_clear()
     symplectic.fixed_locus_incidence.cache_clear()
 
 
@@ -772,13 +784,14 @@ def tiny_doc(**fields):
 
 
 def test_shared_environments_give_the_reports_of_fresh_ones():
-    # Every scenario at symbolic (where allowed) and at 3, run twice in one
-    # process in two seeded orders, against the report computed after
-    # clearing the caches.
+    # Every scenario at symbolic (where allowed) and at 3, 4, 5 and 12, run
+    # twice in one process in two seeded orders, against the report computed
+    # after clearing the caches.
     requests = [
         (name, n)
         for name in ALL_NAMES
-        for n in ([3] if scenario_doc(name)["n_policy"] == POLICY_NUMERIC else [SYMBOLIC, 3])
+        for n in ([] if scenario_doc(name)["n_policy"] == POLICY_NUMERIC else [SYMBOLIC])
+        + [3, 4, 5, 12]
     ]
     warm = {}
     for seed in (26, 27):
@@ -803,23 +816,43 @@ def test_a_changed_copy_of_a_packaged_scenario_builds_its_own_tower(tmp_path, ca
     assert run_scenario("euler-convention", 3).passed
 
 
-def test_a_document_that_fails_to_build_fails_on_every_call(monkeypatch):
+def test_a_changed_scenario_doc_never_reaches_a_later_run():
+    # scenario_doc hands out a fresh copy; the compiled document that
+    # run_scenario shares is parsed from the scenario's text, not from it.
+    before = run_scenario("euler-convention", 3).to_json_text()
     doc = scenario_doc("euler-convention")
-    doc["bundles"][0]["space"] = "nowhere"
-    calls, builds, errors = counted_builds(monkeypatch)
-    messages = set()
-    for _ in range(3):
-        with pytest.raises(ScenarioFileError, match="unknown reference 'nowhere'") as exc:
-            evaluate_doc(doc, 3)
-        messages.add(str(exc.value))
-    assert len(messages) == 1
-    assert errors == ["bundle 'rank_three_taut'"] * 3
+    doc["expect"][0]["value"] = "0"
+    doc["bundles"][0]["rank"] = "3"
+    doc["name"] = "changed"
+    assert run_scenario("euler-convention", 3).to_json_text() == before
+    assert scenario_doc("euler-convention") != doc
+    assert not evaluate_doc(doc, 3).passed
+    assert run_scenario("euler-convention", 3).to_json_text() == before
+
+
+def test_a_document_that_fails_to_build_fails_on_every_call(monkeypatch):
+    # An entry that fails to build, and a check whose field fails to bind,
+    # fail again on every call: a compiled document keeps no part of either.
+    for section, field, label in [
+        ("bundles", "space", "bundle 'rank_three_taut'"),
+        ("expect", "bundle", "scenario 'euler-convention' check 'curve-tangent'"),
+    ]:
+        doc = scenario_doc("euler-convention")
+        doc[section][0][field] = "nowhere"
+        calls, builds, errors = counted_builds(monkeypatch)
+        messages = set()
+        for _ in range(3):
+            with pytest.raises(ScenarioFileError, match="unknown reference 'nowhere'") as exc:
+                evaluate_doc(doc, 3)
+            messages.add(str(exc.value))
+        assert len(messages) == 1
+        assert errors == [label] * 3
 
 
 def test_the_environment_cache_stays_within_its_bound():
     for k in range(ENV_CACHE_SIZE + 5):
         evaluate_doc(tiny_doc(name="s%d" % k), 3)
-    info = scenarios._shared_env.cache_info()
+    info = scenarios._compiled.cache_info()
     assert info.maxsize == ENV_CACHE_SIZE
     assert info.currsize == ENV_CACHE_SIZE
 
@@ -875,10 +908,25 @@ def test_an_entry_integer_over_the_digit_limit_is_a_named_error(dim, message):
         evaluate_doc(tiny_doc(dim=dim), 3)
 
 
+def test_an_integer_over_the_digit_limit_is_refused_anywhere_in_a_document():
+    # The whole document is the key of its compiled entry, so an integer
+    # that json.dumps cannot write is refused wherever it stands, by
+    # validation and so before the policy.
+    big = 10 ** sys.get_int_max_str_digits()
+    doc = scenario_doc("euler-convention")
+    doc["expect"][0]["value"] = big
+    with pytest.raises(ScenarioFileError, match="^scenario 'euler-convention': an integer has"):
+        evaluate_doc(doc, 3)
+    doc = dict(tiny_doc(), n_policy=POLICY_NUMERIC, format=big)
+    with pytest.raises(ScenarioFileError, match="^scenario 'tiny': an integer has more than"):
+        evaluate_doc(doc, SYMBOLIC)
+
+
 @pytest.mark.parametrize("name", ["jz-intersection-table", "mori-chain-ez", "picard-matrices"])
 def test_a_second_run_builds_no_entry(monkeypatch, name):
     # A work guard that needs no clock: the labels of _entry name each
-    # space, bundle, map and curve it builds.
+    # space, bundle, map and curve it builds and each check it binds, and a
+    # second run of a compiled document calls it not at all.
     def entries(labels):
         return [w for w in labels if w.split()[0] in ("space", "bundle", "map", "curve")]
 
@@ -888,7 +936,7 @@ def test_a_second_run_builds_no_entry(monkeypatch, name):
     assert entries(builds) and errors == []
     del calls[:], builds[:]
     run_scenario(name, 4)
-    assert entries(calls) == [] and builds
+    assert calls == []
 
 
 def test_a_fixed_locus_is_counted_once(monkeypatch):
