@@ -11,7 +11,8 @@ metadata and expected values, with a ``uses`` list naming the tower entries
 it reads.  `scenario_doc` joins the two into one self-contained document.
 Nothing a document builds depends on n, so a process compiles each distinct
 document once (parses and validates it, builds its entries, binds its checks)
-and keeps the last ``ENV_CACHE_SIZE`` (`_compiled`); equal documents share one.
+and keeps the last ``ENV_CACHE_SIZE`` (`_compiled`) by canonical JSON text;
+equal documents share one, and so do a built-in and its exported file.
 
 Expected values carry a provenance tag:
 
@@ -1046,12 +1047,16 @@ _EXPECT = {
 }
 
 
+def _label(doc) -> str:
+    name = doc.get("name") if isinstance(doc, dict) else None
+    return "scenario %s" % _shown(name) if isinstance(name, str) else "scenario document"
+
+
 def validate_doc(doc) -> None:
     """Check that ``doc`` holds only exact values, nested at most
     MAX_NESTING deep, and read its own fields, its sections and the
     metadata of each expected value."""
-    name = doc.get("name") if isinstance(doc, dict) else None
-    what = "scenario %s" % _shown(name) if isinstance(name, str) else "scenario document"
+    what = _label(doc)
     _check_values(doc, what)
     *_, expect = _entry(what, lambda: _read(doc, _DOCUMENT, None, ("format",)))
     for entry in expect:
@@ -1062,9 +1067,9 @@ def validate_doc(doc) -> None:
 
 
 class _Compiled:
-    """A document parsed from its JSON text and accepted by `validate_doc`.
-    Its environment is built and its checks are bound on the first request
-    that passes the policy; `_compiled` shares one per document text."""
+    """A document parsed from its canonical JSON text and accepted by
+    `validate_doc`, which no other step calls.  Its environment is built and
+    its checks are bound on the first request that passes the policy."""
 
     def __init__(self, text: str):
         self.doc = json.loads(text)
@@ -1111,6 +1116,12 @@ class _Compiled:
 _compiled = lru_cache(maxsize=ENV_CACHE_SIZE)(_Compiled)
 
 
+def _compiled_dict(doc) -> _Compiled:
+    """A dict's entry: JSON data is checked in its own order, then compiled."""
+    _check_values(doc, _label(doc))
+    return _compiled(json.dumps(doc, sort_keys=True))
+
+
 def evaluate_doc(doc, n) -> VerificationReport:
     """Evaluate the scenario document ``doc`` at ``n``."""
     return evaluate_doc_at(doc, [n])[0]
@@ -1119,8 +1130,7 @@ def evaluate_doc(doc, n) -> VerificationReport:
 def evaluate_doc_at(doc, ns) -> list:
     """`evaluate_doc` at each n of ``ns``, one report per n."""
     _validate_ns(ns)
-    validate_doc(doc)
-    return _compiled(json.dumps(doc, sort_keys=True)).reports(ns)
+    return _compiled_dict(doc).reports(ns)
 
 
 # ---------------------------------------------------------------------------
@@ -1158,39 +1168,15 @@ def _scenario_text(name: str) -> str:
     return json.dumps(doc, sort_keys=True)
 
 
-def _parse_doc(text: str, source: str) -> dict:
-    """Parse the JSON text of a scenario document, check its format tag,
-    and validate it.  Parse errors name the ``source`` file and carry the
-    line and column; semantic errors name the offending object."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ScenarioFileError(
-            "%s: parse error at line %d column %d: %s"
-            % (source, exc.lineno, exc.colno, exc.msg)
-        ) from exc
-    except RecursionError:
-        raise ScenarioFileError(
-            "%s: parse error: nested deeper than the parser can follow" % source
-        ) from None
-    except ValueError:  # an integer literal over the interpreter's digit limit
-        raise ScenarioFileError(
-            "%s: parse error: an integer has more than %d digits"
-            % (source, sys.get_int_max_str_digits())
-        ) from None
-    fmt = _one_of({FORMAT_TAG: FORMAT_TAG}, "format")
-    _entry(source, lambda: _read(doc, {"format": fmt}, None))
-    validate_doc(doc)
-    return doc
-
-
 # ---------------------------------------------------------------------------
 # public entry points
 
 
 def scenario_doc(name: str) -> dict:
-    """Fresh, self-contained document for a built-in scenario."""
-    return _parse_doc(_scenario_text(name), name + ".json")
+    """Fresh, self-contained document for a built-in scenario; compiling validates it."""
+    text = _scenario_text(name)
+    _compiled(text)
+    return json.loads(text)
 
 
 def list_scenarios() -> list:
@@ -1221,9 +1207,23 @@ def export_scenario(name: str) -> str:
 
 
 def load_scenario_file(path) -> dict:
-    """Parse and validate a scenario document from a JSON file."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return _parse_doc(fh.read(), str(path))
-    except UnicodeDecodeError as exc:
-        raise ScenarioFileError("%s: parse error: not UTF-8: %s" % (path, exc.reason)) from None
+    """A document read from a JSON file, its format tag checked, then compiled,
+    which validates it; a file exported from a built-in shares the built-in's
+    entry.  Parse errors name the file, with the line and column."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            doc, reason = json.loads(fh.read()), None
+        except UnicodeDecodeError as exc:
+            reason = ": not UTF-8: %s" % exc.reason
+        except json.JSONDecodeError as exc:
+            reason = " at line %d column %d: %s" % (exc.lineno, exc.colno, exc.msg)
+        except RecursionError:
+            reason = ": nested deeper than the parser can follow"
+        except ValueError:  # an integer literal over the interpreter's digit limit
+            reason = ": an integer has more than %d digits" % sys.get_int_max_str_digits()
+    if reason:
+        raise ScenarioFileError("%s: parse error%s" % (path, reason))
+    fmt = _one_of({FORMAT_TAG: FORMAT_TAG}, "format")
+    _entry(str(path), lambda: _read(doc, {"format": fmt}, None))
+    _compiled_dict(doc)
+    return doc

@@ -27,8 +27,12 @@ from towercalc.scenarios import (
     MAX_NESTING,
     MAX_SECTION_ENTRIES,
     SYMBOLIC,
+    ScenarioFileError,
+    canonical_json,
     evaluate_doc,
+    export_scenario,
     list_scenarios,
+    load_scenario_file,
     scenario_doc,
 )
 
@@ -1070,6 +1074,76 @@ def test_pushforward_on_a_table_that_depends_on_n_is_a_named_error(
     assert "PASS" not in out and "Traceback" not in err
 
 
+def _quadric(edit):
+    """The exported normal-cone-quadric document, numeric-only, after ``edit``."""
+    doc = json.loads(export_scenario("normal-cone-quadric"))
+    edit(doc)
+    return canonical_json(doc)
+
+
+QUADRIC_POLICY = (
+    "error: scenario 'normal-cone-quadric' computes finite ranks; "
+    "run it at a numeric n >= 3\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, text, stderr",
+    [
+        # n is read before the file.
+        (["verify", "--scenario-file", "{path}", "--n", "2"], '{"name": ',
+         "error: n must be >= 3 (got 2)\n"),
+        # The file parses before its format tag is read.
+        (["verify", "--scenario-file", "{path}"], '{"format": "other/9", "name": "x",}',
+         "error: {path}: parse error at line 1 column 35: "
+         "Expecting property name enclosed in double quotes\n"),
+        # The format tag is read before any field.
+        (["verify", "--scenario-file", "{path}"], '{"format": "other/9", "name": 5}',
+         "error: {path}: field 'format': unknown format 'other/9'; "
+         "known formats: towercalc-scenario/1\n"),
+        # Values are checked before fields, the first written first.
+        (["verify", "--scenario-file", "{path}"],
+         '{"format": "towercalc-scenario/1", "name": "x", "zeta": 1.5, "alpha": 2.5}',
+         "error: scenario 'x': non-exact number 1.5 (use strings of integers or p/q)\n"),
+        # Expected-value metadata is validated before the policy applies ...
+        (["verify", "--scenario-file", "{path}"],
+         _quadric(lambda doc: doc["expect"][0].update(provenance="guessed")),
+         "error: scenario 'normal-cone-quadric' check 'quadric': field 'provenance': "
+         "unknown provenance 'guessed'; known provenances: derived, reference, trivial\n"),
+        # ... but a check's own fields are read when it is bound, after it.
+        (["verify", "--scenario-file", "{path}"],
+         _quadric(lambda doc: doc["expect"][0].update(extra=1)), QUADRIC_POLICY),
+        # The policy applies before any entry is built.
+        (["verify", "--scenario-file", "{path}"],
+         _quadric(lambda doc: doc["spaces"].append(
+             {"name": "s", "kind": "formal-base", "pic": ["h"], "dim": "x"})),
+         QUADRIC_POLICY),
+        (["verify", "--scenario-file", "{path}", "--n", "3"],
+         _quadric(lambda doc: doc["spaces"].append(
+             {"name": "s", "kind": "formal-base", "pic": ["h"], "dim": "x"})),
+         "error: space 's': field 'dim': expected an exact number, got 'x'\n"),
+        # n is read before the scenario name, on every subcommand.
+        (["verify", "--scenario", "nope", "--n", "2"], None, "error: n must be >= 3 (got 2)\n"),
+        (["table", "--scenario", "nope", "--n", "2"], None, "error: n must be >= 3 (got 2)\n"),
+        (["cone", "--scenario", "nope", "--n", "2"], None, "error: n must be >= 3 (got 2)\n"),
+        (["table", "--scenario", "nope", "--n", "range:3..4"], None,
+         "error: table prints a single parameter value at a time\n"),
+    ],
+    ids=[
+        "n-before-parse", "parse-before-format", "format-before-field",
+        "first-written-value", "expect-field-before-policy", "policy-before-check-field",
+        "policy-before-build", "build-at-numeric-n", "verify-n-before-name",
+        "table-n-before-name", "cone-n-before-name", "table-range-before-name",
+    ],
+)
+def test_of_two_faults_the_same_one_is_refused(capsys, tmp_path, argv, text, stderr):
+    path = tmp_path / "doc.json"
+    if text is not None:
+        path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, [a.replace("{path}", str(path)) for a in argv])
+    assert (code, out, err) == (2, "", stderr.replace("{path}", str(path)))
+
+
 # ---------------------------------------------------------------------------
 # input bounds, checked in a fresh interpreter so that a RecursionError
 # would surface as it does for a user
@@ -1240,6 +1314,22 @@ def test_a_file_too_deep_to_parse_is_a_named_error(tmp_path):
     assert code == 2
     assert str(path) in err and "nested deeper than the parser" in err
     assert "Traceback" not in err
+
+
+def test_a_file_nested_near_the_parser_limit_is_a_named_error(tmp_path):
+    # Every depth the parser follows is refused by name, including the few
+    # levels just under its limit, where re-encoding the parsed document
+    # would run out of stack first.
+    path = tmp_path / "deep.json"
+    limit = sys.getrecursionlimit()
+    for depth in range(limit - 300, limit + 1):
+        path.write_text(
+            '{"format": "towercalc-scenario/1", "name": "deep", "expect": %s}'
+            % ("[" * depth + "]" * depth),
+            encoding="utf-8",
+        )
+        with pytest.raises(ScenarioFileError, match="nested deeper than"):
+            load_scenario_file(path)
 
 
 def test_a_file_that_is_not_utf8_is_a_named_error(capsys, tmp_path):
