@@ -1,19 +1,19 @@
 """Run the test suite against seeded faults of the package and report which
 ones it kills.
 
-    python scripts/mutate.py [mutant name ...]
+    python scripts/mutate.py
 
 Each entry of ``MUTANTS`` replaces one text of one file with another: a
-fault that a careless edit could make.  For each mutant (or each one named
-on the command line) the repository, less ``.git``, is copied to a temporary
-directory, the text is replaced there, and the suite runs with ``-x`` in a
-fresh interpreter; the mutant is killed if the suite fails or times out.
-The unmutated copy runs first, since a red suite would kill every mutant.
-The exit status is 1 if any mutant survives.
+fault that a careless edit could make.  The repository, less ``.git``, is
+copied to a temporary directory; for each mutant the text is replaced there,
+and the suite runs with ``-x`` in a fresh interpreter; the mutant is killed
+if the suite fails or times out.  The unmutated copy runs first, since a red
+suite would kill every mutant.  The exit status is 1 if any mutant survives.
 
-Each ``old`` text must occur in its file exactly once (a tier-1 test checks
-this), so the list survives edits that move lines.  Not part of tier-1: a
-surviving mutant costs one whole run of the suite.
+Each ``old`` text must occur in its file exactly once, which
+``tests/test_mutate.py`` checks.  That test reads the mutated file in a
+mutated copy, so it would kill every mutant; the runs here leave it out.
+Not part of tier-1: a surviving mutant costs one whole run of the suite.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ MUTANTS = [
     (
         "dict-not-checked-as-json-data",
         "src/towercalc/scenarios.py",
-        "    _check_values(doc, _label(doc))\n    return _compiled(",
-        "    return _compiled(",
+        "    _check_values(doc, what)\n    if isinstance(doc, dict)",
+        "    if isinstance(doc, dict)",
         "a tuple, an int key or a Fraction is dumped as if it were JSON data",
     ),
     (
@@ -68,12 +68,12 @@ MUTANTS = [
         "a file of another format is read as a scenario document",
     ),
     (
-        "deep-file-unnamed",
+        "unknown-field-named-in-sorted-order",
         "src/towercalc/scenarios.py",
-        '        except RecursionError:\n'
-        '            reason = ": nested deeper than the parser can follow"\n',
+        "    if isinstance(doc, dict) and not {*known, *_FREE_TEXT}.issuperset(doc):\n"
+        "        _entry(what, lambda: _read(doc, {}, None, known))\n",
         "",
-        "a file nested past the parser's limit ends in a traceback",
+        "of two unknown fields of a dict or file, not the first written is named",
     ),
     (
         "policy-skipped-on-first-request",
@@ -87,20 +87,24 @@ MUTANTS = [
         "src/towercalc/cli.py",
         "    ns = _parse_n_spec(args.n)\n"
         "    if args.scenario_file:\n"
-        "        reports = evaluate_doc_at(load_scenario_file(args.scenario_file), ns)\n",
-        "    doc = load_scenario_file(args.scenario_file) if args.scenario_file else None\n"
+        "        reports = _load_file(args.scenario_file)[1].reports(ns)\n",
+        "    loaded = _load_file(args.scenario_file) if args.scenario_file else None\n"
         "    ns = _parse_n_spec(args.n)\n"
         "    if args.scenario_file:\n"
-        "        reports = evaluate_doc_at(doc, ns)\n",
+        "        reports = loaded[1].reports(ns)\n",
         "a bad --n is refused only after the file is read, so a file error wins",
     ),
 ]
 
 
+#: The suite as each copy runs it, less the check of this file's texts.
+PYTEST = ["-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "--ignore=tests/test_mutate.py"]
+
+
 def run_suite(root: Path) -> tuple:
     """(passed, seconds) of the suite run with ``-x`` in ``root``."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
+    argv = [sys.executable, *PYTEST]
     start = time.perf_counter()
     try:
         proc = subprocess.run(argv, cwd=root, env=env, capture_output=True, timeout=TIMEOUT)
@@ -110,12 +114,7 @@ def run_suite(root: Path) -> tuple:
     return passed, time.perf_counter() - start
 
 
-def main(argv) -> int:
-    chosen = [m for m in MUTANTS if not argv or m[0] in argv]
-    unknown = set(argv) - {m[0] for m in MUTANTS}
-    if unknown:
-        print("mutate: unknown mutants: %s" % ", ".join(sorted(unknown)))
-        return 2
+def main() -> int:
     work = Path(tempfile.mkdtemp(prefix="mutate-"))
     try:
         copy = work / "repo"
@@ -128,7 +127,7 @@ def main(argv) -> int:
             return 2
         print("unmutated suite passes in %.1f s" % seconds)
         survived = []
-        for name, path, old, new, fault in chosen:
+        for name, path, old, new, fault in MUTANTS:
             target = copy / path
             original = target.read_text(encoding="utf-8")
             if original.count(old) != 1:
@@ -147,10 +146,10 @@ def main(argv) -> int:
         shutil.rmtree(work)
     print(
         "mutate: %d mutants, %d killed, %d survived"
-        % (len(chosen), len(chosen) - len(survived), len(survived))
+        % (len(MUTANTS), len(MUTANTS) - len(survived), len(survived))
     )
     return 1 if survived else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

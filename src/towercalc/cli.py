@@ -28,12 +28,11 @@ from .scenarios import (
     POLICY_NUMERIC,
     SYMBOLIC,
     ScenarioError,
+    _load_file,
     _shown,
     canonical_json,
-    evaluate_doc_at,
     export_scenario,
     list_scenarios,
-    load_scenario_file,
     run_scenario_at,
     scenario_doc,
 )
@@ -119,7 +118,7 @@ def _vector(coords) -> str:
 def _cmd_verify(args) -> int:
     ns = _parse_n_spec(args.n)
     if args.scenario_file:
-        reports = evaluate_doc_at(load_scenario_file(args.scenario_file), ns)
+        reports = _load_file(args.scenario_file)[1].reports(ns)
     else:
         reports = run_scenario_at(args.scenario, ns)
     if args.format == "json":
@@ -280,17 +279,12 @@ def _build_parser() -> argparse.ArgumentParser:
     add_format(p_verify)
     add_output(p_verify)
 
-    p_table = sub.add_parser("table", help="print a scenario's tabular checks")
-    p_table.add_argument("--scenario", required=True)
-    add_n(p_table)
-    add_format(p_table)
-    add_output(p_table)
-
-    p_cone = sub.add_parser("cone", help="print a scenario's cone checks")
-    p_cone.add_argument("--scenario", required=True)
-    add_n(p_cone)
-    add_format(p_cone)
-    add_output(p_cone)
+    for command, checks in (("table", "tabular"), ("cone", "cone")):
+        p_show = sub.add_parser(command, help="print a scenario's %s checks" % checks)
+        p_show.add_argument("--scenario", required=True)
+        add_n(p_show)
+        add_format(p_show)
+        add_output(p_show)
 
     p_list = sub.add_parser("list", help="list the built-in scenarios")
     add_format(p_list)

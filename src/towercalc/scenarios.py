@@ -1117,8 +1117,11 @@ _compiled = lru_cache(maxsize=ENV_CACHE_SIZE)(_Compiled)
 
 
 def _compiled_dict(doc) -> _Compiled:
-    """A dict's entry: JSON data is checked in its own order, then compiled."""
-    _check_values(doc, _label(doc))
+    """A dict's entry; of its bad values or unknown fields, the first written is named."""
+    what, known = _label(doc), ("format", *_DOCUMENT)
+    _check_values(doc, what)
+    if isinstance(doc, dict) and not {*known, *_FREE_TEXT}.issuperset(doc):
+        _entry(what, lambda: _read(doc, {}, None, known))
     return _compiled(json.dumps(doc, sort_keys=True))
 
 
@@ -1128,7 +1131,7 @@ def evaluate_doc(doc, n) -> VerificationReport:
 
 
 def evaluate_doc_at(doc, ns) -> list:
-    """`evaluate_doc` at each n of ``ns``, one report per n."""
+    """`evaluate_doc` at each n of ``ns``, one report per n; compiling validates the dict."""
     _validate_ns(ns)
     return _compiled_dict(doc).reports(ns)
 
@@ -1189,8 +1192,7 @@ def list_scenarios() -> list:
 
 
 def run_scenario(name: str, n) -> VerificationReport:
-    """Evaluate a built-in scenario at ``n`` (an integer >= 3 or
-    ``"symbolic"``)."""
+    """Evaluate a built-in scenario at ``n`` (an integer >= 3 or ``"symbolic"``)."""
     return run_scenario_at(name, [n])[0]
 
 
@@ -1210,6 +1212,11 @@ def load_scenario_file(path) -> dict:
     """A document read from a JSON file, its format tag checked, then compiled,
     which validates it; a file exported from a built-in shares the built-in's
     entry.  Parse errors name the file, with the line and column."""
+    return _load_file(path)[0]
+
+
+def _load_file(path) -> tuple:
+    """`load_scenario_file`'s document and its compiled entry."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc, reason = json.loads(fh.read()), None
@@ -1225,5 +1232,4 @@ def load_scenario_file(path) -> dict:
         raise ScenarioFileError("%s: parse error%s" % (path, reason))
     fmt = _one_of({FORMAT_TAG: FORMAT_TAG}, "format")
     _entry(str(path), lambda: _read(doc, {"format": fmt}, None))
-    _compiled_dict(doc)
-    return doc
+    return doc, _compiled_dict(doc)

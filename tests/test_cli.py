@@ -1105,6 +1105,11 @@ QUADRIC_POLICY = (
         (["verify", "--scenario-file", "{path}"],
          '{"format": "towercalc-scenario/1", "name": "x", "zeta": 1.5, "alpha": 2.5}',
          "error: scenario 'x': non-exact number 1.5 (use strings of integers or p/q)\n"),
+        # Of two unknown fields, the first written is named.
+        (["verify", "--scenario-file", "{path}"],
+         '{"format": "towercalc-scenario/1", "name": "x", "zeta": 1, "alpha": 2}',
+         "error: scenario 'x': unknown field 'zeta'; known: bundles, curves, description, "
+         "expect, format, maps, n_policy, name, note, spaces\n"),
         # Expected-value metadata is validated before the policy applies ...
         (["verify", "--scenario-file", "{path}"],
          _quadric(lambda doc: doc["expect"][0].update(provenance="guessed")),
@@ -1131,7 +1136,7 @@ QUADRIC_POLICY = (
     ],
     ids=[
         "n-before-parse", "parse-before-format", "format-before-field",
-        "first-written-value", "expect-field-before-policy", "policy-before-check-field",
+        "first-written-value", "first-written-field", "expect-field-before-policy", "policy-before-check-field",
         "policy-before-build", "build-at-numeric-n", "verify-n-before-name",
         "table-n-before-name", "cone-n-before-name", "table-range-before-name",
     ],
