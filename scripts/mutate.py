@@ -94,6 +94,47 @@ MUTANTS = [
         "        reports = loaded[1].reports(ns)\n",
         "a bad --n is refused only after the file is read, so a file error wins",
     ),
+    (
+        "field-failure-not-placed",
+        "src/towercalc/scenarios.py",
+        "        raise _BadField(exc.args[0], (step,) + exc.path) from None\n"
+        "    except ValueError as exc:\n"
+        "        raise _BadField(str(exc), (step,)) from None\n",
+        "        raise _BadField(exc.args[0], (step,) + exc.path) from None\n",
+        "an engine refusal inside a field is reported without the field's path",
+    ),
+    (
+        "check-failure-escapes",
+        "src/towercalc/scenarios.py",
+        "            except ValueError as exc:\n"
+        '                raise ScenarioError("%s: %s" % (what, _cut(str(exc)))) from exc\n',
+        "            finally:\n                pass\n",
+        "a check the engine refuses raises a bare ValueError, not a named ScenarioError",
+    ),
+    (
+        "mori-chain-catches-any-refusal",
+        "src/towercalc/scenarios.py",
+        "    except PropagationError as exc:\n",
+        "    except (ValueError, PropagationError) as exc:\n",
+        "a malformed chain reads as a failed propagation instead of a refused document",
+    ),
+    (
+        "map-inverse-catches-any-refusal",
+        "src/towercalc/scenarios.py",
+        "    except LinearSolveError:\n",
+        "    except (ValueError, LinearSolveError):\n",
+        "a non-square map reads as not invertible instead of a refused document",
+    ),
+    (
+        "nul-in-path-escapes",
+        "src/towercalc/scenarios.py",
+        "    try:\n"
+        '        return open(path, mode, encoding="utf-8")\n'
+        "    except ValueError as exc:\n"
+        '        raise ScenarioError("%r: %s" % (path, exc)) from None\n',
+        '    return open(path, mode, encoding="utf-8")\n',
+        "a path holding a NUL byte ends in a traceback, not a named error",
+    ),
 ]
 
 
@@ -139,7 +180,7 @@ def main() -> int:
             finally:
                 target.write_text(original, encoding="utf-8")
             verdict = "SURVIVED" if passed else "killed"
-            print("%-8s %-34s %5.1f s  %s" % (verdict, name, seconds, fault))
+            print("%-8s %-36s %5.1f s  %s" % (verdict, name, seconds, fault))
             if passed:
                 survived.append(name)
     finally:

@@ -29,6 +29,7 @@ from .scenarios import (
     SYMBOLIC,
     ScenarioError,
     _load_file,
+    _open,
     _shown,
     canonical_json,
     export_scenario,
@@ -44,10 +45,6 @@ MAX_RANGE_WIDTH = 1000
 _RANGE_RE = re.compile(r"range:([0-9]{1,9})\.\.([0-9]{1,9})")
 
 
-class UsageError(Exception):
-    pass
-
-
 def _parse_n_spec(text: str) -> list:
     if text == SYMBOLIC:
         return [SYMBOLIC]
@@ -55,13 +52,13 @@ def _parse_n_spec(text: str) -> list:
     if match:
         lo, hi = int(match.group(1)), int(match.group(2))
         if lo < exactnum.N_MIN:
-            raise UsageError(
+            raise ScenarioError(
                 "n must be >= %d (range starts at %d)" % (exactnum.N_MIN, lo)
             )
         if hi < lo:
-            raise UsageError("empty range %s" % text)
+            raise ScenarioError("empty range %s" % text)
         if hi - lo + 1 > MAX_RANGE_WIDTH:
-            raise UsageError(
+            raise ScenarioError(
                 "range %s has %d values, over the budget of %d"
                 % (text, hi - lo + 1, MAX_RANGE_WIDTH)
             )
@@ -71,12 +68,12 @@ def _parse_n_spec(text: str) -> list:
             raise ValueError(text)
         n = int(text)
     except ValueError:  # not an integer, or too many digits to convert
-        raise UsageError(
+        raise ScenarioError(
             "invalid n %s: use an integer >= %d, %r, or range:A..B"
             % (_shown(text), exactnum.N_MIN, SYMBOLIC)
         )
     if n < exactnum.N_MIN:
-        raise UsageError("n must be >= %d (got %d)" % (exactnum.N_MIN, n))
+        raise ScenarioError("n must be >= %d (got %d)" % (exactnum.N_MIN, n))
     return [n]
 
 
@@ -85,7 +82,7 @@ def _emit(text: str, args) -> None:
         text += "\n"
     out = getattr(args, "output", None)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
+        with _open(out, "w") as fh:
             fh.write(text)
         return
     sys.stdout.write(text)
@@ -158,7 +155,7 @@ def _single_report(args):
     ``--n`` that ``table`` and ``cone`` accept."""
     ns = _parse_n_spec(args.n)
     if len(ns) != 1:
-        raise UsageError("%s prints a single parameter value at a time" % args.command)
+        raise ScenarioError("%s prints a single parameter value at a time" % args.command)
     return scenario_doc(args.scenario), run_scenario_at(args.scenario, ns)[0]
 
 
@@ -166,7 +163,7 @@ def _cmd_table(args) -> int:
     doc, report = _single_report(args)
     tables, kernels = _tabular_blocks(doc, report)
     if not tables and not kernels:
-        raise UsageError("scenario %r has no tabular checks" % doc["name"])
+        raise ScenarioError("scenario %r has no tabular checks" % doc["name"])
     if args.format == "json":
         text = canonical_json(
             {"scenario": doc["name"], "tables": tables, "kernels": kernels}
@@ -197,7 +194,7 @@ def _cmd_cone(args) -> int:
         elif entry["check"] == "extremal-certificate":
             certificates.append(dict(computed[entry["name"]], check=entry["name"]))
     if not cones and not certificates:
-        raise UsageError("scenario %r has no cone checks" % doc["name"])
+        raise ScenarioError("scenario %r has no cone checks" % doc["name"])
     if args.format == "json":
         text = canonical_json(
             {"scenario": doc["name"], "cones": cones, "certificates": certificates}
@@ -315,7 +312,7 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return _DISPATCH[args.command](args)
-    except (UsageError, ScenarioError, OSError) as exc:
+    except (ScenarioError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -39,27 +39,8 @@ DEFAULT_HEIGHT_BOUND = 8
 MAX_SEARCH_SIZE = 10**6
 
 
-class CurveSpaceError(ValueError):
-    pass
-
-
-class SingularTableError(ValueError):
-    pass
-
-
-class InconsistentObservationError(ValueError):
-    pass
-
-
 class PropagationError(ValueError):
     """A chain step failed one of the contraction hypotheses."""
-
-    def __init__(self, step_name: str, condition: str, detail: str):
-        super().__init__(
-            "step %s, condition %s: %s" % (step_name, condition, detail)
-        )
-        self.step_name = step_name
-        self.condition = condition
 
 
 class CurveClass(LatticeVector):
@@ -68,7 +49,7 @@ class CurveClass(LatticeVector):
     def __init__(self, space: Space, coords: tuple[ParamPoly, ...]):
         coords = tuple(aspoly(v) for v in coords)
         if len(coords) != space.pic_rank:
-            raise CurveSpaceError(
+            raise ValueError(
                 "vector length %d does not match the %d generators of %s"
                 % (len(coords), space.pic_rank, space.name)
             )
@@ -89,7 +70,7 @@ def line_in_proj_fiber(taut_name: str, space: Space) -> CurveClass:
         if isinstance(s, ProjBundle) and s.taut_name == taut_name
     ]
     if not creators:
-        raise CurveSpaceError(
+        raise ValueError(
             "%r is not a projective-bundle generator of %s" % (taut_name, space.name)
         )
     vec = [ParamPoly()] * len(names)
@@ -105,11 +86,11 @@ def line_in_exceptional_fiber(direction: str, space: Space) -> CurveClass:
         s for s in space.ancestors() if isinstance(s, BlowUp) and direction in s.exc_degrees
     ]
     if not hits:
-        raise CurveSpaceError(
+        raise ValueError(
             "no blow-up of %s declares the ruling %r" % (space.name, direction)
         )
     if len(hits) > 1:
-        raise CurveSpaceError(
+        raise ValueError(
             "ruling %r is declared by more than one blow-up" % direction
         )
     up = hits[0]
@@ -126,9 +107,9 @@ def strict_transform(
     if mult_at_center < 0:
         raise ValueError("multiplicity must be >= 0")
     if not isinstance(space, BlowUp):
-        raise CurveSpaceError("strict transforms live on a blow-up")
+        raise ValueError("strict transforms live on a blow-up")
     if ambient_curve.space.pic_names() != space.ambient.pic_names():
-        raise CurveSpaceError(
+        raise ValueError(
             "ambient curve lives on %s, not on the blow-up's ambient %s"
             % (ambient_curve.space.name, space.ambient.name)
         )
@@ -147,7 +128,7 @@ def declared_section(vector: Sequence, space: Space) -> CurveClass:
 
 def intersect(c: CurveClass, d: DivClass) -> ParamPoly:
     if c.space.pic_names() != d.space.pic_names():
-        raise CurveSpaceError(
+        raise ValueError(
             "curve on %s paired with class on %s" % (c.space.name, d.space.name)
         )
     acc = ParamPoly()
@@ -167,9 +148,9 @@ def solve_pushforward(observed: Sequence, table: ExactMatrix) -> tuple[ParamPoly
     try:
         return solve_linear_generic(table.transpose(), observed)
     except UnderdeterminedError as exc:
-        raise SingularTableError("pairing table is singular") from exc
+        raise ValueError("pairing table is singular") from exc
     except NoSolutionError as exc:
-        raise InconsistentObservationError(
+        raise ValueError(
             "observed pairings are inconsistent with the table"
         ) from exc
 
@@ -479,8 +460,10 @@ def _contracting(step, contraction, condition: str, ci: int, marked: bool) -> li
         contracted = all(x.is_zero() for x in images[i])
         if contracted != ((i == ci) == marked):
             state = "is" if contracted else "is not"
-            detail = "%s %s contracted by %s" % (step.generator_names[i], state, contraction.name)
-            raise PropagationError(step.space_name, condition, detail)
+            raise PropagationError(
+                "step %s, condition %s: %s %s contracted by %s"
+                % (step.space_name, condition, step.generator_names[i], state, contraction.name)
+            )
     return images
 
 
@@ -504,10 +487,8 @@ def mori_propagate(chain: ChainSpec) -> dict:
         expected = sorted(_vec_key(g) for g in prev_gens)
         if pushed != expected:
             raise PropagationError(
-                step.space_name,
-                "c",
-                "pushed generators %r do not match the known cone %r"
-                % (pushed, expected),
+                "step %s, condition c: pushed generators %r do not match the known cone %r"
+                % (step.space_name, pushed, expected)
             )
         steps.append(
             {
@@ -550,7 +531,7 @@ def restriction_kernel(restriction: PullbackMap, curves: Sequence[CurveClass]) -
     entry.  Every curve must live on the lattice of the map's source."""
     for c in curves:
         if c.space.pic_names() != restriction.source_names:
-            raise CurveSpaceError(
+            raise ValueError(
                 "curve on %s is not on the source lattice of %s"
                 % (c.space.name, restriction.name)
             )

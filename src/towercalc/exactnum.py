@@ -25,13 +25,9 @@ from typing import Iterable, Mapping, Sequence
 MAX_DEGREE = 4
 
 
-class DegreeCapError(ValueError):
-    pass
-
-
 def _cap(degree: int) -> None:
     if degree > MAX_DEGREE:
-        raise DegreeCapError("degree %d exceeds cap %d" % (degree, MAX_DEGREE))
+        raise ValueError("degree %d exceeds cap %d" % (degree, MAX_DEGREE))
 
 
 class LinearSolveError(ValueError):

@@ -110,23 +110,7 @@ ENV_CACHE_SIZE = 32
 
 
 class ScenarioError(Exception):
-    """Base class for scenario-suite failures."""
-
-
-class UnknownScenarioError(ScenarioError):
-    pass
-
-
-class BadParameterError(ScenarioError):
-    pass
-
-
-class PolicyError(ScenarioError):
-    pass
-
-
-class ScenarioFileError(ScenarioError):
-    pass
+    """A refused scenario request; its message says what was refused."""
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +167,7 @@ def parse_value(value):
         except ValueError:
             return value
         except ZeroDivisionError:
-            raise ScenarioFileError("zero denominator in %s" % _shown(value)) from None
+            raise ValueError("zero denominator in %s" % _shown(value)) from None
     if isinstance(value, dict):
         if value and all(
             isinstance(k, str) and k.isdigit() and isinstance(v, (str, int))
@@ -209,7 +193,7 @@ def canonical_json(data) -> str:
 # sections and the metadata of each expected value are rows too.  A reader
 # turns the raw JSON value into an engine value, looking names up in the
 # environment, or raises _BadField; _read adds the field's path and _entry
-# names the entry, so that a bad field always ends as a ScenarioFileError
+# names the entry, so that a bad field always ends as a ScenarioError
 # such as "space 'x': field 'pic[0]': expected a name, got 5".  An engine
 # message that _entry passes on is cut like a raw value.  Rows call engine
 # functions through their module-level names (hence the forwarding lambdas),
@@ -282,15 +266,15 @@ def _read(obj, fields: dict, env, known=None) -> list:
 
 def _entry(what: str, build):
     """``build()``, with a bad field or an engine rejection reported as a
-    ScenarioFileError naming ``what``."""
+    ScenarioError naming ``what``."""
     try:
         return build()
     except _BadField as exc:
         path = "".join("[%d]" % s if isinstance(s, int) else "." + s for s in exc.path)
         where = " field %r:" % path.lstrip(".") if path else ""
-        raise ScenarioFileError("%s:%s %s" % (what, where, exc.args[0])) from None
+        raise ScenarioError("%s:%s %s" % (what, where, exc.args[0])) from None
     except ValueError as exc:
-        raise ScenarioFileError("%s: %s" % (what, _cut(str(exc)))) from exc
+        raise ScenarioError("%s: %s" % (what, _cut(str(exc)))) from exc
 
 
 def _name(raw, env) -> str:
@@ -304,10 +288,7 @@ def _name(raw, env) -> str:
 
 def _number(raw, env) -> ParamPoly:
     """An exact rational or a polynomial in n."""
-    try:
-        parsed = None if isinstance(raw, bool) else parse_value(raw)
-    except ScenarioFileError as exc:
-        raise _BadField(str(exc)) from None
+    parsed = None if isinstance(raw, bool) else parse_value(raw)
     if not isinstance(parsed, (int, Fraction, ParamPoly)):
         raise _BadField("expected an exact number, got %s" % _shown(raw))
     return aspoly(parsed)
@@ -586,7 +567,7 @@ def _make_env(doc) -> Env:
             except _Unbuilt as wait:
                 if wait.args in stack:
                     cycle = stack[stack.index(wait.args):] + [wait.args]
-                    raise ScenarioFileError(
+                    raise ScenarioError(
                         "circular reference: "
                         + " -> ".join("%s %s" % (s[:-1], _shown(n)) for s, n in cycle)
                     ) from None
@@ -611,7 +592,7 @@ def _check_canonical(space, normal, blowup, ambient_center_codim):
     if blowup is None:
         return list(restricted.coords)
     if ambient_center_codim is None:
-        raise ScenarioFileError("a blowup needs its ambient_center_codim")
+        raise ValueError("a blowup needs its ambient_center_codim")
     lifted = lift_class(restricted, blowup)
     result = lifted + blowup.gen(blowup.exc_name) * (ambient_center_codim - 1)
     return list(result.coords)
@@ -619,7 +600,7 @@ def _check_canonical(space, normal, blowup, ambient_center_codim):
 
 def _check_combination_pairings(space, curves, divisors, coefficients):
     if len(coefficients) != len(curves):
-        raise ScenarioFileError("one coefficient per curve")
+        raise ValueError("one coefficient per curve")
     combo = curves[0] * coefficients[0]
     for c, curve in zip(coefficients[1:], curves[1:]):
         combo = combo + curve * c
@@ -628,7 +609,7 @@ def _check_combination_pairings(space, curves, divisors, coefficients):
 
 def _check_vector_sum(terms):
     if len({len(t) for t in terms}) != 1:
-        raise ScenarioFileError("terms of different lengths")
+        raise ValueError("terms of different lengths")
     acc = list(terms[0])
     for t in terms[1:]:
         acc = [a + b for a, b in zip(acc, t)]
@@ -647,7 +628,7 @@ def _check_extremal_certificate(space, curves, face, height_bound):
     names, classes = curves
     for name, c in zip(names, classes):
         if c.space.pic_names() != space.pic_names():
-            raise ScenarioFileError(
+            raise ValueError(
                 "curve %s lives on %s, not on %s"
                 % (_shown(name), c.space.name, space.name)
             )
@@ -981,11 +962,11 @@ def _validate_ns(ns):
         if n == SYMBOLIC:
             continue
         if isinstance(n, bool) or not isinstance(n, int):
-            raise BadParameterError(
+            raise ScenarioError(
                 "n must be an integer >= %d or %r" % (exactnum.N_MIN, SYMBOLIC)
             )
         if n < exactnum.N_MIN:
-            raise BadParameterError("n must be >= %d (got %d)" % (exactnum.N_MIN, n))
+            raise ScenarioError("n must be >= %d (got %d)" % (exactnum.N_MIN, n))
 
 
 def _check_values(value, where: str, depth: int = 0):
@@ -993,27 +974,27 @@ def _check_values(value, where: str, depth: int = 0):
     float, a value of another type, a key that is not a string, an integer
     too long to print, or nesting deeper than MAX_NESTING."""
     if isinstance(value, float):
-        raise ScenarioFileError(
+        raise ScenarioError(
             "%s: non-exact number %r (use strings of integers or p/q)" % (where, value)
         )
     if isinstance(value, (dict, list)):
         if depth == MAX_NESTING:
-            raise ScenarioFileError(
+            raise ScenarioError(
                 "%s: nested deeper than %d levels" % (where, MAX_NESTING)
             )
         for key in value if isinstance(value, dict) else ():
             if not isinstance(key, str):
-                raise ScenarioFileError("%s: key %s is not a string" % (where, _shown(key)))
+                raise ScenarioError("%s: key %s is not a string" % (where, _shown(key)))
         for v in value.values() if isinstance(value, dict) else value:
             _check_values(v, where, depth + 1)
     elif value is not None and not isinstance(value, (int, str)):
-        raise ScenarioFileError("%s: %s is not JSON data" % (where, _shown(value)))
+        raise ScenarioError("%s: %s is not JSON data" % (where, _shown(value)))
     elif isinstance(value, int):
         try:
             str(value)
         except ValueError:  # over the interpreter's digit limit
             message = "%s: an integer has more than %d digits"
-            raise ScenarioFileError(message % (where, sys.get_int_max_str_digits())) from None
+            raise ScenarioError(message % (where, sys.get_int_max_str_digits())) from None
 
 
 _ENTRY_NAMES = _list_of(
@@ -1081,7 +1062,7 @@ class _Compiled:
         check runs once; only serializing and comparing happen per n."""
         doc = self.doc
         if doc.get("n_policy", POLICY_ANY) == POLICY_NUMERIC and SYMBOLIC in ns:
-            raise PolicyError(
+            raise ScenarioError(
                 "scenario %s computes finite ranks; run it at a numeric n >= %d"
                 % (_shown(doc["name"]), exactnum.N_MIN)
             )
@@ -1102,8 +1083,8 @@ class _Compiled:
                 computed = [serialize_value(value, n) for n in ns]
                 wanted = parse_value(entry["value"])
                 expected = [serialize_value(wanted, n) for n in ns]
-            except (ValueError, ScenarioFileError) as exc:
-                raise ScenarioFileError("%s: %s" % (what, _cut(str(exc)))) from exc
+            except ValueError as exc:
+                raise ScenarioError("%s: %s" % (what, _cut(str(exc)))) from exc
             for out, got, want in zip(results, computed, expected):
                 status = "PASS" if got == want else "FAIL"
                 out.append(CheckResult(entry["name"], status, want, got, entry["provenance"]))
@@ -1160,7 +1141,7 @@ def _scenario_text(name: str) -> str:
     """The JSON text of a built-in scenario: its file with the ``uses`` list
     replaced by the entries it names, in the order of the tower file."""
     if name not in _BUILTIN:
-        raise UnknownScenarioError(
+        raise ScenarioError(
             "unknown scenario %s; known scenarios: %s"
             % (_shown(name), ", ".join(_BUILTIN))
         )
@@ -1215,9 +1196,18 @@ def load_scenario_file(path) -> dict:
     return _load_file(path)[0]
 
 
+def _open(path, mode: str):
+    """``open(path, mode)`` in UTF-8; a path that open() refuses with
+    ValueError, one holding a NUL byte, is a ScenarioError."""
+    try:
+        return open(path, mode, encoding="utf-8")
+    except ValueError as exc:
+        raise ScenarioError("%r: %s" % (path, exc)) from None
+
+
 def _load_file(path) -> tuple:
     """`load_scenario_file`'s document and its compiled entry."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open(path, "r") as fh:
         try:
             doc, reason = json.loads(fh.read()), None
         except UnicodeDecodeError as exc:
@@ -1229,7 +1219,7 @@ def _load_file(path) -> tuple:
         except ValueError:  # an integer literal over the interpreter's digit limit
             reason = ": an integer has more than %d digits" % sys.get_int_max_str_digits()
     if reason:
-        raise ScenarioFileError("%s: parse error%s" % (path, reason))
+        raise ScenarioError("%s: parse error%s" % (path, reason))
     fmt = _one_of({FORMAT_TAG: FORMAT_TAG}, "format")
     _entry(str(path), lambda: _read(doc, {"format": fmt}, None))
     return doc, _compiled_dict(doc)

@@ -32,11 +32,6 @@ class StabilizerClass(enum.Enum):
     TRIVIAL = "trivial"
 
 
-class NotInHomOmegaError(ValueError):
-    """The hom's image is not isotropic, so the omega-pullback model
-    does not apply."""
-
-
 def _omega(v: Sequence, w: Sequence) -> int | Fraction:
     """The standard symplectic form on E = F^6, with gram [[0, I], [-I, 0]],
     for vectors whose entries are already int or Fraction.  A vector shorter
@@ -95,7 +90,7 @@ def stabilizer_class_omega(phi: ExactMatrix) -> StabilizerClass:
     (MULTIPLICATIVE).
     """
     if not is_isotropic(_hom_columns(phi)):
-        raise NotInHomOmegaError("image is not isotropic")
+        raise ValueError("image is not isotropic")
     r = rank(phi)
     if r == 0:
         return StabilizerClass.FULL_SO_W

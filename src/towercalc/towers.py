@@ -26,14 +26,6 @@ from .exactnum import (
 )
 
 
-class LatticeError(ValueError):
-    pass
-
-
-class MissingCanonicalError(ValueError):
-    pass
-
-
 class Space:
     """Common behaviour of every node in a tower.  Each constructor sets the
     generator names ``_pic`` and the dimension ``_dim`` once, and each kind
@@ -69,7 +61,7 @@ class Space:
     def gen(self, name: str, coeff=1) -> "DivClass":
         names = self.pic_names()
         if name not in names:
-            raise LatticeError("no generator %r on %s" % (name, self.name))
+            raise ValueError("no generator %r on %s" % (name, self.name))
         coords = [ParamPoly()] * len(names)
         coords[names.index(name)] = aspoly(coeff)
         return DivClass(self, tuple(coords))
@@ -77,7 +69,7 @@ class Space:
     def div(self, coords: Sequence) -> "DivClass":
         coords = tuple(aspoly(c) for c in coords)
         if len(coords) != self.pic_rank:
-            raise LatticeError(
+            raise ValueError(
                 "expected %d coordinates on %s, got %d"
                 % (self.pic_rank, self.name, len(coords))
             )
@@ -98,7 +90,7 @@ class LatticeVector:
         if type(other) is not type(self) or (
             self.space.pic_names() != other.space.pic_names()
         ):
-            raise LatticeError(
+            raise ValueError(
                 "classes on different lattices: %s vs %s"
                 % (self.space.name, other.space.name)
             )
@@ -166,17 +158,17 @@ class FormalBase(Space):
         self.name = name
         self._pic = tuple(pic_names)
         if len(set(self._pic)) != len(self._pic):
-            raise LatticeError("duplicate generator names")
+            raise ValueError("duplicate generator names")
         self._canonical = (
             None if canonical is None else tuple(aspoly(c) for c in canonical)
         )
         if self._canonical is not None and len(self._canonical) != len(self._pic):
-            raise LatticeError("canonical has wrong length")
+            raise ValueError("canonical has wrong length")
         self._dim = aspoly(dim)
 
     def canonical_coords(self):
         if self._canonical is None:
-            raise MissingCanonicalError("no canonical class declared on %s" % self.name)
+            raise ValueError("no canonical class declared on %s" % self.name)
         return self._canonical
 
 
@@ -190,7 +182,7 @@ def lift_coords(
     out = [ParamPoly()] * len(dst_names)
     for name, c in zip(src_names, coords):
         if name not in dst_names:
-            raise LatticeError(
+            raise ValueError(
                 "generator %r of %s not present on %s" % (name, src.name, dst.name)
             )
         out[dst_names.index(name)] = c
@@ -207,9 +199,9 @@ class ProjBundle(Space):
 
     def __init__(self, name: str, base: Space, bundle: FormalBundle, taut_name: str):
         if bundle.space is not base and bundle.space.pic_names() != base.pic_names():
-            raise LatticeError("bundle does not live on the base")
+            raise ValueError("bundle does not live on the base")
         if taut_name in base.pic_names():
-            raise LatticeError("generator name %r already used" % taut_name)
+            raise ValueError("generator name %r already used" % taut_name)
         self.name = name
         self.base = base
         self.bundle = bundle
@@ -247,7 +239,7 @@ class BlowUp(Space):
                 % (self.codim, exactnum.N_MIN)
             )
         if exc_name in ambient.pic_names():
-            raise LatticeError("generator name %r already used" % exc_name)
+            raise ValueError("generator name %r already used" % exc_name)
         self.name = name
         self.ambient = ambient
         self.exc_name = exc_name
@@ -273,7 +265,7 @@ class FiberProduct(Space):
     def __init__(self, name: str, left: Space, right: Space, over: Space):
         for side in (left, right):
             if over not in side.ancestors():
-                raise LatticeError(
+                raise ValueError(
                     "%s is not built over %s" % (side.name, over.name)
                 )
         self.name = name
@@ -285,7 +277,7 @@ class FiberProduct(Space):
         right_extra = [g for g in right.pic_names() if g not in base_names]
         clash = set(left_extra) & set(right_extra)
         if clash:
-            raise LatticeError("generator names shared by both factors: %r" % clash)
+            raise ValueError("generator names shared by both factors: %r" % clash)
         self._pic = tuple(base_names) + tuple(left_extra) + tuple(right_extra)
         self._dim = left.dim() + right.dim() - over.dim()
         self._canonical = None
@@ -380,7 +372,7 @@ class PullbackMap:
         matrix: ExactMatrix,
     ):
         if matrix.rows != len(target_names) or matrix.cols != len(source_names):
-            raise LatticeError("matrix shape does not match the bases")
+            raise ValueError("matrix shape does not match the bases")
         self.name = name
         self.source_names = source_names
         self.target_names = target_names
@@ -405,7 +397,7 @@ def transport_class(
     names: tuple[str, ...] | None = None
     for step in via:
         if names is not None and names != step.source_names:
-            raise LatticeError("chain bases do not line up")
+            raise ValueError("chain bases do not line up")
         current = step.matrix.apply(current)
         names = step.target_names
     if names is None:
@@ -413,7 +405,7 @@ def transport_class(
     keep = [i for i, g in enumerate(names) if g not in set(drop)]
     unknown = set(drop) - set(names)
     if unknown:
-        raise LatticeError("cannot drop unknown generators %r" % unknown)
+        raise ValueError("cannot drop unknown generators %r" % unknown)
     return {
         "names": tuple(names[i] for i in keep),
         "coords": tuple(current[i] for i in keep),

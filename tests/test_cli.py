@@ -27,7 +27,7 @@ from towercalc.scenarios import (
     MAX_NESTING,
     MAX_SECTION_ENTRIES,
     SYMBOLIC,
-    ScenarioFileError,
+    ScenarioError,
     canonical_json,
     evaluate_doc,
     export_scenario,
@@ -672,6 +672,24 @@ PLUS_N = {"0": "1/2", "1": "1"}
             [["11", "0", "0"]],
             "check 'higher-cohomology': twist outside supported range",
         ),
+        # Engine refusals inside the two checks that catch one kind of
+        # ValueError: they refuse the document, not read as a value.
+        (
+            "mori-chain-ez",
+            "expect",
+            "chain",
+            "chain.steps.0.cprime.pullbacks",
+            [["1"], ["0"], ["0"]],
+            "scenario 'mori-chain-ez' check 'chain': vector length 2, expected 3\n",
+        ),
+        (
+            "picard-matrices",
+            "expect",
+            "psi-invertible",
+            "map",
+            "cotangent_split",
+            "scenario 'picard-matrices' check 'psi-invertible': not square\n",
+        ),
     ],
     ids=[
         "zero-denominator",
@@ -738,6 +756,8 @@ PLUS_N = {"0": "1/2", "1": "1"}
         "zero-denominator-in-a-number",
         "negative-symmetric-power",
         "twist-over-the-bound",
+        "chain-pullback-of-the-wrong-shape",
+        "map-inverse-of-a-non-square-map",
     ],
 )
 def test_bad_document_is_a_named_error(
@@ -1327,13 +1347,17 @@ def test_a_file_nested_near_the_parser_limit_is_a_named_error(tmp_path):
     # would run out of stack first.
     path = tmp_path / "deep.json"
     limit = sys.getrecursionlimit()
+    refusal = "^(%s: parse error: nested deeper than the parser can follow|%s)$" % (
+        re.escape(str(path)),
+        "scenario 'deep': nested deeper than %d levels" % MAX_NESTING,
+    )
     for depth in range(limit - 300, limit + 1):
         path.write_text(
             '{"format": "towercalc-scenario/1", "name": "deep", "expect": %s}'
             % ("[" * depth + "]" * depth),
             encoding="utf-8",
         )
-        with pytest.raises(ScenarioFileError, match="nested deeper than"):
+        with pytest.raises(ScenarioError, match=refusal):
             load_scenario_file(path)
 
 
@@ -1569,6 +1593,28 @@ def test_output_flag_writes_the_file_and_stays_quiet(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert json.loads(path.read_text())["scenario"] == "euler-convention"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--scenario-file"],
+        ["verify", "--scenario", "euler-convention", "--output"],
+        ["table", "--scenario", "jz-intersection-table", "--output"],
+        ["cone", "--scenario", "mori-chain-ez", "--output"],
+        ["list", "--output"],
+        ["export", "--scenario", "euler-convention", "--output"],
+    ],
+    ids=lambda argv: "-".join(a.lstrip("-") for a in (argv[0], argv[-1])),
+)
+def test_a_path_holding_a_nul_byte_is_a_named_error(capsys, tmp_path, argv):
+    # open() refuses such a path with ValueError, not OSError; the CLI names
+    # it as it names a path that cannot be opened.
+    path = str(tmp_path / "re\x00port.json")
+    code, out, err = run(capsys, argv + [path])
+    assert (code, out) == (2, "")
+    assert err == "error: %r: embedded null byte\n" % path
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tests for the curve-class, pairing, cone, and propagation engine."""
 
 import random
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -23,7 +24,6 @@ from towercalc.towers import (
     FiberProduct,
     FormalBase,
     FormalBundle,
-    LatticeError,
     ProjBundle,
     PullbackMap,
     lift_class,
@@ -36,10 +36,7 @@ from towercalc.curves import (
     Cone,
     ContractionData,
     CurveClass,
-    CurveSpaceError,
-    InconsistentObservationError,
     PropagationError,
-    SingularTableError,
     _coefficient_rows,
     _dependency_witness,
     _face_indices,
@@ -102,12 +99,12 @@ class TestAtomics:
 
     def test_unknown_taut_generator(self, setup):
         jz, *_ = setup
-        with pytest.raises(CurveSpaceError):
+        with pytest.raises(ValueError, match=r"^'x9' is not a projective-bundle generator of J_Z$"):
             line_in_proj_fiber("x9", jz)
 
     def test_base_generator_is_not_a_fiber_line(self, setup):
         jz, *_ = setup
-        with pytest.raises(CurveSpaceError):
+        with pytest.raises(ValueError, match=r"^'x1' is not a projective-bundle generator of J_Z$"):
             line_in_proj_fiber("x1", jz)
 
     def test_exceptional_line_uses_declared_degree(self, setup):
@@ -119,7 +116,7 @@ class TestAtomics:
 
     def test_unknown_ruling(self, setup):
         _, jhat, *_ = setup
-        with pytest.raises(CurveSpaceError):
+        with pytest.raises(ValueError, match=r"^no blow-up of Jhat_Z declares the ruling 'nope'$"):
             line_in_exceptional_fiber("nope", jhat)
 
     def test_simple_exceptional_fiber_degree(self):
@@ -142,7 +139,7 @@ class TestAtomics:
     def test_strict_transform_needs_blowup(self, setup):
         jz, _, ehat1, *_ = setup
         eps1 = line_in_proj_fiber("x2", jz)
-        with pytest.raises(CurveSpaceError):
+        with pytest.raises(ValueError, match=r"^strict transforms live on a blow-up$"):
             strict_transform(eps1, 1, jz)
 
     def test_declared_section(self, setup):
@@ -152,7 +149,8 @@ class TestAtomics:
 
     def test_wrong_length_declared(self, setup):
         _, jhat, *_ = setup
-        with pytest.raises(CurveSpaceError):
+        refusal = "^vector length 2 does not match the 4 generators of Jhat_Z$"
+        with pytest.raises(ValueError, match=refusal):
             declared_section((1, 2), jhat)
 
 
@@ -181,7 +179,7 @@ class TestPairing:
 
     def test_space_mismatch(self, setup):
         jz, jhat, ehat1, *_ = setup
-        with pytest.raises(CurveSpaceError):
+        with pytest.raises(ValueError, match=r"^curve on Jhat_Z paired with class on J_Z$"):
             intersect(ehat1, jz.gen("x1"))
 
     def test_curve_and_divisor_classes_do_not_mix(self, setup):
@@ -191,7 +189,7 @@ class TestPairing:
         assert type(ehat1 + ehat1) is CurveClass
         assert type(2 * ehat1 - ehat1) is CurveClass
         assert type(-divisor) is DivClass
-        with pytest.raises(LatticeError):
+        with pytest.raises(ValueError, match=r"^classes on different lattices: Jhat_Z vs Jhat_Z$"):
             ehat1 + divisor
 
     def test_atomic_intersect_shortcut(self, setup):
@@ -265,12 +263,13 @@ class TestSolvePushforward:
 
     def test_singular_table(self):
         table = ExactMatrix([[1, 0], [1, 0]])
-        with pytest.raises(SingularTableError):
+        with pytest.raises(ValueError, match=r"^pairing table is singular$"):
             solve_pushforward((0, 0), table)
 
     def test_inconsistent_observation(self):
         table = ExactMatrix([[1, 0], [2, 0]])  # 2x2, transpose has rank 1
-        with pytest.raises((SingularTableError, InconsistentObservationError)):
+        refusal = "^observed pairings are inconsistent with the table$"
+        with pytest.raises(ValueError, match=refusal):
             solve_pushforward((0, 1), table)
 
     @given(
@@ -731,7 +730,7 @@ class TestRestrictionKernel:
     def test_curve_off_the_source_lattice_is_rejected(self, setup, restriction):
         jz, jhat, ehat1, *_ = setup
         eps1 = line_in_proj_fiber("x2", jz)
-        with pytest.raises(CurveSpaceError, match="not on the source lattice of r"):
+        with pytest.raises(ValueError, match=r"^curve on J_Z is not on the source lattice of r$"):
             restriction_kernel(from_jhat(jhat, restriction), (ehat1, eps1))
 
     def test_pushforward_of_a_square_restriction_reads_its_columns(self):
@@ -792,7 +791,7 @@ def _two_step_chain(break_condition=None):
 VIOLATIONS = {
     "a": "fiber-line is not contracted by projection",
     "b": "fiber-line is contracted by other-ruling",
-    "c": "do not match the known cone",
+    "c": "pushed generators [('2',)] do not match the known cone [('1',)]",
     "a-also": "section is contracted by projection",
     "b-keeps": "section is not contracted by other-ruling",
 }
@@ -832,11 +831,9 @@ class TestMoriPropagation:
 
     @pytest.mark.parametrize("cond", ["a", "b", "c", "a-also", "b-keeps"])
     def test_hypothesis_violations_identified(self, cond):
-        with pytest.raises(PropagationError) as err:
+        refusal = "step bundle-step, condition %s: %s" % (cond[0], VIOLATIONS[cond])
+        with pytest.raises(PropagationError, match="^%s$" % re.escape(refusal)):
             mori_propagate(_two_step_chain(break_condition=cond))
-        assert err.value.condition == cond[0]
-        assert err.value.step_name == "bundle-step"
-        assert VIOLATIONS[cond] in str(err.value)
 
     def test_contraction_data_exclusive(self):
         with pytest.raises(ValueError):
@@ -863,7 +860,7 @@ def test_the_library_refuses_misaligned_curve_data():
     base = FormalBase("P3", ("h",), canonical=(-4,), dim=3)
     up = BlowUp("up", base, 3, "e", exc_directions=("f",), exc_degrees=(-1,))
     twice = BlowUp("twice", up, 2, "e2", exc_directions=("f",), exc_degrees=(-1,))
-    with pytest.raises(CurveSpaceError, match="^ruling 'f' is declared by more than one blow-up$"):
+    with pytest.raises(ValueError, match=r"^ruling 'f' is declared by more than one blow-up$"):
         line_in_exceptional_fiber("f", twice)
     with pytest.raises(ValueError, match="^generator length does not match the lattice$"):
         Cone(dim=2, generators=((1, 0, 0),))

@@ -14,7 +14,6 @@ from towercalc.cli import main
 from towercalc.exactnum import ExactMatrix, N, rank
 from towercalc.symplectic import (
     ExtPair,
-    NotInHomOmegaError,
     StabilizerClass,
     fixed_locus_incidence,
     is_isotropic,
@@ -185,7 +184,7 @@ class TestStabilizerOmega:
 
     def test_non_isotropic_image_rejected(self) -> None:
         phi = hom([X1, Y1, Z6])
-        with pytest.raises(NotInHomOmegaError):
+        with pytest.raises(ValueError, match=r"^image is not isotropic$"):
             stabilizer_class_omega(phi)
 
     def test_perp_in_w_is_kappa_orthogonal(self) -> None:
