@@ -135,6 +135,54 @@ MUTANTS = [
         '    return open(path, mode, encoding="utf-8")\n',
         "a path holding a NUL byte ends in a traceback, not a named error",
     ),
+    (
+        "json-keys-in-insertion-order",
+        "src/towercalc/scenarios.py",
+        "for key in sorted(value):",
+        "for key in value:",
+        "canonical JSON writes an object's keys in the order they were inserted",
+    ),
+    (
+        "json-bool-written-as-int",
+        "src/towercalc/scenarios.py",
+        "    if value is None or value is True or value is False:  # a bool is an int\n"
+        "        return _LITERALS[value]\n"
+        "    if isinstance(value, int):\n"
+        "        return int.__repr__(value)\n",
+        "    if isinstance(value, int):\n"
+        "        return int.__repr__(value)\n"
+        "    if value is None or value is True or value is False:  # a bool is an int\n"
+        "        return _LITERALS[value]\n",
+        "the int branch comes before the bool branch, so true and false are written 1 and 0",
+    ),
+    (
+        "one-expected-value-for-every-check",
+        "src/towercalc/scenarios.py",
+        'parse_value(entry["value"]),',
+        'parse_value(doc["expect"][0]["value"]),',
+        "every check of a document is compared with its first check's expected value",
+    ),
+    (
+        "extremal-strict-positivity-dropped",
+        "src/towercalc/curves.py",
+        "_int_signs_from([_dot(cand, row) for row in dense]) == {1}",
+        "-1 not in _int_signs_from([_dot(cand, row) for row in dense])",
+        "a functional whose pairing is 0 at some n >= 3 is certified as strictly positive",
+    ),
+    (
+        "chain-set-not-multiset",
+        "src/towercalc/curves.py",
+        "        if pushed != expected:\n",
+        "        if set(pushed) != set(expected):\n",
+        "two generators pushed to one vector match a known cone that has it once",
+    ),
+    (
+        "contracting-unsorted",
+        "src/towercalc/curves.py",
+        "for i in sorted(range(len(images)), key=lambda i: i != ci):",
+        "for i in range(len(images)):",
+        "of two generators that break a condition, not the marked one is named",
+    ),
 ]
 
 

@@ -375,6 +375,13 @@ class TestExtremalCertificate:
             "combination": {0: N - 3, 1: aspoly(1)},
         }
 
+    def test_a_pairing_that_vanishes_at_one_n_is_not_strictly_positive(self):
+        # Every functional vanishing on g1 is (k, 0), whose value on g2 is
+        # k (n - 4)^2: 1 or more at n = 3, and 0 at n = 4.
+        cone = Cone(dim=2, generators=((0, 1), ((N - 4) * (N - 4), 0)), names=("g1", "g2"))
+        cert = extremal_certificate(cone, face=("g1",), height_bound=3)
+        assert cert["status"] == "inconclusive"
+
     def test_face_of_two_generators(self):
         # The functional must vanish on both face generators, not just one.
         cone = Cone(
@@ -834,6 +841,34 @@ class TestMoriPropagation:
         refusal = "step bundle-step, condition %s: %s" % (cond[0], VIOLATIONS[cond])
         with pytest.raises(PropagationError, match="^%s$" % re.escape(refusal)):
             mori_propagate(_two_step_chain(break_condition=cond))
+
+    @pytest.mark.parametrize(
+        "names, prime, double, refusal",
+        [
+            # Two generators push to the known cone's one generator: as a
+            # set the pushforwards match, as a multiset they do not.
+            (("fiber-line", "s1", "s2"), ((0,), (1,), (1,)), ((1,), (0,), (0,)),
+             "condition c: pushed generators [('1',), ('1',)] do not match "
+             "the known cone [('1',)]"),
+            # The section, listed first, and the marked fiber-line both break
+            # condition a; the marked one is named.
+            (("section", "fiber-line"), ((0,), (1,)), ((0,), (1,)),
+             "condition a: fiber-line is not contracted by projection"),
+        ],
+        ids=["pushforwards-as-a-multiset", "marked-generator-named-first"],
+    )
+    def test_declared_images_that_break_a_condition(self, names, prime, double, refusal):
+        step = ChainStep(
+            space_name="bundle-step",
+            generator_names=names,
+            generators=((1, 0),) * len(names),
+            contracted="fiber-line",
+            cprime=ContractionData(name="projection", images=prime),
+            cdouble=ContractionData(name="other-ruling", images=double),
+        )
+        chain = ChainSpec("projective-space", ("line",), ((1,),), (step,))
+        with pytest.raises(PropagationError, match="^step bundle-step, %s$" % re.escape(refusal)):
+            mori_propagate(chain)
 
     def test_contraction_data_exclusive(self):
         with pytest.raises(ValueError):
